@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench ci serve router servesmoke servebench corpus corpussmoke corpusbench stats execbench fuzz fuzz-smoke goldens goldens-update hygiene gen opprofile
+.PHONY: build test bench ci serve router servesmoke servebench corpus corpussmoke corpusbench execbench fuzz fuzz-smoke goldens goldens-update hygiene
 
 build:
 	$(GO) build ./...
@@ -8,8 +8,7 @@ build:
 test:
 	$(GO) test ./...
 
-# bench reproduces the Table III timing run; pass OBS_OUT=FILE to also write
-# a machine-readable telemetry baseline (see README "Observability").
+# bench reproduces the Table III timing run.
 bench:
 	$(GO) test -bench BenchmarkTable3 -benchmem -run '^$$'
 
@@ -62,25 +61,8 @@ corpusbench:
 hygiene:
 	sh scripts/hygiene.sh
 
-# stats regenerates BENCH_obs.json, the committed per-phase telemetry
-# baseline for the Table III benchmark apps.
-stats:
-	OBS_OUT=BENCH_obs.json $(GO) test -bench BenchmarkTable3 -benchmem -run '^$$'
-
-# gen regenerates the regvm's opcode table and dispatch switch
-# (internal/interp/op_codes.go, op_exec.go) from gen_ops.go. CI fails if
-# the committed files drift from what this produces.
-gen:
-	$(GO) generate ./internal/interp
-
-# opprofile regenerates internal/interp/testdata/opcode_pairs.json, the
-# committed dynamic opcode-pair profile the regvm superinstruction set was
-# selected from (DESIGN.md §10).
-opprofile:
-	$(GO) run scripts/opprofile.go
-
 # execbench regenerates BENCH_exec.json, the committed engine-comparison
-# baseline (tree vs bytecode vs regvm, traced vs untraced, plus full
+# baseline (tree vs bytecode, traced vs untraced, plus full
 # per-app analyses) that scripts/benchgate.go gates CI against.
 execbench:
 	EXEC_OUT=BENCH_exec.json $(GO) test -bench 'BenchmarkExec' -benchtime 20x -run '^$$' .

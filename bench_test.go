@@ -24,31 +24,6 @@ import (
 	"pardetect/internal/trace"
 )
 
-// benchObs accumulates per-app telemetry reports when OBS_OUT names a file;
-// TestMain writes them as a pardetect.obs.runset/v1 JSON after the run:
-//
-//	OBS_OUT=BENCH_obs.json go test -bench BenchmarkTable3 -benchmem
-//
-// This is how the committed BENCH_obs.json baseline is regenerated, giving
-// perf PRs a trajectory file (phase timings, event counters, ns/op) to
-// compare against.
-var benchObs struct {
-	mu      sync.Mutex
-	reports []obs.Report
-}
-
-// farmOut accumulates per-configuration farm batch reports when FARM_OUT
-// names a file; TestMain writes them as a runset after the run:
-//
-//	FARM_OUT=BENCH_farm.json go test -bench BenchmarkFarm -benchmem
-//
-// This is how the committed BENCH_farm.json baseline is regenerated: one
-// farm report per pool size, with the benchmark's own ns/op attached.
-var farmOut struct {
-	mu      sync.Mutex
-	reports []obs.Report
-}
-
 // execOut accumulates per-configuration execution-engine reports when
 // EXEC_OUT names a file; TestMain writes them as a runset after the run:
 //
@@ -114,69 +89,7 @@ func TestMain(m *testing.M) {
 		execOut.mu.Unlock()
 		writeRunSet(path, reports)
 	}
-	if path := os.Getenv("FARM_OUT"); path != "" {
-		farmOut.mu.Lock()
-		last := map[string]int{}
-		for i, r := range farmOut.reports {
-			last[r.Label] = i
-		}
-		set := obs.RunSet{Schema: obs.RunSetSchema}
-		for i, r := range farmOut.reports {
-			if last[r.Label] == i {
-				set.Runs = append(set.Runs, r)
-			}
-		}
-		farmOut.mu.Unlock()
-		if len(set.Runs) > 0 {
-			if data, err := set.JSON(); err == nil {
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "FARM_OUT: %v\n", err)
-				}
-			}
-		}
-	}
-	if path := os.Getenv("OBS_OUT"); path != "" {
-		benchObs.mu.Lock()
-		// The harness may rerun a benchmark while sizing b.N; keep only the
-		// final report per app.
-		last := map[string]int{}
-		for i, r := range benchObs.reports {
-			last[r.Label] = i
-		}
-		set := obs.RunSet{Schema: obs.RunSetSchema}
-		for i, r := range benchObs.reports {
-			if last[r.Label] == i {
-				set.Runs = append(set.Runs, r)
-			}
-		}
-		benchObs.mu.Unlock()
-		if len(set.Runs) > 0 {
-			if data, err := set.JSON(); err == nil {
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					fmt.Fprintf(os.Stderr, "OBS_OUT: %v\n", err)
-				}
-			}
-		}
-	}
 	os.Exit(code)
-}
-
-// captureBenchObs runs the app once more with telemetry enabled (outside the
-// timed loop) and records its report plus the benchmark's own throughput.
-func captureBenchObs(b *testing.B, name string) {
-	b.Helper()
-	o := obs.New(name)
-	if _, err := report.RunAppObserved(name, o); err != nil {
-		b.Fatal(err)
-	}
-	rep := o.Snapshot()
-	if b.N > 0 {
-		rep.Counters["bench.ns_per_op"] = b.Elapsed().Nanoseconds() / int64(b.N)
-	}
-	rep.Counters["bench.iterations"] = int64(b.N)
-	benchObs.mu.Lock()
-	benchObs.reports = append(benchObs.reports, rep)
-	benchObs.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------------
@@ -200,11 +113,6 @@ func benchTable3(b *testing.B, name string) {
 	b.ReportMetric(run.Result.HotspotSharePct, "hotspot/pct")
 	if run.Result.Headline != run.App.Expect.Pattern {
 		b.Fatalf("headline %q != paper %q", run.Result.Headline, run.App.Expect.Pattern)
-	}
-	if os.Getenv("OBS_OUT") != "" {
-		b.StopTimer()
-		captureBenchObs(b, name)
-		b.StartTimer()
 	}
 }
 
@@ -489,16 +397,6 @@ func benchFarm(b *testing.B, jobs int) {
 	if wall := float64(rep.Counters["farm.wall_ns"]); wall > 0 {
 		b.ReportMetric(float64(rep.Counters["farm.busy_ns"])/wall, "busy/wall")
 	}
-	if os.Getenv("FARM_OUT") != "" {
-		rep.Label = fmt.Sprintf("farm/jobs=%d", jobs)
-		if b.N > 0 {
-			rep.Counters["bench.ns_per_op"] = b.Elapsed().Nanoseconds() / int64(b.N)
-		}
-		rep.Counters["bench.iterations"] = int64(b.N)
-		farmOut.mu.Lock()
-		farmOut.reports = append(farmOut.reports, rep)
-		farmOut.mu.Unlock()
-	}
 }
 
 func BenchmarkFarm(b *testing.B) {
@@ -524,7 +422,7 @@ func BenchmarkFarm(b *testing.B) {
 var execApps = []string{"2mm", "correlation", "fdtd-2d"}
 
 func BenchmarkExec(b *testing.B) {
-	for _, engine := range []string{interp.EngineTree, interp.EngineBytecode, interp.EngineRegVM} {
+	for _, engine := range []string{interp.EngineTree, interp.EngineBytecode} {
 		for _, traced := range []bool{false, true} {
 			cfg := fmt.Sprintf("engine=%s/traced=%v", engine, traced)
 			for _, name := range execApps {
@@ -566,7 +464,7 @@ func BenchmarkExec(b *testing.B) {
 // called directly: the report layer's schedule sweep (sched.Sweep) never
 // executes the interpreter and would only dilute the comparison.
 func BenchmarkExecAnalysis(b *testing.B) {
-	for _, engine := range []string{interp.EngineTree, interp.EngineBytecode, interp.EngineRegVM} {
+	for _, engine := range []string{interp.EngineTree, interp.EngineBytecode} {
 		engine := engine
 		for _, name := range apps.TableIIIOrder {
 			name := name

@@ -41,7 +41,7 @@ import (
 func main() {
 	table := flag.Int("table", 0, "print only this table (1..6); 0 prints all")
 	jobs := flag.Int("jobs", 0, "concurrent app analyses (default GOMAXPROCS; 1 = sequential)")
-	engine := flag.String("engine", interp.EngineTree, "interpreter engine for the profiled runs: tree, bytecode or regvm")
+	engine := flag.String("engine", interp.EngineTree, "interpreter engine for the profiled runs: tree or bytecode (regvm: alias of bytecode)")
 	curves := flag.Bool("curves", false, "print the simulated speedup curves")
 	statsOut := flag.String("stats-out", "", "write per-app telemetry reports as JSON to this file")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address while running")

@@ -56,7 +56,7 @@ func main() {
 	all := flag.Bool("all", false, "analyse every registered benchmark through the farm worker pool")
 	jobs := flag.Int("jobs", 0, "concurrent analyses with -all (default GOMAXPROCS; 1 = sequential)")
 	hotspot := flag.Float64("hotspot", 0, "hotspot share threshold (default 0.02)")
-	engine := flag.String("engine", interp.EngineTree, "interpreter engine for the profiled runs: tree, bytecode or regvm")
+	engine := flag.String("engine", interp.EngineTree, "interpreter engine for the profiled runs: tree or bytecode (regvm: alias of bytecode)")
 	showOps := flag.Bool("ops", false, "print the Program Execution Tree with operation counts")
 	showDeps := flag.Bool("deps", false, "print the profiled cross-loop dependences")
 	showSrc := flag.Bool("src", false, "print the benchmark's mini-IR source")

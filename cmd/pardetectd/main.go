@@ -63,7 +63,7 @@ func main() {
 	queue := flag.Int("queue", 64, "admission queue depth beyond the workers; a full queue answers 429")
 	cacheEntries := flag.Int("cache", 512, "content-addressed result cache entries (LRU)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "default per-request analysis deadline (0 = none; requests may lower it)")
-	engine := flag.String("engine", interp.EngineTree, "default interpreter engine: tree, bytecode or regvm")
+	engine := flag.String("engine", interp.EngineTree, "default interpreter engine: tree or bytecode (regvm: alias of bytecode)")
 	drain := flag.Duration("drain", time.Minute, "shutdown grace period for in-flight analyses")
 	accessLog := flag.String("access-log", "", "write one JSON access-log line per request to this file (\"-\" = stderr)")
 	slow := flag.Int("slow", 8, "slow-request samples kept for /debug/slow (0 disables)")

@@ -44,14 +44,10 @@
 //     (the replay must be a cache hit on the same home replica — affinity),
 //     then one replica is killed and the pool replayed again (zero
 //     client-visible errors, the victim's programs remapped — failover)
-//     ("router" section);
-//   - engine comparison (-engines, on by default): the pool is replayed once
-//     per interpreter engine (tree, bytecode, regvm), each against its own
-//     fresh cold-cache in-process server, recording per-engine analysis
-//     latency ("engines" section).
+//     ("router" section).
 //
-// The batch leg targets whatever -addr selected; the restart, fairness,
-// router and engines legs always build their own in-process servers because
+// The batch leg targets whatever -addr selected; the restart, fairness and
+// router legs always build their own in-process servers because
 // they must control the server's lifecycle, configuration or cache state.
 package main
 
@@ -96,7 +92,6 @@ type config struct {
 	Restart     bool   `json:"restart,omitempty"`
 	Tenants     int    `json:"tenants,omitempty"`
 	Replicas    int    `json:"replicas,omitempty"`
-	Engines     bool   `json:"engines,omitempty"`
 }
 
 type latency struct {
@@ -166,17 +161,6 @@ type routerResult struct {
 	FailoverRemapped int64 `json:"failover_remapped"`
 }
 
-// engineLatency is one engine's cell in the engines leg: the pool replayed
-// once against a fresh (cold-cache) in-process server pinned to that engine,
-// so every request is a real analysis under that engine's interpreter.
-type engineLatency struct {
-	Requests int64 `json:"requests"`
-	Errors   int64 `json:"errors"`
-	P50NS    int64 `json:"p50_ns"`
-	MeanNS   int64 `json:"mean_ns"`
-	MaxNS    int64 `json:"max_ns"`
-}
-
 type result struct {
 	Schema        string             `json:"schema"`
 	Config        config             `json:"config"`
@@ -193,9 +177,6 @@ type result struct {
 	WarmRestart   *warmRestartResult `json:"warm_restart,omitempty"`
 	Fairness      *fairnessResult    `json:"fairness,omitempty"`
 	Router        *routerResult      `json:"router,omitempty"`
-	// Engines maps engine name → cold-cache pool-replay latency; see
-	// runEnginesLeg for why each engine gets its own server.
-	Engines map[string]*engineLatency `json:"engines,omitempty"`
 }
 
 func main() {
@@ -205,14 +186,13 @@ func main() {
 	programs := flag.Int("programs", 16, "replayed program pool size (cacheable traffic)")
 	hitpct := flag.Int("hitpct", 50, "percent of requests drawn from the replayed pool (0-100)")
 	seed := flag.Uint64("seed", 1, "base seed for the fuzzer program generator")
-	engine := flag.String("engine", interp.EngineTree, "in-process server engine: tree, bytecode or regvm")
+	engine := flag.String("engine", interp.EngineTree, "in-process server engine: tree or bytecode (regvm: alias of bytecode)")
 	workers := flag.Int("workers", 0, "in-process server workers (default GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "in-process server admission queue")
 	batchN := flag.Int("batch", 8, "batch-leg per-request parallelism for /analyze/batch (0 skips the leg)")
 	restart := flag.Bool("restart", true, "run the warm-restart leg (persistent store durability)")
 	tenants := flag.Int("tenants", 2, "victim tenants in the fairness leg (0 skips the leg)")
 	replicas := flag.Int("replicas", 0, "router leg: in-process pardetectd replicas behind a routing tier (0 skips the leg)")
-	enginesLeg := flag.Bool("engines", true, "run the per-engine latency comparison leg (tree vs bytecode vs regvm)")
 	out := flag.String("out", "-", "output path for the JSON result (\"-\" = stdout)")
 	flag.Parse()
 	if *c < 1 || *programs < 1 || *hitpct < 0 || *hitpct > 100 || *dur <= 0 {
@@ -334,10 +314,6 @@ func main() {
 	if *replicas > 0 {
 		routerRes = runRouterLeg(pool, *engine, *workers, *queue, *replicas)
 	}
-	var enginesRes map[string]*engineLatency
-	if *enginesLeg {
-		enginesRes = runEnginesLeg(pool, *workers, *queue)
-	}
 
 	res := result{
 		Schema: Schema,
@@ -346,7 +322,7 @@ func main() {
 			Programs: *programs, HitPct: *hitpct, Seed: *seed,
 			Engine: *engine, Workers: *workers, Queue: *queue,
 			Batch: *batchN, Restart: *restart, Tenants: *tenants,
-			Replicas: *replicas, Engines: *enginesLeg,
+			Replicas: *replicas,
 		},
 		Requests:  lat.Count(),
 		Errors:    errs.Load(),
@@ -361,7 +337,6 @@ func main() {
 		WarmRestart: warmRes,
 		Fairness:    fairRes,
 		Router:      routerRes,
-		Engines:     enginesRes,
 	}
 	outcomes.Range(func(k, v any) bool {
 		res.Outcomes[k.(string)] = v.(*atomic.Int64).Load()
@@ -562,62 +537,6 @@ func runWarmRestartLeg(pool [][]byte, engine string, workers, queue int) *warmRe
 	}
 	fmt.Fprintf(os.Stderr, "servebench: warm-restart leg: %d/%d hits after restart (%.1f%%)\n",
 		res.Hits, res.Programs, res.HitRate*100)
-	return res
-}
-
-// runEnginesLeg replays the pool once per interpreter engine, each against
-// its own fresh in-process server. Fresh servers matter: the content-
-// addressed cache is keyed by program content alone, so a shared server
-// would answer every engine after the first from cache and the comparison
-// would measure nothing. Each cell is therefore pure cold-cache analysis
-// latency under that engine. scripts/servegate.go checks the section
-// structurally (all three engines present and answering) without ranking
-// them — the pool programs are small enough that HTTP overhead rivals
-// execution time, so latency ordering here is noise; the authoritative
-// engine comparison is BENCH_exec.json under scripts/benchgate.go.
-func runEnginesLeg(pool [][]byte, workers, queue int) map[string]*engineLatency {
-	res := map[string]*engineLatency{}
-	client := &http.Client{}
-	for _, eng := range []string{interp.EngineTree, interp.EngineBytecode, interp.EngineRegVM} {
-		cell := &engineLatency{}
-		res[eng] = cell
-		base, _, stop, err := startLocal(server.Options{
-			Workers: workers, Queue: queue, DefaultEngine: eng,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "servebench: engines leg (%s): %v\n", eng, err)
-			continue
-		}
-		lat := metrics.NewRegistry().Histogram("servebench_engine_latency_ns", "engines-leg latency")
-		var maxNS int64
-		for i, body := range pool {
-			t0 := time.Now()
-			resp, err := client.Post(base+"/analyze?format=json", "application/json", strings.NewReader(string(body)))
-			if err != nil {
-				cell.Errors++
-				fmt.Fprintf(os.Stderr, "servebench: engines leg (%s) program %d: %v\n", eng, i, err)
-				continue
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode >= 400 {
-				cell.Errors++
-				continue
-			}
-			d := time.Since(t0).Nanoseconds()
-			lat.Observe(d)
-			if d > maxNS {
-				maxNS = d
-			}
-		}
-		stop()
-		cell.Requests = lat.Count()
-		cell.P50NS = lat.Quantile(0.50)
-		cell.MeanNS = lat.Mean()
-		cell.MaxNS = maxNS
-		fmt.Fprintf(os.Stderr, "servebench: engines leg: %s p50 %v mean %v over %d programs\n",
-			eng, time.Duration(cell.P50NS), time.Duration(cell.MeanNS), cell.Requests)
-	}
 	return res
 }
 

@@ -56,10 +56,10 @@ type Options struct {
 	// wedged analysis from stalling the whole batch.
 	Timeout time.Duration
 	// Engine selects the interpreter execution engine for every profiled
-	// run: interp.EngineTree (the default, also selected by ""),
-	// interp.EngineBytecode (closure-threaded code) or interp.EngineRegVM
-	// (register bytecode, the fastest; identical observable behaviour in
-	// all three). An unknown value fails the analysis with interp's
+	// run: interp.EngineTree (the reference tree walker, the default, also
+	// selected by "") or interp.EngineBytecode (closure-threaded code), with
+	// identical observable behaviour in both. interp.EngineRegVM is an alias
+	// of EngineBytecode. An unknown value fails the analysis with interp's
 	// unknown-engine error on the first run.
 	Engine string
 	// InferReductionOperator enables the paper's future-work extension.
@@ -149,13 +149,11 @@ func Analyze(p *ir.Program, opts Options) (*Result, error) {
 	defer total.End()
 	if o != nil {
 		// exec.engine records which engine ran the profiled executions:
-		// 0 = tree, 1 = bytecode, 2 = regvm.
+		// 0 = tree, 1 = bytecode (also selected by the regvm alias).
 		var eng int64
 		switch opts.Engine {
-		case interp.EngineBytecode:
+		case interp.EngineBytecode, interp.EngineRegVM:
 			eng = 1
-		case interp.EngineRegVM:
-			eng = 2
 		}
 		o.Add("exec.engine", eng)
 	}

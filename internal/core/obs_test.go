@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pardetect/internal/apps"
+	"pardetect/internal/interp"
 	"pardetect/internal/obs"
 )
 
@@ -68,6 +69,28 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 		if len(o.Snapshot().Spans) == 0 {
 			t.Errorf("%s: observer recorded no spans", name)
 		}
+	}
+}
+
+// TestEngineRegVMAliasesBytecode: the retired register engine's name still
+// analyses, with the tree engine's result fingerprint, and the exec.engine
+// counter records it as the bytecode engine it now selects.
+func TestEngineRegVMAliasesBytecode(t *testing.T) {
+	app := apps.Get("fib")
+	tree, err := Analyze(app.Build(), Options{})
+	if err != nil {
+		t.Fatalf("Analyze(tree): %v", err)
+	}
+	o := obs.New("fib")
+	alias, err := Analyze(app.Build(), Options{Engine: interp.EngineRegVM, Observer: o})
+	if err != nil {
+		t.Fatalf("Analyze(regvm): %v", err)
+	}
+	if a, b := tree.Fingerprint(), alias.Fingerprint(); a != b {
+		t.Errorf("fingerprint: tree %s vs regvm %s", a, b)
+	}
+	if got := o.Counter("exec.engine"); got != 1 {
+		t.Errorf("exec.engine = %d, want 1 (bytecode)", got)
 	}
 }
 

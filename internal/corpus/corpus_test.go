@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pardetect/internal/obs"
@@ -191,7 +192,7 @@ func TestReportDeterminism(t *testing.T) {
 		{"jobs=4", 4, ""},
 		{"jobs=16", 16, ""},
 		{"engine=bytecode", 4, "bytecode"},
-		{"engine=regvm", 4, "regvm"},
+		{"engine=regvm", 4, "regvm"}, // alias of bytecode
 		{"engine=tree", 4, "tree"},
 	} {
 		text, js := render(tc.jobs, tc.engine)
@@ -293,4 +294,31 @@ func TestFailedFilesRetryAndNeverEnterManifest(t *testing.T) {
 	if total != n {
 		t.Fatalf("histogram counts %d programs, want %d", total, n)
 	}
+}
+
+// TestOverflowingDimsFail: a corpus file whose array dims overflow int
+// (4294967296² wraps to 0) is a failed outcome with a named error, never an
+// analysis over a wrapped array size; the other files are unaffected.
+func TestOverflowingDimsFail(t *testing.T) {
+	const n = 2
+	dir := genCorpus(t, n, 700)
+	body := `{"name":"huge","entry":"main","arrays":[{"name":"a","dims":[4294967296,4294967296]}],` +
+		`"funcs":[{"name":"main","line":1,"body":[{"kind":"return","line":2,"val":{"kind":"const","v":1}}]}]}`
+	if err := os.WriteFile(filepath.Join(dir, "huge.json"), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, _ := runCorpus(t, Options{Dir: dir})
+	if rep.Failed != 1 || rep.Analyzed != n {
+		t.Fatalf("failed=%d analyzed=%d, want 1/%d", rep.Failed, rep.Analyzed, n)
+	}
+	for _, pr := range rep.Results {
+		if pr.Path != "huge.json" {
+			continue
+		}
+		if pr.Outcome != OutcomeFailed || !strings.Contains(pr.Error, "array size overflows") {
+			t.Fatalf("huge.json: outcome %q error %q, want failed with an overflow error", pr.Outcome, pr.Error)
+		}
+		return
+	}
+	t.Fatal("huge.json missing from the report")
 }

@@ -329,7 +329,7 @@ func (b *Batch) Errs() []Result {
 // spare cores — or whenever Jobs exceeds the hardware parallelism — worker
 // wall time is inflated by time-slicing: the busy_ns sum then grows well
 // beyond the Jobs=1 total while batch wall time barely moves (see
-// EXPERIMENTS.md, BENCH_farm). The per-task numbers make that visible
+// EXPERIMENTS.md). The per-task numbers make that visible
 // per job instead of only in the aggregate.
 //
 // Two invariants hold at any pool size and are pinned by tests: farm.busy_ns

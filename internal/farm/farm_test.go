@@ -327,7 +327,7 @@ func TestPoolPanicAndDeadline(t *testing.T) {
 	}
 }
 
-// TestBusyNsInvariants pins the BENCH_farm busy_ns accounting (the jobs=4
+// TestBusyNsInvariants pins the farm's busy_ns accounting (the jobs=4
 // "anomaly" investigated in EXPERIMENTS.md): at any pool size the per-task
 // ns counters must be non-negative, sum exactly to farm.busy_ns, and the
 // busy sum must never exceed wall × jobs — at most Jobs tasks run at once

@@ -55,10 +55,9 @@ func FuzzDifferential(f *testing.F) {
 	})
 }
 
-// FuzzEngine: both compiled engines (closure bytecode and register-IR
-// regvm) must be observationally identical to the tree walker — untraced
-// state, traced profile fingerprint and full analysis result fingerprint
-// (oracle D4).
+// FuzzEngine: the compiled bytecode engine must be observationally
+// identical to the tree walker — untraced state, traced profile fingerprint
+// and full analysis result fingerprint (oracle D4).
 func FuzzEngine(f *testing.F) {
 	f.Add([]byte("pardetect"))
 	for _, seed := range regressionSeeds {

@@ -103,55 +103,52 @@ func executeEngine(seed uint64, tr interp.Tracer, engine string) *interp.State {
 	return m.Snapshot(runErr)
 }
 
-// checkEngineParity is differential oracle D4: every compiled engine — the
-// closure-threaded bytecode engine and the register-IR regvm — must be
-// observationally identical to the reference tree walker. Three layers are
-// compared on the same program: the untraced execution state (bitwise, via
-// interp.State.Diff — covering return value, final arrays, statement count
-// and the abort error of step-limited runs), the phase-1 profile
-// fingerprint of a traced run (covering the entire event stream as the
-// dependence profiler observes it), and the full analysis result
+// checkEngineParity is differential oracle D4: the compiled bytecode engine
+// must be observationally identical to the reference tree walker. Three
+// layers are compared on the same program: the untraced execution state
+// (bitwise, via interp.State.Diff — covering return value, final arrays,
+// statement count and the abort error of step-limited runs), the phase-1
+// profile fingerprint of a traced run (covering the entire event stream as
+// the dependence profiler observes it), and the full analysis result
 // fingerprint (covering every downstream detection decision).
 func checkEngineParity(res *CheckResult, seed uint64) {
+	const engine = interp.EngineBytecode
 	tree := executeEngine(seed, nil, interp.EngineTree)
+	cmp := executeEngine(seed, nil, engine)
+	if !tree.Comparable(cmp) {
+		res.skip("engine-parity", "wall-clock truncation")
+		return
+	}
+	for _, d := range tree.Diff(cmp) {
+		res.diverge("engine-parity", engine+" untraced state: "+d)
+	}
+
+	// Traced runs: even a step-limited run leaves a valid partial profile,
+	// and both engines must abort with the same error after the same events.
 	tfp, terr := profileEngine(seed, interp.EngineTree)
+	cfp, cerr := profileEngine(seed, engine)
+	switch {
+	case (terr == nil) != (cerr == nil) || (terr != nil && terr.Error() != cerr.Error()):
+		res.diverge("engine-parity", fmt.Sprintf("traced run error mismatch: tree %v vs %s %v", terr, engine, cerr))
+	case tfp != cfp:
+		res.diverge("engine-parity", fmt.Sprintf("profile fingerprint mismatch: tree %s vs %s %s", tfp, engine, cfp))
+	}
+
+	// Full analysis (phase 1 + phase 2 + detection).
 	ta, terrA := core.Analyze(Generate(seed), core.Options{MaxSteps: MaxSteps})
-	for _, engine := range []string{interp.EngineBytecode, interp.EngineRegVM} {
-		cmp := executeEngine(seed, nil, engine)
-		if !tree.Comparable(cmp) {
-			res.skip("engine-parity", "wall-clock truncation")
-			continue
+	ca, cerrA := core.Analyze(Generate(seed), core.Options{MaxSteps: MaxSteps, Engine: engine})
+	switch {
+	case terrA != nil && cerrA != nil:
+		if terrA.Error() != cerrA.Error() {
+			res.diverge("engine-parity", fmt.Sprintf("analysis error mismatch: tree %q vs %s %q", terrA, engine, cerrA))
+			return
 		}
-		for _, d := range tree.Diff(cmp) {
-			res.diverge("engine-parity", engine+" untraced state: "+d)
-		}
-
-		// Traced runs: even a step-limited run leaves a valid partial
-		// profile, and every engine must abort with the same error after
-		// the same events.
-		cfp, cerr := profileEngine(seed, engine)
-		switch {
-		case (terr == nil) != (cerr == nil) || (terr != nil && terr.Error() != cerr.Error()):
-			res.diverge("engine-parity", fmt.Sprintf("traced run error mismatch: tree %v vs %s %v", terr, engine, cerr))
-		case tfp != cfp:
-			res.diverge("engine-parity", fmt.Sprintf("profile fingerprint mismatch: tree %s vs %s %s", tfp, engine, cfp))
-		}
-
-		// Full analysis (phase 1 + phase 2 + detection).
-		ca, cerrA := core.Analyze(Generate(seed), core.Options{MaxSteps: MaxSteps, Engine: engine})
-		switch {
-		case terrA != nil && cerrA != nil:
-			if terrA.Error() != cerrA.Error() {
-				res.diverge("engine-parity", fmt.Sprintf("analysis error mismatch: tree %q vs %s %q", terrA, engine, cerrA))
-				continue
-			}
-			res.skip("engine-parity", "analysis aborted identically: "+terrA.Error())
-		case (terrA == nil) != (cerrA == nil):
-			res.diverge("engine-parity", fmt.Sprintf("one engine's analysis failed: tree=%v %s=%v", terrA, engine, cerrA))
-		default:
-			if a, b := ta.Fingerprint(), ca.Fingerprint(); a != b {
-				res.diverge("engine-parity", fmt.Sprintf("result fingerprint mismatch: tree %s vs %s %s", a, engine, b))
-			}
+		res.skip("engine-parity", "analysis aborted identically: "+terrA.Error())
+	case (terrA == nil) != (cerrA == nil):
+		res.diverge("engine-parity", fmt.Sprintf("one engine's analysis failed: tree=%v %s=%v", terrA, engine, cerrA))
+	default:
+		if a, b := ta.Fingerprint(), ca.Fingerprint(); a != b {
+			res.diverge("engine-parity", fmt.Sprintf("result fingerprint mismatch: tree %s vs %s %s", a, engine, b))
 		}
 	}
 }

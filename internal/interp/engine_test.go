@@ -55,17 +55,15 @@ func checkParity(t *testing.T, p *ir.Program, opts interp.Options, wantErr strin
 	if wantErr != "" && !strings.Contains(tree.Err, wantErr) {
 		t.Errorf("tree error %q does not contain %q", tree.Err, wantErr)
 	}
-	for _, engine := range []string{interp.EngineBytecode, interp.EngineRegVM} {
-		st, fp := runEngine(t, p, opts, engine)
-		for _, d := range tree.Diff(st) {
-			t.Errorf("state divergence (%s): %s", engine, d)
-		}
-		if treeFP != fp {
-			t.Errorf("profile fingerprint divergence: tree %s vs %s %s", treeFP, engine, fp)
-		}
-		if wantErr != "" && st.Err != tree.Err {
-			t.Errorf("error text differs: tree %q vs %s %q", tree.Err, engine, st.Err)
-		}
+	st, fp := runEngine(t, p, opts, interp.EngineBytecode)
+	for _, d := range tree.Diff(st) {
+		t.Errorf("state divergence: %s", d)
+	}
+	if treeFP != fp {
+		t.Errorf("profile fingerprint divergence: tree %s vs bytecode %s", treeFP, fp)
+	}
+	if wantErr != "" && st.Err != tree.Err {
+		t.Errorf("error text differs: tree %q vs bytecode %q", tree.Err, st.Err)
 	}
 }
 
@@ -129,22 +127,20 @@ func TestEngineParityDeadline(t *testing.T) {
 		t.Errorf("unexpected deadline error %q", treeErr)
 	}
 	ts := tm.Snapshot(treeErr)
-	for _, engine := range []string{interp.EngineBytecode, interp.EngineRegVM} {
-		em, err := interp.New(p, optsWithEngine(opts, engine))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, engErr := em.Run()
-		if engErr == nil {
-			t.Fatalf("expired deadline did not abort %s engine", engine)
-		}
-		if treeErr.Error() != engErr.Error() {
-			t.Errorf("deadline error differs: tree %q vs %s %q", treeErr, engine, engErr)
-		}
-		es := em.Snapshot(engErr)
-		if ts.Steps != es.Steps {
-			t.Errorf("abort step differs: tree %d vs %s %d", ts.Steps, engine, es.Steps)
-		}
+	em, err := interp.New(p, optsWithEngine(opts, interp.EngineBytecode))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, engErr := em.Run()
+	if engErr == nil {
+		t.Fatal("expired deadline did not abort bytecode engine")
+	}
+	if treeErr.Error() != engErr.Error() {
+		t.Errorf("deadline error differs: tree %q vs bytecode %q", treeErr, engErr)
+	}
+	es := em.Snapshot(engErr)
+	if ts.Steps != es.Steps {
+		t.Errorf("abort step differs: tree %d vs bytecode %d", ts.Steps, es.Steps)
 	}
 }
 
@@ -274,7 +270,7 @@ func TestParseEngine(t *testing.T) {
 		{"", interp.EngineTree, true},
 		{"tree", interp.EngineTree, true},
 		{"bytecode", interp.EngineBytecode, true},
-		{"regvm", interp.EngineRegVM, true},
+		{"regvm", interp.EngineBytecode, true}, // alias of the retired register engine
 		{"Tree", "", false},
 		{"RegVM", "", false},
 		{"jit", "", false},

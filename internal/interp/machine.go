@@ -31,12 +31,11 @@ type Options struct {
 	// Engine selects the execution engine: EngineTree (the default, also
 	// selected by "") walks the AST and is the reference implementation;
 	// EngineBytecode compiles the program to closure-threaded code at New
-	// and batches tracer events; EngineRegVM lowers it further, to flat
-	// register-based bytecode run by a generated dispatch switch with
-	// superinstruction fusion (see regvm.go). All engines are
-	// observationally identical — same results, states, step counts,
-	// errors and event stream — except for the numeric values of scalar
-	// addresses, which are only aliasing identities.
+	// and batches tracer events. EngineRegVM is an alias of EngineBytecode,
+	// kept so existing clients that name the retired register engine still
+	// work. Both engines are observationally identical — same results,
+	// states, step counts, errors and event stream — except for the numeric
+	// values of scalar addresses, which are only aliasing identities.
 	Engine string
 }
 
@@ -44,7 +43,7 @@ type Options struct {
 const (
 	EngineTree     = "tree"
 	EngineBytecode = "bytecode"
-	EngineRegVM    = "regvm"
+	EngineRegVM    = "regvm" // alias of EngineBytecode
 )
 
 // ParseEngine validates an engine name arriving from the outside — a command
@@ -56,12 +55,10 @@ func ParseEngine(name string) (string, error) {
 	switch name {
 	case "", EngineTree:
 		return EngineTree, nil
-	case EngineBytecode:
+	case EngineBytecode, EngineRegVM:
 		return EngineBytecode, nil
-	case EngineRegVM:
-		return EngineRegVM, nil
 	}
-	return "", fmt.Errorf("interp: unknown engine %q (valid: %s, %s, %s)", name, EngineTree, EngineBytecode, EngineRegVM)
+	return "", fmt.Errorf("interp: unknown engine %q (valid: %s, %s)", name, EngineTree, EngineBytecode)
 }
 
 // ScalarBase is the lowest scalar-slot address. Array elements live in
@@ -111,10 +108,6 @@ type Machine struct {
 	code *compiled
 	vm   *vm
 
-	// Register-IR engine state (Options.Engine == EngineRegVM), under the
-	// same contract as the closure vm.
-	rvm *rvm
-
 	ran bool
 	ret float64
 }
@@ -148,15 +141,9 @@ func New(prog *ir.Program, opts Options) (*Machine, error) {
 	}
 	switch opts.Engine {
 	case "", EngineTree:
-	case EngineBytecode:
+	case EngineBytecode, EngineRegVM:
 		m.code = compile(prog, m.arrayBase)
 		m.vm = newVM(m.code, m)
-	case EngineRegVM:
-		rp, err := regCompile(prog, m.arrayBase, true)
-		if err != nil {
-			return nil, err
-		}
-		m.rvm = newRVM(rp, m)
 	default:
 		return nil, fmt.Errorf("interp: unknown engine %q", opts.Engine)
 	}
@@ -176,15 +163,6 @@ func (m *Machine) Run() (float64, error) {
 	if m.vm != nil {
 		v, err := m.vm.run(m.code.entry)
 		m.steps = m.vm.steps
-		if err != nil {
-			return 0, err
-		}
-		m.ret = v
-		return v, nil
-	}
-	if m.rvm != nil {
-		v, err := m.rvm.run()
-		m.steps = m.rvm.steps
 		if err != nil {
 			return 0, err
 		}

@@ -54,7 +54,9 @@ type ArrayDecl struct {
 	Dims []int
 }
 
-// Size returns the total number of elements of the array.
+// Size returns the total number of elements of the array. It does not check
+// for overflow; Program.Validate rejects arrays whose size overflows
+// (ErrArrayTooLarge).
 func (a *ArrayDecl) Size() int {
 	n := 1
 	for _, d := range a.Dims {

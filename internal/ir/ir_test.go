@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -131,6 +132,36 @@ func TestArraySize(t *testing.T) {
 	a := &ArrayDecl{Name: "m", Dims: []int{3, 4, 5}}
 	if got := a.Size(); got != 60 {
 		t.Fatalf("Size() = %d, want 60", got)
+	}
+}
+
+// TestValidateRejectsArraySizeOverflow: a dims product or an all-arrays
+// total that overflows int is rejected with ErrArrayTooLarge instead of
+// wrapping to a small size the interpreter would then allocate.
+func TestValidateRejectsArraySizeOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		arrays []*ArrayDecl
+	}{
+		{"wraps to zero", []*ArrayDecl{{Name: "a", Dims: []int{1 << 32, 1 << 32}}}},
+		// 3 × 6148914691236517206 = 2^64 + 2, which wraps to 2.
+		{"wraps to small positive", []*ArrayDecl{{Name: "a", Dims: []int{3, 6148914691236517206}}}},
+		{"wraps negative", []*ArrayDecl{{Name: "a", Dims: []int{1 << 62, 2}}}},
+		{"sum of two arrays", []*ArrayDecl{{Name: "a", Dims: []int{1 << 62}}, {Name: "b", Dims: []int{1 << 62}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &Program{Name: "big", Entry: "main", Arrays: tc.arrays, Funcs: []*Function{{Name: "main"}}}
+			if err := p.Validate(); !errors.Is(err, ErrArrayTooLarge) {
+				t.Fatalf("Validate() = %v, want ErrArrayTooLarge", err)
+			}
+		})
+	}
+	// The largest sizes that do fit are still accepted: the bound is
+	// overflow, not a memory budget.
+	p := &Program{Name: "max", Entry: "main", Funcs: []*Function{{Name: "main"}},
+		Arrays: []*ArrayDecl{{Name: "a", Dims: []int{1 << 61, 2}}, {Name: "b", Dims: []int{1<<62 - 1}}}}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("Validate() = %v, want nil for a total of MaxInt elements", err)
 	}
 }
 

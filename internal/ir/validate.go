@@ -1,14 +1,23 @@
 package ir
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 )
 
+// ErrArrayTooLarge reports an array whose element count — the product of its
+// dimensions — or a program whose total element count over all arrays does
+// not fit in an int. ArrayDecl.Size and the interpreter's array memory would
+// otherwise wrap silently, e.g. dims [4294967296, 4294967296] to 0.
+var ErrArrayTooLarge = errors.New("array size overflows int")
+
 // Validate checks static well-formedness of the program: unique names,
 // resolvable array and function references, matching call arities, a valid
-// entry point, unique loop IDs and unique statement lines. It returns the
-// first problem found.
+// entry point, unique loop IDs, unique statement lines and array sizes that
+// fit in an int. It returns the first problem found.
 func (p *Program) Validate() error {
 	if p.funcsByName == nil {
 		p.index()
@@ -67,6 +76,7 @@ func (p *Program) Validate() error {
 
 func (p *Program) checkDecls() error {
 	seenA := map[string]bool{}
+	total := 0
 	for _, a := range p.Arrays {
 		if a.Name == "" {
 			return fmt.Errorf("program %s: unnamed array", p.Name)
@@ -83,6 +93,15 @@ func (p *Program) checkDecls() error {
 				return fmt.Errorf("array %s: non-positive dimension %d", a.Name, d)
 			}
 		}
+		n, ok := checkedSize(a.Dims)
+		if !ok {
+			return fmt.Errorf("array %s: %w: dims %v", a.Name, ErrArrayTooLarge, a.Dims)
+		}
+		if total > math.MaxInt-n {
+			return fmt.Errorf("program %s: %w: arrays up to %s total more than %d elements",
+				p.Name, ErrArrayTooLarge, a.Name, math.MaxInt)
+		}
+		total += n
 	}
 	seenF := map[string]bool{}
 	for _, f := range p.Funcs {
@@ -102,6 +121,20 @@ func (p *Program) checkDecls() error {
 		}
 	}
 	return nil
+}
+
+// checkedSize is the product of positive dims, or false when it overflows an
+// int.
+func checkedSize(dims []int) (int, bool) {
+	n := 1
+	for _, d := range dims {
+		hi, lo := bits.Mul64(uint64(n), uint64(d))
+		if hi != 0 || lo > math.MaxInt {
+			return 0, false
+		}
+		n = int(lo)
+	}
+	return n, true
 }
 
 func (p *Program) checkStmtRefs(f *Function, s Stmt) error {

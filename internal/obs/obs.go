@@ -10,7 +10,7 @@
 //
 // A finished run is exported through Snapshot, which produces the
 // machine-readable Report (see report.go for the pinned JSON schema) behind
-// `pardetect -stats`, `benchtab -stats-out` and the BENCH_obs.json baseline.
+// `pardetect -stats` and `benchtab -stats-out`.
 package obs
 
 import (

@@ -20,8 +20,7 @@ const RunSetSchema = "pardetect.obs.runset/v1"
 
 // Report is the machine-readable export of one observed run: the span tree,
 // the counters, the sampled per-line event histogram and the decision log.
-// This is the schema behind `pardetect -stats-json`, `benchtab -stats-out`
-// and BENCH_obs.json.
+// This is the schema behind `pardetect -stats-json` and `benchtab -stats-out`.
 type Report struct {
 	Schema   string       `json:"schema"`
 	Label    string       `json:"label,omitempty"`

@@ -3,8 +3,8 @@ package obs
 import "testing"
 
 // goldenReport is a fully-populated report with fixed values; the golden
-// tests below pin both the JSON schema (the `benchtab -stats-out` and
-// BENCH_obs.json format) and the text rendering (`pardetect -stats`).
+// tests below pin both the JSON schema (the `benchtab -stats-out` format)
+// and the text rendering (`pardetect -stats`).
 // Changing either layout must be deliberate: update the golden strings AND
 // bump the Schema version on incompatible JSON changes.
 func goldenReport() Report {

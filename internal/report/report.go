@@ -50,8 +50,8 @@ func RunAppTimeout(name string, o *obs.Observer, timeout time.Duration) (*AppRun
 
 // RunAppEngine is RunAppTimeout with an explicit interpreter engine for the
 // profiled executions ("" or interp.EngineTree for the reference tree
-// walker, interp.EngineBytecode or interp.EngineRegVM for the compiled
-// engines). Every engine produces identical profiles and results; see
+// walker, interp.EngineBytecode for the compiled engine, interp.EngineRegVM
+// as its alias). Both engines produce identical profiles and results; see
 // core.Options.Engine.
 func RunAppEngine(name string, o *obs.Observer, timeout time.Duration, engine string) (*AppRun, error) {
 	app := apps.Get(name)

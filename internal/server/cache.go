@@ -8,10 +8,9 @@ import (
 // cache is the content-addressed result store: analysis responses keyed by
 // the program's content fingerprint (core.ProgramFingerprint) plus the
 // analysis options that shape the output. The key is deliberately
-// engine-free — the tree, bytecode and regvm engines are observationally
-// identical (goldens.sh and the fuzzer's engine-parity oracle pin this), so
-// a bytecode or regvm request may be served from an entry a tree request
-// populated.
+// engine-free — the tree and bytecode engines are observationally identical
+// (goldens.sh and the fuzzer's engine-parity oracle pin this), so a bytecode
+// request may be served from an entry a tree request populated.
 //
 // Eviction is LRU over a fixed entry budget: analysis results are a few KB
 // of rendered text, so a count bound (not a byte bound) is enough, and the

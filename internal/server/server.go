@@ -15,8 +15,8 @@
 //     instead of accepting unbounded work;
 //   - per-request wall-clock deadlines threaded into core.Options.Timeout;
 //     an exceeded deadline surfaces as interp.ErrDeadline and a 504;
-//   - per-request engine selection (tree, bytecode or regvm) with responses
-//     byte-identical across engines, like the CLI;
+//   - per-request engine selection (tree or bytecode; regvm is an alias of
+//     bytecode) with responses byte-identical across engines, like the CLI;
 //   - graceful shutdown that stops admission and drains in-flight analyses.
 //
 // Telemetry flows through internal/obs: every decision the admission path

@@ -257,18 +257,20 @@ func TestDeadlineSurfacesAs504(t *testing.T) {
 func TestEngineParityByteIdenticalWithCLI(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 	for _, app := range []string{"bicg", "fib"} {
-		// cache=skip so each engine truly runs; without it the second
-		// request would be served from the first engine's entry.
+		// cache=skip so each engine truly runs; without it the later
+		// requests would be served from the first request's entry. The
+		// first request names no engine (the default); regvm is the alias
+		// of bytecode and must keep answering.
 		var bodies [][]byte
-		for _, eng := range []string{"tree", "bytecode"} {
-			resp, body := get(t, ts.URL+"/analyze?app="+app+"&engine="+eng+"&cache=skip")
+		for _, q := range []string{"", "&engine=tree", "&engine=bytecode", "&engine=regvm"} {
+			resp, body := get(t, ts.URL+"/analyze?app="+app+q+"&cache=skip")
 			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s/%s: status %d, body %s", app, eng, resp.StatusCode, body)
+				t.Fatalf("%s%s: status %d, body %s", app, q, resp.StatusCode, body)
+			}
+			if len(bodies) > 0 && !bytes.Equal(bodies[0], body) {
+				t.Fatalf("%s%s: response differs from the default engine's", app, q)
 			}
 			bodies = append(bodies, body)
-		}
-		if !bytes.Equal(bodies[0], bodies[1]) {
-			t.Fatalf("%s: tree and bytecode responses differ", app)
 		}
 		// And both match what the pardetect CLI prints for this app.
 		run, err := report.RunAppEngine(app, nil, 0, "tree")
@@ -351,6 +353,7 @@ func TestClientErrors(t *testing.T) {
 		{"invalid program", "POST", "/analyze", `{"name":"x","entry":"main","funcs":[{"name":"main","body":[{"kind":"expr","x":{"kind":"call","fn":"missing"}}]}]}`, 400, "missing"},
 		{"trailing garbage", "POST", "/analyze", `{"name":"x","entry":"main","funcs":[{"name":"main","line":1,"body":[{"kind":"return","line":2,"val":{"kind":"const","v":1}}]}]}garbage`, 400, "trailing data"},
 		{"concatenated documents", "POST", "/analyze", `{"name":"x","entry":"main","funcs":[{"name":"main","line":1,"body":[{"kind":"return","line":2,"val":{"kind":"const","v":1}}]}]}` + "\n" + `{"name":"y","entry":"main","funcs":[{"name":"main","line":1,"body":[{"kind":"return","line":2,"val":{"kind":"const","v":1}}]}]}`, 400, "trailing data"},
+		{"overflowing array dims", "POST", "/analyze", `{"name":"x","entry":"main","arrays":[{"name":"a","dims":[4294967296,4294967296]}],"funcs":[{"name":"main","line":1,"body":[{"kind":"return","line":2,"val":{"kind":"const","v":1}}]}]}`, 400, "array size overflows"},
 		{"unknown ir app", "GET", "/ir?app=nope", "", 404, "unknown app"},
 	}
 	for _, tc := range tests {

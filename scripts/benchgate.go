@@ -1,8 +1,7 @@
 //go:build ignore
 
 // benchgate compares a fresh BENCH_exec.json run against the committed
-// baseline and fails when a compiled engine got slower — or stopped being
-// the fastest thing in the building.
+// baseline and fails when the compiled bytecode engine got slower.
 //
 // Usage:
 //
@@ -12,33 +11,13 @@
 //
 //	EXEC_OUT=<file> go test -bench 'BenchmarkExec' -run '^$' .
 //
-// Four gates run in sequence:
-//
-//  1. Bytecode regression: geometric mean of fresh/baseline ratios over all
-//     engine=bytecode cells must stay under 1+tolerance (default 0.40 —
-//     sized to observed whole-box speed drift between runs on a shared
-//     single-CPU CI machine, which moves every cell of both engines
-//     together; the within-run gates 3 and 4 below cancel box speed and
-//     carry the precise engine-ordering assertions).
-//  2. Regvm regression: the same bound over all engine=regvm cells.
-//  3. Regvm supremacy on untraced raw execution: over the fresh run's
-//     exec/<app>/engine=.../traced=false cells, the geometric mean of the
-//     regvm/bytecode ratio must be below 1.0. The register engine exists
-//     to be the fastest engine, its committed lead there is ~2×, and a
-//     single-shot run never flips a 2× margin — so this pins the ordering
-//     in CI without flaking.
-//  4. Full-analysis backstop: the same ratio over exec/analysis/... cells
-//     must stay at or under 1.30. Analysis is dominated by the
-//     engine-independent phase-2 pair profiler, which dilutes the real
-//     dispatch-level gap below this box's run-to-run noise — identical
-//     code has measured regvm/bytecode analysis geomeans from 0.89 to
-//     1.19 — so this gate only catches a regvm analysis collapse, not an
-//     ordering (EXPERIMENTS.md reports the engines as statistically
-//     indistinguishable on full analysis).
-//
-// A geometric mean over all cells — rather than a per-cell limit — keeps
-// one noisy cell on a busy CI box from failing an otherwise healthy run,
-// while a real engine regression moves every cell and cannot hide.
+// The gate: the geometric mean of fresh/baseline ratios over all
+// engine=bytecode cells must stay under 1+tolerance (default 0.40 — sized to
+// observed whole-box speed drift between runs on a shared single-CPU CI
+// machine, which moves every cell together). A geometric mean over all
+// cells — rather than a per-cell limit — keeps one noisy cell on a busy CI
+// box from failing an otherwise healthy run, while a real engine regression
+// moves every cell and cannot hide.
 package main
 
 import (
@@ -80,7 +59,7 @@ func load(path string) (map[string]int64, error) {
 func main() {
 	baseline := flag.String("baseline", "BENCH_exec.json", "committed baseline runset")
 	fresh := flag.String("fresh", "", "freshly measured runset (required)")
-	tolerance := flag.Float64("tolerance", 0.40, "allowed cross-run geomean slowdown of a compiled engine (sized above whole-box CI speed drift; within-run gates carry the precise assertions)")
+	tolerance := flag.Float64("tolerance", 0.40, "allowed cross-run geomean slowdown of the bytecode engine (sized above whole-box CI speed drift)")
 	flag.Parse()
 	if *fresh == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -fresh is required")
@@ -98,84 +77,32 @@ func main() {
 		os.Exit(2)
 	}
 
-	failed := false
+	const tag = "engine=bytecode"
+	labels := make([]string, 0, len(base))
+	for label := range base {
+		if strings.Contains(label, tag) {
+			if _, ok := cur[label]; ok {
+				labels = append(labels, label)
+			}
+		}
+	}
+	sort.Strings(labels)
+	if len(labels) == 0 {
+		fmt.Fprintf(os.Stderr, "benchgate: no common %s labels between baseline and fresh run\n", tag)
+		os.Exit(2)
+	}
+	logSum := 0.0
+	for _, label := range labels {
+		ratio := float64(cur[label]) / float64(base[label])
+		logSum += math.Log(ratio)
+		fmt.Printf("benchgate: %-55s baseline %12d ns  fresh %12d ns  ratio %.3f\n",
+			label, base[label], cur[label], ratio)
+	}
 	limit := 1 + *tolerance
-	for _, engine := range []string{"bytecode", "regvm"} {
-		tag := "engine=" + engine
-		labels := make([]string, 0, len(base))
-		for label := range base {
-			if strings.Contains(label, tag) {
-				if _, ok := cur[label]; ok {
-					labels = append(labels, label)
-				}
-			}
-		}
-		sort.Strings(labels)
-		if len(labels) == 0 {
-			fmt.Fprintf(os.Stderr, "benchgate: no common %s labels between baseline and fresh run\n", tag)
-			os.Exit(2)
-		}
-		logSum := 0.0
-		for _, label := range labels {
-			ratio := float64(cur[label]) / float64(base[label])
-			logSum += math.Log(ratio)
-			fmt.Printf("benchgate: %-55s baseline %12d ns  fresh %12d ns  ratio %.3f\n",
-				label, base[label], cur[label], ratio)
-		}
-		geomean := math.Exp(logSum / float64(len(labels)))
-		fmt.Printf("benchgate: %s geomean ratio %.3f over %d cells (limit %.2f)\n",
-			engine, geomean, len(labels), limit)
-		if geomean > limit {
-			fmt.Fprintf(os.Stderr, "benchgate: FAIL — %s engine regressed beyond %.0f%%\n", engine, *tolerance*100)
-			failed = true
-		}
-	}
-
-	// Regvm supremacy over the closure engine, measured within the fresh
-	// run so box speed cancels out. Two comparisons with very different
-	// noise floors:
-	//
-	//   - Untraced raw execution (exec/<app>/engine=.../traced=false) is
-	//     where the engines actually differ — regvm's lead is ~1.7× over
-	//     the bytecode engine, stable across runs — so the gate demands
-	//     strict supremacy there (< 1.00); a single shot never flips a
-	//     margin that size.
-	//   - Full analysis (exec/analysis/...) is dominated by the
-	//     engine-independent phase-2 pair profiler, diluting the engine
-	//     gap below run-to-run noise (identical code has measured 0.89 to
-	//     1.19 here). The gate only backstops that cell set at <= 1.30 to
-	//     catch a regvm analysis collapse; no per-run ordering is
-	//     assertable (see EXPERIMENTS.md).
-	supremacy := func(prefix, suffix, desc string, limit float64) {
-		logSum, cells := 0.0, 0
-		for label, rv := range cur {
-			if !strings.HasPrefix(label, prefix) || !strings.Contains(label, "engine=regvm") ||
-				!strings.HasSuffix(label, suffix) {
-				continue
-			}
-			bc, ok := cur[strings.Replace(label, "engine=regvm", "engine=bytecode", 1)]
-			if !ok {
-				continue
-			}
-			logSum += math.Log(float64(rv) / float64(bc))
-			cells++
-		}
-		if cells == 0 {
-			fmt.Fprintf(os.Stderr, "benchgate: fresh run has no %s cells for the regvm/bytecode comparison\n", desc)
-			os.Exit(2)
-		}
-		vsClosure := math.Exp(logSum / float64(cells))
-		fmt.Printf("benchgate: regvm/bytecode %s geomean %.3f over %d cells (limit %.2f)\n",
-			desc, vsClosure, cells, limit)
-		if vsClosure > limit {
-			fmt.Fprintf(os.Stderr, "benchgate: FAIL — regvm/bytecode %s geomean above %.2f\n", desc, limit)
-			failed = true
-		}
-	}
-	supremacy("exec/", "traced=false", "untraced execution", 1.0)
-	supremacy("exec/analysis/", "", "full analysis", 1.30)
-
-	if failed {
+	geomean := math.Exp(logSum / float64(len(labels)))
+	fmt.Printf("benchgate: bytecode geomean ratio %.3f over %d cells (limit %.2f)\n", geomean, len(labels), limit)
+	if geomean > limit {
+		fmt.Fprintf(os.Stderr, "benchgate: FAIL — bytecode engine regressed beyond %.0f%%\n", *tolerance*100)
 		os.Exit(1)
 	}
 	fmt.Println("benchgate: ok")

@@ -18,23 +18,17 @@
 # benchmark artifacts (*.fresh.json) — those are build products, and a
 # committed one silently staleness-poisons every later comparison.
 #
-# On top of that: a generated-code drift gate (go generate ./internal/interp
-# must leave the tree clean — the regvm opcode table and dispatch switch are
-# build products of gen_ops.go), a shuffled test pass (-shuffle=on) to catch
-# test-order dependencies, the golden-table gate (scripts/goldens.sh,
-# byte-diffs the rendered Tables III-V against testdata/goldens/ under ALL
-# THREE interpreter engines), a bounded fuzzer campaign (internal/fuzzer,
-# CAMPAIGN_N programs, default 500) whose differential — including the
-# three-way engine-parity oracle — and metamorphic oracles must all agree,
-# and an execution-engine benchmark smoke (BenchmarkExec plus
-# BenchmarkExecAnalysis into a temp-dir
-# BENCH_exec.fresh.json, gated by scripts/benchgate.go against the committed
-# BENCH_exec.json: a >40% geomean regression of either compiled engine
-# fails the build, as does regvm losing its untraced-execution lead over
-# the bytecode engine or falling more than 30% behind it on full
-# analysis — a collapse backstop; the profiler-bound analysis cells are
-# too noisy per run for a tighter ordering), and a serving-layer
-# benchmark smoke (cmd/servebench with
+# On top of that: a shuffled test pass (-shuffle=on) to catch test-order
+# dependencies, the golden-table gate (scripts/goldens.sh, byte-diffs the
+# rendered Tables III-V against testdata/goldens/ under both interpreter
+# engines), a bounded fuzzer campaign (internal/fuzzer, CAMPAIGN_N programs,
+# default 500) whose differential — including the tree-vs-bytecode
+# engine-parity oracle — and metamorphic oracles must all agree, an
+# execution-engine benchmark smoke (BenchmarkExec plus BenchmarkExecAnalysis
+# into a temp-dir BENCH_exec.fresh.json, gated by scripts/benchgate.go
+# against the committed BENCH_exec.json: a >40% geomean regression of the
+# bytecode engine fails the build), and a serving-layer benchmark smoke
+# (cmd/servebench with
 # -replicas 3 into a temp-dir BENCH_serve.fresh.json, gated by
 # scripts/servegate.go: non-zero throughput, ordered latency quantiles,
 # populated /metrics histograms, router affinity >= 0.95 with zero failover
@@ -61,13 +55,6 @@ trap 'rm -rf "$scratch"' EXIT
 echo "==> repo hygiene (no tracked binaries or scratch artifacts)"
 sh scripts/hygiene.sh
 
-echo "==> generated code in sync (go generate ./internal/interp && git diff)"
-go generate ./internal/interp
-if ! git diff --exit-code -- internal/interp/op_codes.go internal/interp/op_exec.go; then
-    echo "ci: generated opcode table drifted — commit the regenerated files" >&2
-    exit 1
-fi
-
 echo "==> gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -91,7 +78,7 @@ go test -shuffle=on -count=1 ./...
 echo "==> go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/..."
 go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/...
 
-echo "==> golden tables III-V under all three engines (scripts/goldens.sh)"
+echo "==> golden tables III-V under both engines (scripts/goldens.sh)"
 sh scripts/goldens.sh check
 
 echo "==> pardetectd service smoke (scripts/servesmoke.go)"

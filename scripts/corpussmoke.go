@@ -4,7 +4,7 @@
 // builds the real binary and proves the incremental-analysis contract end
 // to end against a generated fleet of CORPUS_N (default 1000) programs:
 //
-//   - two COLD runs from clean slates — one at -jobs 4 under the regvm
+//   - two COLD runs from clean slates — one at -jobs 4 under the bytecode
 //     engine, one sequential (-jobs 1) under the tree engine — must emit
 //     byte-identical reports: determinism across both the parallelism and
 //     the engine axis, asserted on the shipped binary;
@@ -82,7 +82,7 @@ func run() error {
 	store := filepath.Join(scratch, "store")
 	repA := filepath.Join(scratch, "repA.json")
 	if _, err := parcorpus(bin, "-dir", corpusDir, "-manifest", manifest, "-store-dir", store,
-		"-jobs", "4", "-engine", "regvm", "-json", "-out", repA); err != nil {
+		"-jobs", "4", "-engine", "bytecode", "-json", "-out", repA); err != nil {
 		return err
 	}
 	repB := filepath.Join(scratch, "repB.json")
@@ -101,7 +101,7 @@ func run() error {
 		return err
 	}
 	if !bytes.Equal(a, b) {
-		return fmt.Errorf("cold reports differ between -jobs 4/-engine regvm and -jobs 1/-engine tree")
+		return fmt.Errorf("cold reports differ between -jobs 4/-engine bytecode and -jobs 1/-engine tree")
 	}
 	cold, err := parse(a)
 	if err != nil {
@@ -139,7 +139,7 @@ func run() error {
 		return err
 	}
 	dirty, err := runAndParse(bin, scratch, "repD.json",
-		"-dir", corpusDir, "-manifest", manifest, "-store-dir", store, "-jobs", "4", "-engine", "regvm")
+		"-dir", corpusDir, "-manifest", manifest, "-store-dir", store, "-jobs", "4", "-engine", "bytecode")
 	if err != nil {
 		return err
 	}

@@ -3,13 +3,12 @@
 #
 # The committed files under testdata/goldens/ are the byte-exact renderings
 # of Tables III, IV and V (cmd/benchtab -table N). "check" (the default, and
-# what ci.sh runs) regenerates each table under ALL THREE interpreter
-# engines (tree, bytecode, regvm) and byte-compares each against the one
-# golden; any drift — an intentional detector change, an accidental
+# what ci.sh runs) regenerates each table under both interpreter engines
+# (tree, bytecode) and byte-compares each against the one golden; any drift — an intentional detector change, an accidental
 # regression, or an engine divergence — fails the gate and prints the
 # diff. After an
 # intentional change, rerun in "update" mode (goldens are written from the
-# tree engine, then re-checked under the compiled engines) and commit the
+# tree engine, then re-checked under the bytecode engine) and commit the
 # new goldens with the change that caused them.
 #
 # Usage: scripts/goldens.sh [check|update]
@@ -37,7 +36,7 @@ for t in 3 4 5; do
         "$bin" -engine tree -table "$t" >"$golden"
         echo "goldens: wrote $golden"
     fi
-    for engine in tree bytecode regvm; do
+    for engine in tree bytecode; do
         tmp="$golden.new"
         "$bin" -engine "$engine" -table "$t" >"$tmp"
         if [ ! -f "$golden" ]; then
@@ -57,5 +56,5 @@ for t in 3 4 5; do
         fi
     done
 done
-[ "$rc" -eq 0 ] && echo "goldens: all tables match under all three engines"
+[ "$rc" -eq 0 ] && echo "goldens: all tables match under both engines"
 exit "$rc"

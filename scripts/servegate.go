@@ -18,17 +18,13 @@
 // the hog rejected while the victims essentially are not, the router
 // leg (-replicas N) must show cache affinity (home_hit_rate ≥ 0.95 — the
 // replay hits the same replica's cache) with zero client-visible errors
-// after one replica is killed mid-run, and the engines leg must carry a
-// populated cell for every interpreter engine (tree, bytecode, regvm) with
-// positive latencies and zero errors — the ranking between engines is NOT
-// gated here (tiny pool programs make HTTP overhead rival execution time;
-// BENCH_exec.json under scripts/benchgate.go owns that). The baseline
+// after one replica is killed mid-run. The baseline
 // comparison is deliberately loose: CI boxes differ wildly in speed, so
 // only a collapse (fresh throughput below 1/20 of the baseline) fails the
 // gate; ordinary drift does not. Exit 1 on violation.
 //
 // Legs disabled in the fresh run's config (-batch 0, -restart=false,
-// -tenants 0, -engines=false) are skipped, so ad-hoc servebench invocations
+// -tenants 0, -replicas 0) are skipped, so ad-hoc servebench invocations
 // still gate; ci.sh runs with the defaults, which enable them all.
 package main
 
@@ -46,7 +42,6 @@ type serveResult struct {
 		Restart  bool `json:"restart"`
 		Tenants  int  `json:"tenants"`
 		Replicas int  `json:"replicas"`
-		Engines  bool `json:"engines"`
 	} `json:"config"`
 	Requests      int64   `json:"requests"`
 	Errors        int64   `json:"errors"`
@@ -87,12 +82,6 @@ type serveResult struct {
 		FailoverErrors   int64            `json:"failover_errors"`
 		FailoverRemapped int64            `json:"failover_remapped"`
 	} `json:"router"`
-	Engines map[string]*struct {
-		Requests int64 `json:"requests"`
-		Errors   int64 `json:"errors"`
-		P50NS    int64 `json:"p50_ns"`
-		MeanNS   int64 `json:"mean_ns"`
-	} `json:"engines"`
 }
 
 func load(path string) (serveResult, error) {
@@ -228,29 +217,6 @@ func main() {
 		if f.Config.Replicas >= 2 && len(f.Router.BackendShare) < 2 {
 			fail("router backend_share names %d replicas, want >= 2 — the ring routed everything to one backend",
 				len(f.Router.BackendShare))
-		}
-	}
-
-	if f.Config.Engines {
-		if f.Engines == nil {
-			fail("config enables the engines leg but the result has no engines section")
-		}
-		for _, eng := range []string{"tree", "bytecode", "regvm"} {
-			cell := f.Engines[eng]
-			if cell == nil {
-				fail("engines leg missing the %q cell — every interpreter engine must be exercised", eng)
-			}
-			if cell.Requests <= 0 {
-				fail("engines leg %q served no requests", eng)
-			}
-			if cell.Errors > 0 {
-				fail("engines leg %q saw %d errors of %d requests — the engine failed behind the server",
-					eng, cell.Errors, cell.Requests)
-			}
-			if cell.P50NS <= 0 || cell.MeanNS <= 0 {
-				fail("engines leg %q has non-positive latency (p50 %d, mean %d)",
-					eng, cell.P50NS, cell.MeanNS)
-			}
 		}
 	}
 
