@@ -7,16 +7,17 @@
 //	benchtab                      # all tables
 //	benchtab -table 3             # one table
 //	benchtab -jobs 8              # farm the app analyses over 8 workers
-//	benchtab -engine bytecode     # run the analyses on the compiled engine
+//	benchtab -engine tree         # run the analyses on the reference tree walker
 //	benchtab -curves              # speedup-vs-threads series per benchmark
 //	benchtab -stats-out obs.json  # also write per-app telemetry (JSON)
 //
 // The per-app analyses behind Tables III–V run on the internal/farm worker
 // pool; -jobs sets the pool size (default GOMAXPROCS, 1 = sequential). Farm
 // results keep input order, so the tables are byte-identical at any -jobs.
-// -engine switches the interpreter to the compiled bytecode engine; the
-// engines produce identical profiles, so every table stays byte-identical
-// (scripts/goldens.sh checks both).
+// -engine tree switches the interpreter from the compiled bytecode engine
+// (the default) to the reference tree walker; the engines produce identical
+// profiles, so every table stays byte-identical (scripts/goldens.sh writes
+// the goldens under tree and checks both).
 //
 // -stats-out runs every Table III app with pipeline telemetry enabled and
 // writes one pardetect.obs/v1 report per app — headed by the farm's own
@@ -41,7 +42,7 @@ import (
 func main() {
 	table := flag.Int("table", 0, "print only this table (1..6); 0 prints all")
 	jobs := flag.Int("jobs", 0, "concurrent app analyses (default GOMAXPROCS; 1 = sequential)")
-	engine := flag.String("engine", interp.EngineTree, "interpreter engine for the profiled runs: tree or bytecode (regvm: alias of bytecode)")
+	engine := flag.String("engine", "", "interpreter engine for the profiled runs: tree or bytecode (default bytecode; regvm: alias of bytecode)")
 	curves := flag.Bool("curves", false, "print the simulated speedup curves")
 	statsOut := flag.String("stats-out", "", "write per-app telemetry reports as JSON to this file")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address while running")

@@ -5,10 +5,10 @@
 //
 // Usage:
 //
-//	parcorpus -dir corpus/ [-jobs 8] [-store-dir cache/] [-engine bytecode]
+//	parcorpus -dir corpus/ [-jobs 8] [-store-dir cache/] [-engine tree]
 //	          [-manifest path] [-out report.txt] [-json] [-stats] [-timeout 5s]
 //	parcorpus -dir corpus/ -gen 1000 [-seed 1]
-//	parcorpus -bench 1000 [-jobs 8] [-engine bytecode] [-bench-out BENCH_corpus.json]
+//	parcorpus -bench 1000 [-jobs 8] [-engine tree] [-bench-out BENCH_corpus.json]
 //
 // The default mode is a corpus run. Incrementality is two tiers deep: a
 // manifest next to the corpus skips files whose program fingerprint is
@@ -46,7 +46,7 @@ func main() {
 	jobs := flag.Int("jobs", 0, "analysis worker-pool size (default GOMAXPROCS; 1 = sequential)")
 	storeDir := flag.String("store-dir", "", "persistent result store directory (empty disables the store tier)")
 	storeMax := flag.Int("store-max", 0, "store entry cap (default: sized to the corpus)")
-	engine := flag.String("engine", interp.EngineTree, "interpreter engine: tree or bytecode (regvm: alias of bytecode)")
+	engine := flag.String("engine", "", "interpreter engine: tree or bytecode (default bytecode; regvm: alias of bytecode)")
 	manifest := flag.String("manifest", "", "manifest path (default <dir>/"+corpus.DefaultManifestName+")")
 	out := flag.String("out", "", "write the report to this file instead of stdout")
 	asJSON := flag.Bool("json", false, "emit the report as JSON (schema "+corpus.ReportSchema+")")
@@ -74,9 +74,11 @@ func main() {
 	if *timeout < 0 {
 		fail("bad -timeout %s: must be >= 0", *timeout)
 	}
-	if _, err := interp.ParseEngine(*engine); err != nil {
+	eng, err := interp.ParseEngine(*engine)
+	if err != nil {
 		fail("%v", err)
 	}
+	*engine = eng
 	if flag.NArg() > 0 {
 		fail("unexpected argument %q", flag.Arg(0))
 	}

@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	pardetect [-hotspot 0.02] [-engine bytecode] [-ops] [-deps] [-stats] <benchmark>
-//	pardetect -all [-jobs 8] [-engine bytecode] [-stats] [-stats-json stats.json]
+//	pardetect [-hotspot 0.02] [-engine tree] [-ops] [-deps] [-stats] <benchmark>
+//	pardetect -all [-jobs 8] [-engine tree] [-stats] [-stats-json stats.json]
 //	pardetect -stats-json stats.json <benchmark>
 //	pardetect -debug-addr localhost:6060 <benchmark>
 //	pardetect -fuzz-seed 0x83b
@@ -25,8 +25,8 @@
 // -stats-json writes the whole batch as a pardetect.obs.runset/v1 envelope.
 //
 // -engine selects the interpreter execution engine for the profiled runs:
-// "tree" (the reference tree walker, default) or "bytecode" (the compiled
-// engine — identical analysis results, substantially faster; see DESIGN.md).
+// "bytecode" (the compiled engine, default) or "tree" (the reference tree
+// walker — identical analysis results, about twice as slow; see DESIGN.md).
 //
 // -stats appends the telemetry report: the per-phase span tree (wall time
 // and allocated bytes), the counter table, the hottest sampled lines and
@@ -56,7 +56,7 @@ func main() {
 	all := flag.Bool("all", false, "analyse every registered benchmark through the farm worker pool")
 	jobs := flag.Int("jobs", 0, "concurrent analyses with -all (default GOMAXPROCS; 1 = sequential)")
 	hotspot := flag.Float64("hotspot", 0, "hotspot share threshold (default 0.02)")
-	engine := flag.String("engine", interp.EngineTree, "interpreter engine for the profiled runs: tree or bytecode (regvm: alias of bytecode)")
+	engine := flag.String("engine", "", "interpreter engine for the profiled runs: tree or bytecode (default bytecode; regvm: alias of bytecode)")
 	showOps := flag.Bool("ops", false, "print the Program Execution Tree with operation counts")
 	showDeps := flag.Bool("deps", false, "print the profiled cross-loop dependences")
 	showSrc := flag.Bool("src", false, "print the benchmark's mini-IR source")

@@ -186,7 +186,7 @@ func main() {
 	programs := flag.Int("programs", 16, "replayed program pool size (cacheable traffic)")
 	hitpct := flag.Int("hitpct", 50, "percent of requests drawn from the replayed pool (0-100)")
 	seed := flag.Uint64("seed", 1, "base seed for the fuzzer program generator")
-	engine := flag.String("engine", interp.EngineTree, "in-process server engine: tree or bytecode (regvm: alias of bytecode)")
+	engine := flag.String("engine", "", "in-process server engine: tree or bytecode (default bytecode; regvm: alias of bytecode)")
 	workers := flag.Int("workers", 0, "in-process server workers (default GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "in-process server admission queue")
 	batchN := flag.Int("batch", 8, "batch-leg per-request parallelism for /analyze/batch (0 skips the leg)")
@@ -199,6 +199,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "servebench: -c and -programs must be >= 1, -hitpct in [0,100], -dur > 0")
 		os.Exit(2)
 	}
+	eng, err := interp.ParseEngine(*engine)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "servebench: %v\n", err)
+		os.Exit(2)
+	}
+	*engine = eng
 
 	base := *addr
 	var shutdown func()

@@ -56,11 +56,12 @@ type Options struct {
 	// wedged analysis from stalling the whole batch.
 	Timeout time.Duration
 	// Engine selects the interpreter execution engine for every profiled
-	// run: interp.EngineTree (the reference tree walker, the default, also
-	// selected by "") or interp.EngineBytecode (closure-threaded code), with
-	// identical observable behaviour in both. interp.EngineRegVM is an alias
-	// of EngineBytecode. An unknown value fails the analysis with interp's
-	// unknown-engine error on the first run.
+	// run: "" or interp.EngineBytecode (closure-threaded code, the default)
+	// or interp.EngineTree (the reference tree walker), with identical
+	// observable behaviour in both. interp.EngineRegVM is an alias of
+	// EngineBytecode. Analyze canonicalises the name with interp.ParseEngine
+	// before anything runs, so an unknown value fails the analysis with
+	// interp's unknown-engine error.
 	Engine string
 	// InferReductionOperator enables the paper's future-work extension.
 	InferReductionOperator bool
@@ -134,6 +135,11 @@ type Result struct {
 // wrapped in a phase span, counters record the volume flowing between the
 // stages, and the decision log explains each candidate's fate.
 func Analyze(p *ir.Program, opts Options) (*Result, error) {
+	eng, err := interp.ParseEngine(opts.Engine)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	opts.Engine = eng
 	opts.fill()
 	o := opts.Observer
 	res := &Result{Program: p, opts: opts}
@@ -149,13 +155,12 @@ func Analyze(p *ir.Program, opts Options) (*Result, error) {
 	defer total.End()
 	if o != nil {
 		// exec.engine records which engine ran the profiled executions:
-		// 0 = tree, 1 = bytecode (also selected by the regvm alias).
-		var eng int64
-		switch opts.Engine {
-		case interp.EngineBytecode, interp.EngineRegVM:
-			eng = 1
+		// 0 = tree, 1 = bytecode (the default, also selected by regvm).
+		var code int64
+		if opts.Engine == interp.EngineBytecode {
+			code = 1
 		}
-		o.Add("exec.engine", eng)
+		o.Add("exec.engine", code)
 	}
 
 	// Phase 1: dependence profile + PET.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"pardetect/internal/apps"
@@ -74,23 +75,43 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 
 // TestEngineRegVMAliasesBytecode: the retired register engine's name still
 // analyses, with the tree engine's result fingerprint, and the exec.engine
-// counter records it as the bytecode engine it now selects.
+// counter records the engine that actually ran: the default and the regvm
+// alias both select bytecode.
 func TestEngineRegVMAliasesBytecode(t *testing.T) {
 	app := apps.Get("fib")
-	tree, err := Analyze(app.Build(), Options{})
+	tree, err := Analyze(app.Build(), Options{Engine: interp.EngineTree})
 	if err != nil {
 		t.Fatalf("Analyze(tree): %v", err)
 	}
-	o := obs.New("fib")
-	alias, err := Analyze(app.Build(), Options{Engine: interp.EngineRegVM, Observer: o})
-	if err != nil {
-		t.Fatalf("Analyze(regvm): %v", err)
+	for _, c := range []struct {
+		engine string
+		want   int64
+	}{
+		{"", 1},
+		{interp.EngineTree, 0},
+		{interp.EngineBytecode, 1},
+		{interp.EngineRegVM, 1},
+	} {
+		o := obs.New("fib")
+		res, err := Analyze(app.Build(), Options{Engine: c.engine, Observer: o})
+		if err != nil {
+			t.Fatalf("Analyze(%q): %v", c.engine, err)
+		}
+		if a, b := tree.Fingerprint(), res.Fingerprint(); a != b {
+			t.Errorf("fingerprint: tree %s vs %q %s", a, c.engine, b)
+		}
+		if got := o.Counter("exec.engine"); got != c.want {
+			t.Errorf("engine %q: exec.engine = %d, want %d", c.engine, got, c.want)
+		}
 	}
-	if a, b := tree.Fingerprint(), alias.Fingerprint(); a != b {
-		t.Errorf("fingerprint: tree %s vs regvm %s", a, b)
-	}
-	if got := o.Counter("exec.engine"); got != 1 {
-		t.Errorf("exec.engine = %d, want 1 (bytecode)", got)
+}
+
+// TestAnalyzeUnknownEngine: an unknown engine name fails the analysis with
+// interp's unknown-engine error before anything runs.
+func TestAnalyzeUnknownEngine(t *testing.T) {
+	_, err := Analyze(apps.Get("fib").Build(), Options{Engine: "jit"})
+	if err == nil || !strings.Contains(err.Error(), `interp: unknown engine "jit"`) {
+		t.Fatalf("want unknown-engine error, got %v", err)
 	}
 }
 

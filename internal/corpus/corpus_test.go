@@ -193,6 +193,8 @@ func TestReportDeterminism(t *testing.T) {
 		{"jobs=16", 16, ""},
 		{"engine=bytecode", 4, "bytecode"},
 		{"engine=regvm", 4, "regvm"}, // alias of bytecode
+		// The baseline runs the default engine (bytecode), so this row is
+		// the cross-engine check against the reference tree walker.
 		{"engine=tree", 4, "tree"},
 	} {
 		text, js := render(tc.jobs, tc.engine)

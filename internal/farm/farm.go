@@ -52,8 +52,9 @@ type Options struct {
 	// the per-run reports into the batch RunSet.
 	Observe bool
 	// Engine selects the interpreter execution engine for every farmed
-	// analysis (see core.Options.Engine): "" or interp.EngineTree for the
-	// reference tree walker, interp.EngineBytecode for the compiled engine.
+	// analysis (see core.Options.Engine): "" or interp.EngineBytecode for
+	// the compiled engine (the default), interp.EngineTree for the reference
+	// tree walker.
 	Engine string
 	// Queue bounds the number of admitted-but-not-yet-running jobs a Pool
 	// holds beyond the Jobs running ones (the admission queue of a serving

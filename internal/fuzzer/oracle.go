@@ -71,26 +71,26 @@ func CheckSeed(seed uint64) *CheckResult {
 // phase-1 tracer tee (dependence collector + PET builder); final array
 // state, return value and statement count must match bit for bit. The
 // deterministic step-limit abort is comparable too — both runs must stop at
-// the same statement with the same state.
+// the same statement with the same state. Both engines are checked: the
+// compiled default, whose batched tracing differs most from the bare run,
+// and the reference tree walker, which no default path exercises.
 func checkTracedUntraced(res *CheckResult, seed uint64) {
-	bare := execute(seed, nil)
-	traced := execute(seed, interp.Tee(trace.NewCollector(), pet.NewBuilder()))
-	if !bare.Comparable(traced) {
-		res.skip("traced-vs-untraced", "wall-clock truncation")
-		return
-	}
-	for _, d := range bare.Diff(traced) {
-		res.diverge("traced-vs-untraced", d)
+	for _, engine := range []string{interp.EngineBytecode, interp.EngineTree} {
+		bare := executeEngine(seed, nil, engine)
+		traced := executeEngine(seed, interp.Tee(trace.NewCollector(), pet.NewBuilder()), engine)
+		if !bare.Comparable(traced) {
+			res.skip("traced-vs-untraced", engine+": wall-clock truncation")
+			continue
+		}
+		for _, d := range bare.Diff(traced) {
+			res.diverge("traced-vs-untraced", engine+": "+d)
+		}
 	}
 }
 
-// execute runs the seed's program (a fresh copy, so concurrent callers
-// never share IR) under the given tracer and snapshots the outcome.
-func execute(seed uint64, tr interp.Tracer) *interp.State {
-	return executeEngine(seed, tr, "")
-}
-
-// executeEngine is execute on an explicit interpreter engine.
+// executeEngine runs the seed's program (a fresh copy, so concurrent callers
+// never share IR) on the given engine under the given tracer and snapshots
+// the outcome.
 func executeEngine(seed uint64, tr interp.Tracer, engine string) *interp.State {
 	p := Generate(seed)
 	m, err := interp.New(p, interp.Options{Tracer: tr, MaxSteps: MaxSteps, Engine: engine})
@@ -135,7 +135,7 @@ func checkEngineParity(res *CheckResult, seed uint64) {
 	}
 
 	// Full analysis (phase 1 + phase 2 + detection).
-	ta, terrA := core.Analyze(Generate(seed), core.Options{MaxSteps: MaxSteps})
+	ta, terrA := core.Analyze(Generate(seed), core.Options{MaxSteps: MaxSteps, Engine: interp.EngineTree})
 	ca, cerrA := core.Analyze(Generate(seed), core.Options{MaxSteps: MaxSteps, Engine: engine})
 	switch {
 	case terrA != nil && cerrA != nil:

@@ -267,7 +267,7 @@ func TestParseEngine(t *testing.T) {
 		in, want string
 		ok       bool
 	}{
-		{"", interp.EngineTree, true},
+		{"", interp.EngineBytecode, true}, // the default
 		{"tree", interp.EngineTree, true},
 		{"bytecode", interp.EngineBytecode, true},
 		{"regvm", interp.EngineBytecode, true}, // alias of the retired register engine

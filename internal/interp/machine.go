@@ -28,14 +28,16 @@ type Options struct {
 	// ArrayInit seeds the named global arrays before execution. Each slice
 	// must match the declared size exactly. Arrays not listed start zeroed.
 	ArrayInit map[string][]float64
-	// Engine selects the execution engine: EngineTree (the default, also
-	// selected by "") walks the AST and is the reference implementation;
-	// EngineBytecode compiles the program to closure-threaded code at New
-	// and batches tracer events. EngineRegVM is an alias of EngineBytecode,
-	// kept so existing clients that name the retired register engine still
-	// work. Both engines are observationally identical — same results,
-	// states, step counts, errors and event stream — except for the numeric
-	// values of scalar addresses, which are only aliasing identities.
+	// Engine selects the execution engine: EngineBytecode (the default, also
+	// selected by "") compiles the program to closure-threaded code at New
+	// and batches tracer events; EngineTree walks the AST and is the
+	// reference implementation the goldens and parity checks run against.
+	// EngineRegVM is an alias of EngineBytecode, kept so existing clients
+	// that name the retired register engine still work. The default is
+	// decided here and in ParseEngine only. Both engines are observationally
+	// identical — same results, states, step counts, errors and event
+	// stream — except for the numeric values of scalar addresses, which are
+	// only aliasing identities.
 	Engine string
 }
 
@@ -48,14 +50,15 @@ const (
 
 // ParseEngine validates an engine name arriving from the outside — a command
 // line flag or a service request parameter — and returns its canonical form
-// ("" selects the default tree engine). Front-ends share it so an unknown
-// engine is rejected at the edge, as a usage error or a 400 response, instead
-// of surfacing from deep inside the first profiled run.
+// ("" selects the default, EngineBytecode; the reference EngineTree must be
+// named). Front-ends share it so an unknown engine is rejected at the edge,
+// as a usage error or a 400 response, instead of surfacing from deep inside
+// the first profiled run.
 func ParseEngine(name string) (string, error) {
 	switch name {
-	case "", EngineTree:
+	case EngineTree:
 		return EngineTree, nil
-	case EngineBytecode, EngineRegVM:
+	case "", EngineBytecode, EngineRegVM:
 		return EngineBytecode, nil
 	}
 	return "", fmt.Errorf("interp: unknown engine %q (valid: %s, %s)", name, EngineTree, EngineBytecode)
@@ -101,7 +104,7 @@ type Machine struct {
 	depth     int
 	induction []Addr // addresses of live For induction variables
 
-	// Bytecode engine state (Options.Engine == EngineBytecode): the lowered
+	// Bytecode engine state (the default; nil under EngineTree): the lowered
 	// program and its vm. The tree-walking fields above stay authoritative
 	// for results — Run copies the vm's step count and return value back so
 	// Steps, Return and Snapshot are engine-agnostic.
@@ -140,8 +143,8 @@ func New(prog *ir.Program, opts Options) (*Machine, error) {
 		copy(m.arrayMem[m.arrayBase[name]-1:], data)
 	}
 	switch opts.Engine {
-	case "", EngineTree:
-	case EngineBytecode, EngineRegVM:
+	case EngineTree:
+	case "", EngineBytecode, EngineRegVM:
 		m.code = compile(prog, m.arrayBase)
 		m.vm = newVM(m.code, m)
 	default:

@@ -3,9 +3,11 @@
 // memory addresses, source lines and symbol names; loop entry/iteration/exit
 // events; call enter/exit events; and dynamic instruction counts.
 //
-// The interpreter is deliberately simple (a tree walker) — its job is
-// fidelity of the event stream, not speed. Benchmark inputs in this
-// repository are sized so profiled runs stay in the millions of events.
+// Its job is fidelity of the event stream. Two observationally identical
+// engines produce it: the compiled bytecode engine (the default) and a
+// deliberately simple tree walker that serves as the reference (see
+// Options.Engine). Benchmark inputs in this repository are sized so profiled
+// runs stay in the millions of events.
 package interp
 
 // Addr is an abstract memory address. Array elements and scalar variable

@@ -49,10 +49,10 @@ func RunAppTimeout(name string, o *obs.Observer, timeout time.Duration) (*AppRun
 }
 
 // RunAppEngine is RunAppTimeout with an explicit interpreter engine for the
-// profiled executions ("" or interp.EngineTree for the reference tree
-// walker, interp.EngineBytecode for the compiled engine, interp.EngineRegVM
-// as its alias). Both engines produce identical profiles and results; see
-// core.Options.Engine.
+// profiled executions ("" or interp.EngineBytecode for the compiled engine,
+// the default, with interp.EngineRegVM as its alias; interp.EngineTree for
+// the reference tree walker). Both engines produce identical profiles and
+// results; see core.Options.Engine.
 func RunAppEngine(name string, o *obs.Observer, timeout time.Duration, engine string) (*AppRun, error) {
 	app := apps.Get(name)
 	if app == nil {

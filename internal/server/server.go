@@ -70,7 +70,8 @@ type Options struct {
 	// the default of 10 minutes.
 	MaxTimeout time.Duration
 	// DefaultEngine is the interpreter engine used when the request carries
-	// no engine parameter ("" selects the tree engine).
+	// no engine parameter ("" selects bytecode, the library default; tree is
+	// the reference walker). New canonicalises it with interp.ParseEngine.
 	DefaultEngine string
 	// MaxBodyBytes bounds a POSTed IR program; values < 1 select 8 MiB.
 	MaxBodyBytes int64

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"pardetect/internal/interp"
 	"pardetect/internal/ir"
 	"pardetect/internal/report"
 )
@@ -255,12 +256,18 @@ func TestDeadlineSurfacesAs504(t *testing.T) {
 }
 
 func TestEngineParityByteIdenticalWithCLI(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2})
+	s, ts := newTestServer(t, Options{Workers: 2})
+	// A server that names no engine canonicalises its default to the
+	// library default.
+	if got := s.opts.DefaultEngine; got != interp.EngineBytecode {
+		t.Fatalf("DefaultEngine = %q, want %q", got, interp.EngineBytecode)
+	}
 	for _, app := range []string{"bicg", "fib"} {
 		// cache=skip so each engine truly runs; without it the later
 		// requests would be served from the first request's entry. The
-		// first request names no engine (the default); regvm is the alias
-		// of bytecode and must keep answering.
+		// first request names no engine (the default, bytecode) and must
+		// match the reference tree engine; regvm is the alias of bytecode
+		// and must keep answering.
 		var bodies [][]byte
 		for _, q := range []string{"", "&engine=tree", "&engine=bytecode", "&engine=regvm"} {
 			resp, body := get(t, ts.URL+"/analyze?app="+app+q+"&cache=skip")

@@ -19,10 +19,13 @@
 # committed one silently staleness-poisons every later comparison.
 #
 # On top of that: a shuffled test pass (-shuffle=on) to catch test-order
-# dependencies, the golden-table gate (scripts/goldens.sh, byte-diffs the
-# rendered Tables III-V against testdata/goldens/ under both interpreter
-# engines), a bounded fuzzer campaign (internal/fuzzer, CAMPAIGN_N programs,
-# default 500) whose differential — including the tree-vs-bytecode
+# dependencies, a build-and-smoke run of the benchmark module (bench/, its
+# own Go module, which the root `go test ./...` never compiles: every
+# workload once, untraced and traced), the golden-table gate
+# (scripts/goldens.sh, byte-diffs the rendered Tables III-V against
+# testdata/goldens/ under both interpreter engines), a bounded fuzzer
+# campaign (internal/fuzzer, CAMPAIGN_N programs, default 500) whose
+# differential — including the tree-vs-bytecode
 # engine-parity oracle — and metamorphic oracles must all agree, an
 # execution-engine benchmark smoke (BenchmarkExec plus BenchmarkExecAnalysis
 # into a temp-dir BENCH_exec.fresh.json, gated by scripts/benchgate.go
@@ -77,6 +80,9 @@ go test -shuffle=on -count=1 ./...
 
 echo "==> go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/..."
 go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/...
+
+echo "==> benchmark module smoke (cd bench && go test ./...)"
+(cd bench && go test ./...)
 
 echo "==> golden tables III-V under both engines (scripts/goldens.sh)"
 sh scripts/goldens.sh check

@@ -4,8 +4,9 @@
 // builds the real binary and proves the incremental-analysis contract end
 // to end against a generated fleet of CORPUS_N (default 1000) programs:
 //
-//   - two COLD runs from clean slates — one at -jobs 4 under the bytecode
-//     engine, one sequential (-jobs 1) under the tree engine — must emit
+//   - two COLD runs from clean slates — one at -jobs 4 under the default
+//     (bytecode) engine, one sequential (-jobs 1) under the reference tree
+//     engine — must emit
 //     byte-identical reports: determinism across both the parallelism and
 //     the engine axis, asserted on the shipped binary;
 //   - a WARM rerun (same corpus, same manifest, same store) must skip all
@@ -82,7 +83,7 @@ func run() error {
 	store := filepath.Join(scratch, "store")
 	repA := filepath.Join(scratch, "repA.json")
 	if _, err := parcorpus(bin, "-dir", corpusDir, "-manifest", manifest, "-store-dir", store,
-		"-jobs", "4", "-engine", "bytecode", "-json", "-out", repA); err != nil {
+		"-jobs", "4", "-json", "-out", repA); err != nil {
 		return err
 	}
 	repB := filepath.Join(scratch, "repB.json")
@@ -101,7 +102,7 @@ func run() error {
 		return err
 	}
 	if !bytes.Equal(a, b) {
-		return fmt.Errorf("cold reports differ between -jobs 4/-engine bytecode and -jobs 1/-engine tree")
+		return fmt.Errorf("cold reports differ between -jobs 4 (default engine) and -jobs 1/-engine tree")
 	}
 	cold, err := parse(a)
 	if err != nil {

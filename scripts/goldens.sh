@@ -4,12 +4,13 @@
 # The committed files under testdata/goldens/ are the byte-exact renderings
 # of Tables III, IV and V (cmd/benchtab -table N). "check" (the default, and
 # what ci.sh runs) regenerates each table under both interpreter engines
-# (tree, bytecode) and byte-compares each against the one golden; any drift — an intentional detector change, an accidental
-# regression, or an engine divergence — fails the gate and prints the
-# diff. After an
+# (tree, bytecode) and byte-compares each against the one golden; any
+# drift — an intentional detector change, an accidental regression, or an
+# engine divergence — fails the gate and prints the diff. After an
 # intentional change, rerun in "update" mode (goldens are written from the
-# tree engine, then re-checked under the bytecode engine) and commit the
-# new goldens with the change that caused them.
+# reference tree engine, named explicitly since bytecode is the default,
+# then re-checked under both engines) and commit the new goldens with the
+# change that caused them.
 #
 # Usage: scripts/goldens.sh [check|update]
 set -eu
