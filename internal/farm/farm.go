@@ -58,8 +58,9 @@ type Options struct {
 	Engine string
 	// Queue bounds the number of admitted-but-not-yet-running jobs a Pool
 	// holds beyond the Jobs running ones (the admission queue of a serving
-	// workload; see Pool). 0 admits a job only when a worker is free to take
-	// it immediately. Batch Run ignores it.
+	// workload; see Pool). 0 admits a job only when fewer than Jobs admitted
+	// jobs are unfinished, so it never waits for a queue slot. Batch Run
+	// ignores it.
 	Queue int
 }
 
@@ -99,12 +100,15 @@ type Result struct {
 	Err error
 	// Elapsed is the job's wall time on its worker.
 	Elapsed time.Duration
-	// AllocBytes is the process-wide heap allocation delta
-	// (runtime.MemStats.TotalAlloc) across the job. With Jobs == 1 this is
-	// the job's own allocation volume; with concurrent workers the deltas
-	// of overlapping jobs bleed into each other and the value is only an
-	// upper bound. Recorded so batch telemetry can compare per-task cost
-	// across engines (see Batch.Report).
+	// AllocBytes is the process-wide heap allocation delta across the job,
+	// read from runtime/metrics (obs.HeapAllocBytes) without stopping the
+	// world. Small allocations still in per-P span caches when the job ends
+	// are not yet counted, so the value can lag the job's true volume by a
+	// few cached spans; large objects are counted when allocated. With
+	// Jobs == 1 this is the job's own allocation volume; with concurrent
+	// workers the deltas of overlapping jobs bleed into each other. Recorded
+	// so batch telemetry can compare per-task cost across engines (see
+	// Batch.Report).
 	AllocBytes int64
 	// Wait is the time the job spent admitted but not yet running: from
 	// Pool.TrySubmit to worker pickup. Always zero for batch Run jobs, which
@@ -177,12 +181,9 @@ func runOne(job Job, opts Options) (res Result) {
 	if opts.Observe {
 		o = obs.New(job.Name)
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	allocStart := ms.TotalAlloc
+	allocStart := obs.HeapAllocBytes()
 	res.Run, res.Err = job.Run(o)
-	runtime.ReadMemStats(&ms)
-	res.AllocBytes = int64(ms.TotalAlloc - allocStart)
+	res.AllocBytes = int64(obs.HeapAllocBytes() - allocStart)
 	if opts.Observe {
 		res.Report = o.Snapshot()
 	}
@@ -200,7 +201,14 @@ func runOne(job Job, opts Options) (res Result) {
 // worker is busy and the queue is full it reports false and the caller
 // applies backpressure (the server answers 429 with Retry-After).
 type Pool struct {
-	opts  Options
+	opts Options
+	// slots is the admission semaphore: one token per admitted job that has
+	// not finished, at most Jobs+Queue. A worker returns its token before it
+	// delivers the result, so a caller holding its result can submit again
+	// at once, even before the worker is back waiting for tasks.
+	slots chan struct{}
+	// tasks holds admitted jobs until a worker picks them up. Its capacity
+	// is that of slots, so a job that got a token never blocks on it.
 	tasks chan poolTask
 	wg    sync.WaitGroup
 
@@ -220,7 +228,11 @@ type poolTask struct {
 // NewPool starts Options.Jobs workers and returns the pool.
 func NewPool(opts Options) *Pool {
 	opts.fill()
-	p := &Pool{opts: opts, tasks: make(chan poolTask, opts.Queue)}
+	p := &Pool{
+		opts:  opts,
+		slots: make(chan struct{}, opts.Jobs+opts.Queue),
+		tasks: make(chan poolTask, opts.Jobs+opts.Queue),
+	}
 	for w := 0; w < opts.Jobs; w++ {
 		p.wg.Add(1)
 		go func() {
@@ -232,6 +244,7 @@ func NewPool(opts Options) *Pool {
 				res.Wait = wait
 				p.running.Add(-1)
 				p.done.Add(1)
+				<-p.slots
 				t.reply <- res
 			}
 		}()
@@ -251,11 +264,12 @@ func (p *Pool) TrySubmit(job Job) (<-chan Result, bool) {
 		return nil, false
 	}
 	select {
-	case p.tasks <- poolTask{job: job, reply: reply, enq: time.Now()}:
-		return reply, true
+	case p.slots <- struct{}{}:
 	default:
 		return nil, false
 	}
+	p.tasks <- poolTask{job: job, reply: reply, enq: time.Now()}
+	return reply, true
 }
 
 // Close stops admission and drains the pool: every admitted job — queued or
@@ -326,7 +340,9 @@ func (b *Batch) Errs() []Result {
 // and per-task cost, in the same schema as per-run reports.
 //
 // Per-task counters (farm.task.<name>.ns / .alloc_bytes) record each job's
-// worker wall time and allocation delta. Note that on a machine without
+// worker wall time and allocation delta (Result.AllocBytes: read without
+// stopping the world, lagging by per-P span caches); jobs that share a name
+// add into one pair of counters. Note that on a machine without
 // spare cores — or whenever Jobs exceeds the hardware parallelism — worker
 // wall time is inflated by time-slicing: the busy_ns sum then grows well
 // beyond the Jobs=1 total while batch wall time barely moves (see
@@ -345,8 +361,8 @@ func (b *Batch) Report() obs.Report {
 	counters := obs.Counters{}
 	for _, r := range b.Results {
 		busy += r.Elapsed
-		counters["farm.task."+r.Name+".ns"] = r.Elapsed.Nanoseconds()
-		counters["farm.task."+r.Name+".alloc_bytes"] = r.AllocBytes
+		counters["farm.task."+r.Name+".ns"] += r.Elapsed.Nanoseconds()
+		counters["farm.task."+r.Name+".alloc_bytes"] += r.AllocBytes
 		if r.Err == nil {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 	"time"
@@ -226,10 +227,7 @@ func TestPoolServesAndDrains(t *testing.T) {
 	p := NewPool(Options{Jobs: 2, Queue: 6})
 	var replies []<-chan Result
 	for i := 0; i < 6; i++ {
-		name := fmt.Sprintf("job-%d", i)
-		ch, ok := p.TrySubmit(Job{Name: name, Run: func(o *obs.Observer) (*report.AppRun, error) {
-			return &report.AppRun{}, nil
-		}})
+		ch, ok := p.TrySubmit(trivialJob(fmt.Sprintf("job-%d", i)))
 		if !ok {
 			t.Fatalf("submit %d rejected (queue 6 must admit 6)", i)
 		}
@@ -293,10 +291,26 @@ func TestPoolBackpressure(t *testing.T) {
 	if r := <-queued; r.Err != nil {
 		t.Fatalf("queued: %v", r.Err)
 	}
-	if _, ok := p.TrySubmit(Job{Name: "after", Run: func(o *obs.Observer) (*report.AppRun, error) {
-		return &report.AppRun{}, nil
-	}}); !ok {
+	if _, ok := p.TrySubmit(trivialJob("after")); !ok {
 		t.Fatal("drained pool rejected a new job")
+	}
+}
+
+// TestPoolAdmitsRightAfterResult pins that a worker's slot is free by the
+// time its result arrives: a caller that submits again as soon as it has
+// its result is admitted even with no queue, although the worker may not be
+// back waiting for tasks yet.
+func TestPoolAdmitsRightAfterResult(t *testing.T) {
+	p := NewPool(Options{Jobs: 1, Queue: 0})
+	defer p.Close()
+	for i := 0; i < 1000; i++ {
+		ch, ok := p.TrySubmit(trivialJob("again"))
+		if !ok {
+			t.Fatalf("submit %d rejected right after the previous result (running=%d queued=%d)", i, p.Running(), p.Queued())
+		}
+		if r := <-ch; r.Err != nil {
+			t.Fatalf("submit %d: %v", i, r.Err)
+		}
 	}
 }
 
@@ -333,31 +347,94 @@ func TestPoolPanicAndDeadline(t *testing.T) {
 // busy sum must never exceed wall × jobs — at most Jobs tasks run at once
 // and every task's measured span lies inside the batch's wall span, so a
 // violation would be a measurement bug (a task clock running outside its
-// worker slot), not scheduler time-slicing.
+// worker slot), not scheduler time-slicing. Jobs sharing a name share one
+// counter, which must hold their sum.
 func TestBusyNsInvariants(t *testing.T) {
-	names := []string{"bicg", "fib", "gesummv", "mvt", "2mm"}
-	for _, jobs := range []int{1, 2, 4} {
-		batch := RunApps(names, Options{Jobs: jobs})
-		if errs := batch.Errs(); len(errs) != 0 {
-			t.Fatalf("jobs=%d: %s: %v", jobs, errs[0].Name, errs[0].Err)
-		}
-		rep := batch.Report()
-		busy := rep.Counters["farm.busy_ns"]
-		wall := rep.Counters["farm.wall_ns"]
-		var taskSum int64
-		for _, name := range names {
-			ns := rep.Counters["farm.task."+name+".ns"]
-			if ns < 0 {
-				t.Fatalf("jobs=%d: farm.task.%s.ns = %d, want >= 0", jobs, name, ns)
+	for _, names := range [][]string{
+		{"bicg", "fib", "gesummv", "mvt", "2mm"},
+		{"fib", "fib", "bicg"},
+	} {
+		for _, jobs := range []int{1, 2, 4} {
+			batch := RunApps(names, Options{Jobs: jobs})
+			if errs := batch.Errs(); len(errs) != 0 {
+				t.Fatalf("%v jobs=%d: %s: %v", names, jobs, errs[0].Name, errs[0].Err)
 			}
-			taskSum += ns
+			rep := batch.Report()
+			busy := rep.Counters["farm.busy_ns"]
+			wall := rep.Counters["farm.wall_ns"]
+			var taskSum int64
+			for name, ns := range rep.Counters {
+				if !strings.HasPrefix(name, "farm.task.") || !strings.HasSuffix(name, ".ns") {
+					continue
+				}
+				if ns < 0 {
+					t.Fatalf("%v jobs=%d: %s = %d, want >= 0", names, jobs, name, ns)
+				}
+				taskSum += ns
+			}
+			if taskSum != busy {
+				t.Fatalf("%v jobs=%d: per-task ns sum %d != farm.busy_ns %d (sum-consistency)", names, jobs, taskSum, busy)
+			}
+			if busy > wall*int64(jobs) {
+				t.Fatalf("%v jobs=%d: busy_ns %d > wall_ns %d × jobs (occupancy bound violated)", names, jobs, busy, wall)
+			}
 		}
-		if taskSum != busy {
-			t.Fatalf("jobs=%d: per-task ns sum %d != farm.busy_ns %d (sum-consistency)", jobs, taskSum, busy)
-		}
-		if busy > wall*int64(jobs) {
-			t.Fatalf("jobs=%d: busy_ns %d > wall_ns %d × jobs (occupancy bound violated)", jobs, busy, wall)
-		}
+	}
+}
+
+// trivialJob is a job that does no analysis.
+func trivialJob(name string) Job {
+	return Job{Name: name, Run: func(o *obs.Observer) (*report.AppRun, error) {
+		return &report.AppRun{}, nil
+	}}
+}
+
+// stwPauses returns the number of non-GC stop-the-world pauses the process
+// has had so far; every runtime.ReadMemStats call is one.
+func stwPauses() uint64 {
+	s := []metrics.Sample{{Name: "/sched/pauses/total/other:seconds"}}
+	metrics.Read(s)
+	var n uint64
+	for _, c := range s[0].Value.Float64Histogram().Counts {
+		n += c
+	}
+	return n
+}
+
+// TestFarmDoesNotStopTheWorld pins that measuring a job's allocation never
+// pauses the other workers: runOne reads it from runtime/metrics.
+func TestFarmDoesNotStopTheWorld(t *testing.T) {
+	const n = 50
+	jobs := make([]Job, n)
+	for i := range jobs {
+		jobs[i] = trivialJob(fmt.Sprintf("job-%d", i))
+	}
+	before := stwPauses()
+	batch := Run(jobs, Options{Jobs: 2})
+	if got := stwPauses() - before; got >= n {
+		t.Fatalf("%d jobs stopped the world %d times, want fewer than one per job", n, got)
+	}
+	if errs := batch.Errs(); len(errs) != 0 {
+		t.Fatalf("%s: %v", errs[0].Name, errs[0].Err)
+	}
+}
+
+// allocSink keeps test allocations reachable so the compiler cannot drop them.
+var allocSink []byte
+
+// TestFarmAttributesLargeAllocation pins that a job's AllocBytes covers what
+// it allocated: a 1 MiB object is counted when it is allocated.
+func TestFarmAttributesLargeAllocation(t *testing.T) {
+	batch := Run([]Job{{Name: "alloc", Run: func(o *obs.Observer) (*report.AppRun, error) {
+		allocSink = make([]byte, 1<<20)
+		return &report.AppRun{}, nil
+	}}}, Options{Jobs: 1})
+	allocSink = nil
+	if got := batch.Results[0].AllocBytes; got < 1<<20 {
+		t.Fatalf("AllocBytes = %d, want >= %d", got, 1<<20)
+	}
+	if got := batch.Report().Counters["farm.task.alloc.alloc_bytes"]; got < 1<<20 {
+		t.Fatalf("farm.task.alloc.alloc_bytes = %d, want >= %d", got, 1<<20)
 	}
 }
 

@@ -2,6 +2,15 @@
 // and allocation deltas, named counters, a sampled event histogram, and a
 // decision log recording why each pattern candidate was accepted or rejected.
 //
+// A span's allocation delta is the growth of the process's cumulative heap
+// allocation (HeapAllocBytes, read from runtime/metrics) between its start
+// and end. That read never stops the world, so spans can stay on in a
+// server with many requests in flight; the price is that small allocations
+// still sitting in per-P span caches are not yet counted, so a span's
+// alloc_bytes may lag its true volume by up to a few cached spans (large
+// objects never lag). With concurrent goroutines the delta is process-wide
+// and includes their allocations too.
+//
 // The package is dependency-free (standard library only) and nil-safe: every
 // method on a nil *Observer or nil *Span is a no-op, so instrumented code
 // paths cost nothing when observability is disabled — core.Analyze with
@@ -14,7 +23,6 @@
 package obs
 
 import (
-	"runtime"
 	"sync"
 	"time"
 )
@@ -71,11 +79,10 @@ func (o *Observer) Start(name string) *Span {
 	if o == nil {
 		return nil
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	startAlloc := HeapAllocBytes()
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	s := &Span{o: o, name: name, parent: o.cur, start: time.Now(), startAlloc: ms.TotalAlloc}
+	s := &Span{o: o, name: name, parent: o.cur, start: time.Now(), startAlloc: startAlloc}
 	if o.cur == nil {
 		o.roots = append(o.roots, s)
 	} else {
@@ -86,19 +93,20 @@ func (o *Observer) Start(name string) *Span {
 }
 
 // End closes the span, recording its wall time and the bytes allocated while
-// it was open. Ending a span twice, or a nil span, is a no-op.
+// it was open: the HeapAllocBytes delta since Start, which lags by the small
+// allocations still in per-P span caches (see the package comment) and never
+// stops the world. Ending a span twice, or a nil span, is a no-op.
 func (s *Span) End() {
 	if s == nil || s.ended {
 		return
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	alloc := HeapAllocBytes()
 	s.o.mu.Lock()
 	defer s.o.mu.Unlock()
 	s.ended = true
 	s.dur = time.Since(s.start)
-	if ms.TotalAlloc >= s.startAlloc {
-		s.alloc = int64(ms.TotalAlloc - s.startAlloc)
+	if alloc >= s.startAlloc {
+		s.alloc = int64(alloc - s.startAlloc)
 	}
 	// Pop to the parent; out-of-order ends degrade gracefully by popping
 	// whatever is innermost.

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -141,6 +142,38 @@ func TestCacheHitCounterVerified(t *testing.T) {
 	}
 	if n := s.Observer().Counter("server.analyses"); n != 1 {
 		t.Fatalf("server.analyses = %d after POSTed-IR hit, want still 1", n)
+	}
+}
+
+// stwPauses returns the number of non-GC stop-the-world pauses the process
+// has had so far; every runtime.ReadMemStats call is one.
+func stwPauses() uint64 {
+	s := []metrics.Sample{{Name: "/sched/pauses/total/other:seconds"}}
+	metrics.Read(s)
+	var n uint64
+	for _, c := range s[0].Value.Float64Histogram().Counts {
+		n += c
+	}
+	return n
+}
+
+// TestRequestsDoNotStopTheWorld pins that the per-request telemetry never
+// pauses the other requests in flight. A miss and a hit open about 20 spans
+// and one farm job between them, each reading the allocation total at start
+// and end; together they must cause fewer pauses than the 3 spans a hit
+// alone opens.
+func TestRequestsDoNotStopTheWorld(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	_, wire := get(t, ts.URL+"/ir?app=bicg")
+	before := stwPauses()
+	r1, b1 := post(t, ts.URL+"/analyze", wire)
+	r2, b2 := post(t, ts.URL+"/analyze", wire)
+	got := stwPauses() - before
+	if c1, c2 := r1.Header.Get("X-Pardetect-Cache"), r2.Header.Get("X-Pardetect-Cache"); c1 != "miss" || c2 != "hit" {
+		t.Fatalf("cache outcomes %q then %q, want miss then hit (bodies %s / %s)", c1, c2, b1, b2)
+	}
+	if got >= 3 {
+		t.Fatalf("a miss and a hit stopped the world %d times, want fewer than 3", got)
 	}
 }
 

@@ -13,6 +13,10 @@
 # pardetectrouter leg: routed affinity, batch fan-out, and failover after a
 # backend SIGKILL).
 #
+# Next to gofmt and vet, a telemetry-cost gate: no non-test Go file may call
+# runtime.ReadMemStats, which stops the world on every call (spans and farm
+# jobs read their allocation from runtime/metrics via obs.HeapAllocBytes).
+#
 # Before any of that, a repo-hygiene gate: the tree must not track built
 # binaries (executable bits outside *.sh, or binary file content) or scratch
 # benchmark artifacts (*.fresh.json) — those are build products, and a
@@ -63,6 +67,14 @@ unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
     echo "$unformatted" >&2
+    exit 1
+fi
+
+echo "==> no runtime.ReadMemStats outside tests (it stops the world)"
+memstats=$(grep -rn --include='*.go' --exclude='*_test.go' 'runtime\.ReadMemStats' . || true)
+if [ -n "$memstats" ]; then
+    echo "runtime.ReadMemStats stops the world on every call; read runtime/metrics instead (obs.HeapAllocBytes):" >&2
+    echo "$memstats" >&2
     exit 1
 fi
 
