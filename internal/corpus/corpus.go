@@ -6,12 +6,14 @@
 // Incrementality is content-keyed, two tiers deep:
 //
 //   - a manifest (pardetect.corpus/v1, written atomically next to the
-//     corpus) maps each file to the content fingerprint
-//     (core.ProgramFingerprint) of the program it held last run, plus the
-//     headline and result digest of that analysis. A file whose program
-//     still fingerprints the same is SKIPPED: no store probe, no analysis —
-//     a warm run over an unchanged corpus costs one decode per file and
-//     nothing else;
+//     corpus) maps each file to the SHA-256 of its bytes and the content
+//     fingerprint (core.ProgramFingerprint) of the program it held last
+//     run, plus the headline and result digest of that analysis. A file
+//     whose bytes still hash the same is SKIPPED without being decoded; a
+//     file whose bytes changed is decoded, and is still SKIPPED if its
+//     program fingerprints the same (a whitespace-only edit). A skipped file
+//     costs no store probe and no analysis — a warm run over an unchanged
+//     corpus costs one read and one SHA-256 per file and nothing else;
 //   - the persistent result store (internal/store — the same
 //     content-addressed tier pardetectd serves from) absorbs everything the
 //     manifest cannot: a renamed file, a reverted edit, a corpus pointed at
@@ -28,11 +30,20 @@
 // outcome is decided either statically (skip/dedupe, before fan-out) or by
 // a pure function of the program (the analysis itself) — the report is
 // byte-identical at any -jobs value and under any execution engine.
+//
+// A raw-bytes match is trusted as written: the file is not re-decoded,
+// re-validated or re-analysed by the binary reading the manifest. That is
+// the same trust the manifest already places in the results it carries
+// forward, so an upgrade that changes the codec, validation or analysis
+// should start from a fresh manifest (delete it), as it always should have.
 package corpus
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -80,7 +91,7 @@ type Options struct {
 	// 0 means none.
 	Timeout time.Duration
 	// Observer, when non-nil, receives per-phase spans (scan, manifest,
-	// decode, plan, analyze, report) and the corpus.* counters.
+	// decode, plan, store.open, analyze, report) and the corpus.* counters.
 	Observer *obs.Observer
 }
 
@@ -96,7 +107,8 @@ const (
 	// OutcomeSkipped: the manifest proved the file unchanged — no store
 	// probe, no analysis.
 	OutcomeSkipped Outcome = "skipped"
-	// OutcomeFailed: the file did not decode, or its analysis failed.
+	// OutcomeFailed: the file was unreadable or over wire.MaxProgramBytes,
+	// did not decode, or its analysis failed.
 	OutcomeFailed Outcome = "failed"
 )
 
@@ -185,6 +197,7 @@ func (r *Report) Text() string {
 // fileState threads one file through the phases.
 type fileState struct {
 	path string
+	raw  string // hex SHA-256 of the file's bytes
 	prog programOrErr
 }
 
@@ -252,28 +265,43 @@ func Run(opts Options) (*Report, error) {
 	}
 	o.Add("corpus.manifest.entries", int64(len(manifest)))
 
-	// Phase: decode + fingerprint every file. This is the whole cost of a
-	// warm run, so it stays lean: one read + decode per file, and the raw
-	// document is retained only until the plan phase decides who owns it.
+	// Phase: read + hash every file; decode + fingerprint only the files
+	// whose bytes the manifest has not seen. This is the whole cost of a
+	// warm run, so it stays lean: a file whose bytes hash to its manifest
+	// entry's Raw takes name and key from the entry (the plan phase then
+	// skips it), and the raw document of a decoded file is retained only
+	// until the plan phase decides who owns it.
 	sp = o.Start("corpus.decode")
 	files := make([]fileState, len(paths))
+	var decoded int64
 	for i, rel := range paths {
-		files[i].path = rel
-		data, err := os.ReadFile(filepath.Join(opts.Dir, filepath.FromSlash(rel)))
+		f := &files[i]
+		f.path = rel
+		data, err := readProgram(filepath.Join(opts.Dir, filepath.FromSlash(rel)))
 		if err != nil {
-			files[i].prog.err = err
+			f.prog.err = err
 			continue
 		}
+		sum := sha256.Sum256(data)
+		var raw [2 * sha256.Size]byte
+		hex.Encode(raw[:], sum[:])
+		if m, ok := manifest[rel]; ok && m.Raw == string(raw[:]) {
+			f.raw, f.prog.name, f.prog.key = m.Raw, m.Program, m.Key
+			continue
+		}
+		f.raw = string(raw[:])
+		decoded++
 		p, err := wire.DecodeProgram(data)
 		if err != nil {
-			files[i].prog.err = err
+			f.prog.err = err
 			continue
 		}
-		files[i].prog.name = p.Name
-		files[i].prog.key = core.ProgramFingerprint(p)
-		files[i].prog.data = data
+		f.prog.name = p.Name
+		f.prog.key = core.ProgramFingerprint(p)
+		f.prog.data = data
 	}
 	sp.End()
+	o.Add("corpus.decoded", decoded)
 
 	// Phase: plan. Every outcome that does not require running the pipeline
 	// is decided here, statically, so the fan-out below cannot make the
@@ -323,7 +351,9 @@ func Run(opts Options) (*Report, error) {
 		if max < 1 && 2*len(paths) > 4096 {
 			max = 2 * len(paths)
 		}
+		sp = o.Start("corpus.store.open")
 		st, err = store.Open(store.Options{Dir: opts.StoreDir, MaxEntries: max})
+		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("corpus: opening result store: %w", err)
 		}
@@ -408,6 +438,7 @@ func Run(opts Options) (*Report, error) {
 		if results[i].Outcome != OutcomeFailed {
 			rep.Patterns[results[i].Headline]++
 			newManifest[results[i].Path] = manifestEntry{
+				Raw:         files[i].raw,
 				Key:         results[i].Key,
 				Program:     results[i].Program,
 				Headline:    results[i].Headline,
@@ -476,6 +507,48 @@ func (u *unit) run(st *store.Store, engine string, timeout time.Duration) error 
 		})
 	}
 	return nil
+}
+
+// errTooLarge fails a corpus file over the wire program cap.
+var errTooLarge = fmt.Errorf("file exceeds the %d-byte program limit (wire.MaxProgramBytes)", wire.MaxProgramBytes)
+
+// readProgram reads one corpus file. A file larger than wire.MaxProgramBytes
+// fails on its size before any byte is read, and a file that grows past the
+// cap while being read fails without the excess being buffered.
+func readProgram(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if fi.Size() > wire.MaxProgramBytes {
+		return nil, errTooLarge
+	}
+	// Sized like os.ReadFile: one spare byte lets the read see EOF without
+	// growing the buffer, which the plan phase may keep until analysis.
+	data := make([]byte, 0, fi.Size()+1)
+	r := io.LimitReader(f, wire.MaxProgramBytes+1)
+	for {
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+		n, err := r.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if len(data) > wire.MaxProgramBytes {
+		return nil, errTooLarge
+	}
+	return data, nil
 }
 
 // scan walks dir for *.json corpus files, returning sorted slash-separated

@@ -1,6 +1,9 @@
 package corpus
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,6 +11,7 @@ import (
 	"testing"
 
 	"pardetect/internal/obs"
+	"pardetect/internal/wire"
 )
 
 // genCorpus writes n generated programs into a fresh temp dir.
@@ -36,7 +40,7 @@ func runCorpus(t *testing.T, opts Options) (*Report, *obs.Observer) {
 func TestManifestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sub", "manifest.json")
 	want := map[string]manifestEntry{
-		"a/p1.json": {Key: "00aa11bb22cc33dd", Program: "one", Headline: "task parallelism", Fingerprint: "ffeeddccbbaa0011"},
+		"a/p1.json": {Raw: strings.Repeat("ab", 32), Key: "00aa11bb22cc33dd", Program: "one", Headline: "task parallelism", Fingerprint: "ffeeddccbbaa0011"},
 		"p2.json":   {Key: "44ee55ff66aa77bb", Program: "two", Headline: "pipeline", Fingerprint: "0123456789abcdef"},
 	}
 	if err := saveManifest(path, want); err != nil {
@@ -70,15 +74,21 @@ func TestColdThenWarm(t *testing.T) {
 	if got := oc.Counter("corpus.files"); got != n {
 		t.Fatalf("corpus.files = %d, want %d", got, n)
 	}
+	if got := oc.Counter("corpus.decoded"); got != n {
+		t.Fatalf("cold corpus.decoded = %d, want %d", got, n)
+	}
 
-	// Warm rerun over the unchanged corpus: zero analyses, everything skipped
-	// off the manifest.
+	// Warm rerun over the unchanged corpus: zero analyses and zero decodes,
+	// everything skipped off the manifest's raw-bytes digests.
 	warm, ow := runCorpus(t, Options{Dir: dir})
 	if warm.Skipped != n || warm.Analyzed != 0 || warm.Cached != 0 || warm.Failed != 0 {
 		t.Fatalf("warm run: %+v", warm)
 	}
 	if got := ow.Counter("corpus.analyzed"); got != 0 {
 		t.Fatalf("warm corpus.analyzed = %d, want 0", got)
+	}
+	if got := ow.Counter("corpus.decoded"); got != 0 {
+		t.Fatalf("warm corpus.decoded = %d, want 0", got)
 	}
 	// Skipped lines carry the full result forward: warm text == cold text
 	// except for the outcome column — and histograms are identical.
@@ -109,6 +119,9 @@ func TestTouchOneFileReanalyzesExactlyOne(t *testing.T) {
 	}
 	if got := o.Counter("corpus.analyzed"); got != 1 {
 		t.Fatalf("corpus.analyzed = %d, want 1", got)
+	}
+	if got := o.Counter("corpus.decoded"); got != 1 {
+		t.Fatalf("corpus.decoded = %d, want 1 (only the touched file)", got)
 	}
 	for _, pr := range rep.Results {
 		want := OutcomeSkipped
@@ -323,4 +336,237 @@ func TestOverflowingDimsFail(t *testing.T) {
 		return
 	}
 	t.Fatal("huge.json missing from the report")
+}
+
+// reindent rewrites one corpus file as indented JSON: the bytes change, the
+// program does not.
+func reindent(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, data, "", "    "); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(buf.Bytes(), data) {
+		t.Fatal("re-indenting left the bytes unchanged")
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stripRaw rewrites a manifest without its raw-bytes digests, as a binary
+// that predates the field writes it.
+func stripRaw(t *testing.T, path string) {
+	t.Helper()
+	entries, corrupt := loadManifest(path)
+	if entries == nil || corrupt {
+		t.Fatalf("loading %s: entries=%v corrupt=%v", path, entries, corrupt)
+	}
+	for k, e := range entries {
+		e.Raw = ""
+		entries[k] = e
+	}
+	if err := saveManifest(path, entries); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := os.ReadFile(path); bytes.Contains(data, []byte(`"raw"`)) {
+		t.Fatal("stripped manifest still carries raw fields")
+	}
+}
+
+// A whitespace-only edit changes the bytes but not the program: the file is
+// decoded once, skipped through the fingerprint compare, and raw-skipped
+// from then on.
+func TestWhitespaceEditSkipsViaDecode(t *testing.T) {
+	const n = 6
+	dir := genCorpus(t, n, 800)
+	runCorpus(t, Options{Dir: dir}) // cold
+
+	reindent(t, filepath.Join(dir, FileName(2)))
+	rep, o := runCorpus(t, Options{Dir: dir})
+	if rep.Skipped != n || rep.Analyzed != 0 || rep.Cached != 0 || rep.Failed != 0 {
+		t.Fatalf("re-indent run: %+v, want all %d skipped", rep, n)
+	}
+	if got := o.Counter("corpus.decoded"); got != 1 {
+		t.Fatalf("re-indent run corpus.decoded = %d, want 1", got)
+	}
+
+	rep, o = runCorpus(t, Options{Dir: dir})
+	if rep.Skipped != n {
+		t.Fatalf("next run skipped %d, want %d", rep.Skipped, n)
+	}
+	if got := o.Counter("corpus.decoded"); got != 0 {
+		t.Fatalf("next run corpus.decoded = %d, want 0 (the new bytes were recorded)", got)
+	}
+}
+
+// A manifest without raw digests (written by an older binary) falls back to
+// decode for every file, skips them all through the fingerprint compare, and
+// is rewritten with the digests.
+func TestManifestWithoutRawFallsBackToDecode(t *testing.T) {
+	const n = 8
+	dir := genCorpus(t, n, 900)
+	runCorpus(t, Options{Dir: dir}) // cold
+	manifest := filepath.Join(dir, DefaultManifestName)
+	stripRaw(t, manifest)
+
+	rep, o := runCorpus(t, Options{Dir: dir})
+	if rep.Skipped != n || rep.Analyzed != 0 || rep.Failed != 0 {
+		t.Fatalf("raw-less manifest run: %+v, want all %d skipped", rep, n)
+	}
+	if got := o.Counter("corpus.decoded"); got != n {
+		t.Fatalf("corpus.decoded = %d, want %d", got, n)
+	}
+	entries, _ := loadManifest(manifest)
+	for path, e := range entries {
+		if len(e.Raw) != 64 {
+			t.Fatalf("%s: manifest raw %q after fallback run, want a SHA-256 digest", path, e.Raw)
+		}
+	}
+
+	if _, o := runCorpus(t, Options{Dir: dir}); o.Counter("corpus.decoded") != 0 {
+		t.Fatalf("run after fallback decoded %d files, want 0", o.Counter("corpus.decoded"))
+	}
+}
+
+// Garbage written over a file the manifest skipped is decoded (its bytes
+// changed), fails, and leaves the manifest.
+func TestGarbageOverSkippedFileFails(t *testing.T) {
+	const n = 5
+	dir := genCorpus(t, n, 1000)
+	runCorpus(t, Options{Dir: dir}) // cold
+
+	if err := os.WriteFile(filepath.Join(dir, FileName(1)), []byte("\x00garbage{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, o := runCorpus(t, Options{Dir: dir})
+	if rep.Failed != 1 || rep.Skipped != n-1 || rep.Analyzed != 0 {
+		t.Fatalf("garbage run: %+v, want 1 failed and %d skipped", rep, n-1)
+	}
+	if got := o.Counter("corpus.decoded"); got != 1 {
+		t.Fatalf("corpus.decoded = %d, want 1", got)
+	}
+	for _, pr := range rep.Results {
+		if pr.Path == FileName(1) && (pr.Outcome != OutcomeFailed || !strings.Contains(pr.Error, "decode program")) {
+			t.Fatalf("%s: outcome %q error %q, want a failed decode", pr.Path, pr.Outcome, pr.Error)
+		}
+	}
+	entries, _ := loadManifest(filepath.Join(dir, DefaultManifestName))
+	if _, ok := entries[FileName(1)]; ok || len(entries) != n-1 {
+		t.Fatalf("manifest after garbage run has %d entries (garbage file present: %v), want %d without it",
+			len(entries), ok, n-1)
+	}
+}
+
+// A pass that skips files by their raw bytes renders the same text and JSON
+// report as a pass that decodes them to prove the same thing, at any Jobs.
+func TestRawSkipReportMatchesDecodeSkip(t *testing.T) {
+	const n = 12
+	dir := genCorpus(t, n, 1100)
+	cold := filepath.Join(t.TempDir(), "cold.json")
+	runCorpus(t, Options{Dir: dir, Manifest: cold})
+	// The shared state: one program replaced, one file undecodable.
+	if err := GenerateFile(dir, 4, 77777); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "broken.json"), []byte(`{"name":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	withRaw, err := os.ReadFile(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	render := func(jobs int, strip bool) (string, string) {
+		manifest := filepath.Join(t.TempDir(), "m.json")
+		if err := os.WriteFile(manifest, withRaw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wantDecoded := int64(2) // the replaced and the broken file
+		if strip {
+			stripRaw(t, manifest)
+			wantDecoded = n + 1
+		}
+		rep, o := runCorpus(t, Options{Dir: dir, Manifest: manifest, Jobs: jobs})
+		if rep.Skipped != n-1 || rep.Analyzed != 1 || rep.Failed != 1 {
+			t.Fatalf("jobs=%d strip=%v: %+v", jobs, strip, rep)
+		}
+		if got := o.Counter("corpus.decoded"); got != wantDecoded {
+			t.Fatalf("jobs=%d strip=%v: corpus.decoded = %d, want %d", jobs, strip, got, wantDecoded)
+		}
+		js, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Text(), string(js)
+	}
+
+	baseText, baseJSON := render(1, true)
+	for _, jobs := range []int{1, 8} {
+		for _, strip := range []bool{false, true} {
+			text, js := render(jobs, strip)
+			if text != baseText {
+				t.Fatalf("jobs=%d strip=%v: text report differs:\n%s\n----\n%s", jobs, strip, text, baseText)
+			}
+			if js != baseJSON {
+				t.Fatalf("jobs=%d strip=%v: JSON report differs", jobs, strip)
+			}
+		}
+	}
+}
+
+// A file over wire.MaxProgramBytes fails on its size without being read or
+// decoded, never enters the manifest, and leaves the rest of the corpus and
+// the report's determinism untouched.
+func TestOversizedFileFails(t *testing.T) {
+	const n = 4
+	dir := genCorpus(t, n, 1200)
+	big := filepath.Join(dir, "big.json")
+	f, err := os.Create(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sparse: 9 MiB on the file's size, no data blocks on disk.
+	if err := f.Truncate(9 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var baseText, baseJSON string
+	for _, jobs := range []int{1, 8} {
+		manifest := filepath.Join(t.TempDir(), "m.json")
+		rep, o := runCorpus(t, Options{Dir: dir, Manifest: manifest, Jobs: jobs})
+		if rep.Failed != 1 || rep.Analyzed != n || rep.Programs != n+1 {
+			t.Fatalf("jobs=%d: %+v, want %d analyzed and big.json failed", jobs, rep, n)
+		}
+		if got := o.Counter("corpus.decoded"); got != n {
+			t.Fatalf("jobs=%d: corpus.decoded = %d, want %d (big.json never decoded)", jobs, got, n)
+		}
+		for _, pr := range rep.Results {
+			if pr.Path == "big.json" && (pr.Outcome != OutcomeFailed || !strings.Contains(pr.Error, fmt.Sprint(wire.MaxProgramBytes))) {
+				t.Fatalf("big.json: outcome %q error %q, want failed on the program limit", pr.Outcome, pr.Error)
+			}
+		}
+		entries, _ := loadManifest(manifest)
+		if _, ok := entries["big.json"]; ok || len(entries) != n {
+			t.Fatalf("jobs=%d: manifest has %d entries (big.json present: %v), want %d without it", jobs, len(entries), ok, n)
+		}
+		js, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if baseText == "" {
+			baseText, baseJSON = rep.Text(), string(js)
+			continue
+		}
+		if rep.Text() != baseText || string(js) != baseJSON {
+			t.Fatalf("jobs=%d: report differs from jobs=1:\n%s\n----\n%s", jobs, rep.Text(), baseText)
+		}
+	}
 }

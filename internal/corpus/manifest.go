@@ -11,13 +11,19 @@ import (
 // missing manifest: the run degrades to a cold start, never an error.
 const ManifestSchema = "pardetect.corpus/v1"
 
-// manifestEntry records what the last run knew about one corpus file. The
-// Key is the program's content fingerprint — the incremental-analysis key: a
-// file whose decoded program still fingerprints to Key is skipped without
-// touching the store or the analysis pipeline. Headline and Fingerprint
-// carry enough of the result forward for the skipped file's report line to
-// be byte-identical to the run that analysed it.
+// manifestEntry records what the last run knew about one corpus file. Raw
+// is the cheap proof of "unchanged": a file whose bytes still hash to Raw is
+// skipped without being decoded. Key is the program's content fingerprint —
+// the incremental-analysis key: a file whose bytes changed but whose decoded
+// program still fingerprints to Key is skipped too. Either way the skip
+// touches neither the store nor the analysis pipeline. Headline and
+// Fingerprint carry enough of the result forward for the skipped file's
+// report line to be byte-identical to the run that analysed it.
 type manifestEntry struct {
+	// Raw is the hex SHA-256 of the file's bytes. Manifests written before
+	// the field existed lack it, so their files fall back to decode once;
+	// older binaries ignore it (the field is additive within v1).
+	Raw string `json:"raw,omitempty"`
 	// Key is the program's content fingerprint (core.ProgramFingerprint) —
 	// also the content address of the result in the store tier.
 	Key string `json:"key"`

@@ -18,6 +18,7 @@ import (
 	"pardetect/internal/obs"
 	"pardetect/internal/obs/metrics"
 	"pardetect/internal/server"
+	"pardetect/internal/wire"
 )
 
 // Options configures the routing tier.
@@ -44,8 +45,8 @@ type Options struct {
 	// apply only to idempotent failures (transport errors, 502/503) — an
 	// analysis answer, even an error one, is never retried elsewhere.
 	Retries int
-	// MaxBodyBytes bounds a routed POST /analyze body; < 1 selects 8 MiB
-	// (the pardetectd default).
+	// MaxBodyBytes bounds a routed POST /analyze body; < 1 selects
+	// wire.MaxProgramBytes (8 MiB, the pardetectd default).
 	MaxBodyBytes int64
 	// MaxBatchBytes bounds a routed POST /analyze/batch body; < 1 selects
 	// 64 MiB (the pardetectd default).
@@ -90,7 +91,7 @@ func (o *Options) fill() error {
 		o.Retries = 0
 	}
 	if o.MaxBodyBytes < 1 {
-		o.MaxBodyBytes = 8 << 20
+		o.MaxBodyBytes = wire.MaxProgramBytes
 	}
 	if o.MaxBatchBytes < 1 {
 		o.MaxBatchBytes = 64 << 20

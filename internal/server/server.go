@@ -49,6 +49,7 @@ import (
 	"pardetect/internal/obs/metrics"
 	"pardetect/internal/report"
 	"pardetect/internal/store"
+	"pardetect/internal/wire"
 )
 
 // Options configures the service.
@@ -73,7 +74,8 @@ type Options struct {
 	// no engine parameter ("" selects bytecode, the library default; tree is
 	// the reference walker). New canonicalises it with interp.ParseEngine.
 	DefaultEngine string
-	// MaxBodyBytes bounds a POSTed IR program; values < 1 select 8 MiB.
+	// MaxBodyBytes bounds a POSTed IR program; values < 1 select
+	// wire.MaxProgramBytes (8 MiB).
 	MaxBodyBytes int64
 	// Observer receives the service counters; nil creates a fresh observer
 	// labelled "pardetectd" (exposed via Server.Observer).
@@ -128,7 +130,7 @@ func (o *Options) fill() error {
 		o.MaxTimeout = 10 * time.Minute
 	}
 	if o.MaxBodyBytes < 1 {
-		o.MaxBodyBytes = 8 << 20
+		o.MaxBodyBytes = wire.MaxProgramBytes
 	}
 	if o.SlowSamples == 0 {
 		o.SlowSamples = 8

@@ -25,9 +25,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"pardetect/internal/ir"
 )
+
+// MaxProgramBytes is the largest wire program any surface accepts: the
+// default body bound of pardetectd and pardetectrouter, and the file-size cap
+// of corpus mode. Bytes past it are never read.
+const MaxProgramBytes = 8 << 20
 
 // jsonProgram mirrors ir.Program.
 type jsonProgram struct {
@@ -82,8 +88,11 @@ type jsonLValue struct {
 }
 
 type jsonExpr struct {
-	Kind string     `json:"kind"` // const | var | elem | bin | un | call
-	V    float64    `json:"v,omitempty"`
+	Kind string `json:"kind"` // const | var | elem | bin | un | call
+	// V is a pointer so that omitempty drops only +0: a float64 field would
+	// drop -0 as well, and -0 would decode back as 0, a program with another
+	// fingerprint.
+	V    *float64   `json:"v,omitempty"`
 	Name string     `json:"name,omitempty"`
 	Arr  string     `json:"arr,omitempty"`
 	Idx  []jsonExpr `json:"idx,omitempty"`
@@ -186,7 +195,11 @@ func encodeExpr(x ir.Expr) *jsonExpr {
 	}
 	switch x := x.(type) {
 	case ir.Const:
-		return &jsonExpr{Kind: "const", V: x.V}
+		e := &jsonExpr{Kind: "const"}
+		if x.V != 0 || math.Signbit(x.V) {
+			e.V = &x.V
+		}
+		return e
 	case ir.Var:
 		return &jsonExpr{Kind: "var", Name: x.Name}
 	case *ir.Elem:
@@ -373,7 +386,10 @@ func decodeExpr(x *jsonExpr) (ir.Expr, error) {
 	}
 	switch x.Kind {
 	case "const":
-		return ir.Const{V: x.V}, nil
+		if x.V == nil {
+			return ir.Const{}, nil
+		}
+		return ir.Const{V: *x.V}, nil
 	case "var":
 		return ir.Var{Name: x.Name}, nil
 	case "elem":

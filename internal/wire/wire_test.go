@@ -6,6 +6,7 @@ import (
 
 	"pardetect/internal/core"
 	"pardetect/internal/fuzzer"
+	"pardetect/internal/ir"
 )
 
 // minimal is the smallest useful wire program: one function returning a
@@ -100,5 +101,60 @@ func TestDecodeRejectsBadDocuments(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.frag)
 			}
 		})
+	}
+}
+
+// FuzzDecode pins the codec as a pure, total function of the bytes — the
+// property corpus mode relies on when it skips a file whose bytes it has
+// already seen: DecodeProgram never panics, and any accepted document
+// re-encodes to one that decodes to the same content fingerprint.
+func FuzzDecode(f *testing.F) {
+	f.Add([]byte(minimal))
+	for seed := uint64(1); seed <= 8; seed++ {
+		data, err := EncodeProgram(fuzzer.Generate(seed))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodeProgram(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeProgram(p)
+		if err != nil {
+			t.Fatalf("re-encode of an accepted program: %v", err)
+		}
+		q, err := DecodeProgram(enc)
+		if err != nil {
+			t.Fatalf("re-encoded program does not decode: %v\n%s", err, enc)
+		}
+		if got, want := core.ProgramFingerprint(q), core.ProgramFingerprint(p); got != want {
+			t.Fatalf("fingerprint %s changed to %s across re-encode:\n%s", want, got, enc)
+		}
+	})
+}
+
+// TestNegativeZeroConstRoundTrips is the regression test for the first
+// FuzzDecode find: a -0 constant was encoded like 0 (omitted), so it decoded
+// back as 0 and the program's fingerprint changed across the wire.
+func TestNegativeZeroConstRoundTrips(t *testing.T) {
+	p, err := DecodeProgram([]byte(strings.Replace(minimal, `"v":1`, `"v":-0`, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := EncodeProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(enc), `"v":-0`) {
+		t.Fatalf("encoded -0 constant lost its sign: %s", enc)
+	}
+	zero := &ir.Program{Name: "z", Entry: "main", Funcs: []*ir.Function{
+		{Name: "main", Body: []ir.Stmt{&ir.Return{Val: ir.Const{}}}},
+	}}
+	if enc, _ := EncodeProgram(zero); strings.Contains(string(enc), `"v"`) {
+		t.Fatalf("a +0 constant is encoded with a value: %s", enc)
 	}
 }

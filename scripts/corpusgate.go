@@ -29,9 +29,9 @@
 //     (no missed changes, no spurious re-analysis);
 //   - the warm pass beat the cold pass on wall time. This is the one
 //     within-run timing assertion, and the margin is structural: a warm
-//     pass is one decode per file while a cold pass runs the full
-//     pipeline per file, so warm < cold by an order of magnitude on any
-//     machine — if this trips, skipping has stopped skipping.
+//     pass is one read and one SHA-256 per file while a cold pass runs
+//     the full pipeline per file, so warm < cold by an order of magnitude
+//     on any machine — if this trips, skipping has stopped skipping.
 package main
 
 import (

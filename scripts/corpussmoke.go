@@ -12,6 +12,10 @@
 //   - a WARM rerun (same corpus, same manifest, same store) must skip all
 //     N programs and analyse zero — the acceptance bar is >= 99% avoided
 //     work, the assertion here is 100%;
+//   - after re-indenting ONE file (new bytes, same program), the rerun must
+//     still skip all N and analyse zero: the file's raw-bytes digest no
+//     longer matches the manifest, so it falls back to decode and the
+//     fingerprint compare proves it unchanged;
 //   - after touching exactly ONE file (regenerated with a fresh seed), the
 //     rerun must re-analyse exactly that file and skip the other N-1 —
 //     change detection precise in both directions;
@@ -124,6 +128,32 @@ func run() error {
 		return fmt.Errorf("warm run: %+v, want all %d skipped", warm, n)
 	}
 	fmt.Printf("corpussmoke: warm run skipped all %d (zero re-analysis)\n", n)
+
+	// Re-indent one file without changing its program.
+	reindented := filepath.Join(corpusDir, "p00003.json")
+	doc, err := os.ReadFile(reindented)
+	if err != nil {
+		return err
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, doc, "", "  "); err != nil {
+		return fmt.Errorf("re-indent %s: %v", reindented, err)
+	}
+	if bytes.Equal(indented.Bytes(), doc) {
+		return fmt.Errorf("re-indenting %s left its bytes unchanged", reindented)
+	}
+	if err := os.WriteFile(reindented, indented.Bytes(), 0o644); err != nil {
+		return err
+	}
+	ws, err := runAndParse(bin, scratch, "repI.json",
+		"-dir", corpusDir, "-manifest", manifest, "-store-dir", store, "-jobs", "4")
+	if err != nil {
+		return err
+	}
+	if ws.Skipped != n || ws.Analyzed != 0 || ws.Cached != 0 || ws.Failed != 0 {
+		return fmt.Errorf("re-indent run: %+v, want all %d skipped", ws, n)
+	}
+	fmt.Printf("corpussmoke: re-indented p00003.json, rerun still skipped all %d\n", n)
 
 	// Touch exactly one file: regenerate index 7 from a seed far outside the
 	// corpus's own seed range, via the binary's own generator.
