@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench ci serve router servesmoke servebench corpus corpussmoke corpusbench execbench fuzz fuzz-smoke goldens goldens-update hygiene
+.PHONY: build test bench ci perfgate serve router servesmoke corpus corpussmoke fuzz fuzz-smoke goldens goldens-update hygiene
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,14 @@ bench:
 # over the scheduler and telemetry packages.
 ci:
 	sh scripts/ci.sh
+
+# perfgate runs three alternating base/change pairs of every benchmark
+# workload (bench/) on this machine and fails on any `pdbench -compare`
+# "worse" verdict or any scripts/perfcheck.go failure. PERF_BASE is the
+# commit compared against.
+PERF_BASE ?= HEAD~1
+perfgate:
+	sh scripts/perfgate.sh $(PERF_BASE)
 
 # serve runs the pardetectd analysis service on its default address
 # (localhost:7070); see README "The analysis service". servesmoke runs the
@@ -34,18 +42,9 @@ router:
 servesmoke:
 	$(GO) run scripts/servesmoke.go
 
-# servebench regenerates BENCH_serve.json, the committed serving baseline
-# (fuzzer-driven load against an in-process pardetectd; throughput, latency
-# quantiles, hit/reject rates, plus the 3-replica router affinity/failover
-# leg) that scripts/servegate.go gates CI against.
-servebench:
-	$(GO) run ./cmd/servebench -dur 3s -c 4 -replicas 3 -out BENCH_serve.json
-
 # corpus runs corpus mode over CORPUS_DIR (see README "Corpus mode"):
 # analyse every wire-IR program under the directory, re-analysing only what
-# changed since the last run. corpussmoke is the end-to-end CI smoke;
-# corpusbench regenerates BENCH_corpus.json, the committed cold/warm/dirty
-# baseline that scripts/corpusgate.go gates CI against.
+# changed since the last run. corpussmoke is the end-to-end CI smoke.
 CORPUS_DIR ?= corpus
 corpus:
 	$(GO) run ./cmd/parcorpus -dir $(CORPUS_DIR) -store-dir $(CORPUS_DIR)/.store
@@ -53,19 +52,10 @@ corpus:
 corpussmoke:
 	$(GO) run scripts/corpussmoke.go
 
-corpusbench:
-	$(GO) run ./cmd/parcorpus -bench 1000 -bench-out BENCH_corpus.json
-
 # hygiene runs the repo-hygiene gate CI runs first: no tracked binaries or
 # scratch benchmark artifacts.
 hygiene:
 	sh scripts/hygiene.sh
-
-# execbench regenerates BENCH_exec.json, the committed engine-comparison
-# baseline (tree vs bytecode, traced vs untraced, plus full
-# per-app analyses) that scripts/benchgate.go gates CI against.
-execbench:
-	EXEC_OUT=BENCH_exec.json $(GO) test -bench 'BenchmarkExec' -benchtime 20x -run '^$$' .
 
 # fuzz hunts for new divergences: each native target runs for FUZZTIME
 # (default 10 minutes) from the committed corpus in

@@ -7,90 +7,17 @@ package pardetect_test
 
 import (
 	"fmt"
-	"os"
-	"runtime"
-	"sync"
 	"testing"
 
 	"pardetect/internal/apps"
 	"pardetect/internal/core"
 	"pardetect/internal/cu"
-	"pardetect/internal/farm"
 	"pardetect/internal/interp"
-	"pardetect/internal/obs"
 	"pardetect/internal/patterns"
 	"pardetect/internal/report"
 	"pardetect/internal/sched"
 	"pardetect/internal/trace"
 )
-
-// execOut accumulates per-configuration execution-engine reports when
-// EXEC_OUT names a file; TestMain writes them as a runset after the run:
-//
-//	EXEC_OUT=BENCH_exec.json go test -bench 'BenchmarkExec' -benchtime 20x -run '^$'
-//
-// This is how the committed BENCH_exec.json baseline is regenerated: one
-// report per engine × tracing configuration (BenchmarkExec) and per engine
-// × app full analysis (BenchmarkExecAnalysis), each with the benchmark's
-// own ns/op attached. scripts/benchgate.go compares a fresh run against
-// the committed baseline and fails CI when the bytecode engine regresses.
-var execOut struct {
-	mu      sync.Mutex
-	reports []obs.Report
-}
-
-// recordExec attaches the benchmark's throughput to an EXEC_OUT report.
-func recordExec(b *testing.B, label string) {
-	if os.Getenv("EXEC_OUT") == "" {
-		return
-	}
-	rep := obs.Report{Schema: obs.Schema, Label: label, Counters: obs.Counters{}}
-	// Stamp the real wall time of the timed loop: trajectory tooling diffs
-	// wall_ns across runs, and a zero there reads as "not measured".
-	rep.WallNS = b.Elapsed().Nanoseconds()
-	if b.N > 0 {
-		rep.Counters["bench.ns_per_op"] = b.Elapsed().Nanoseconds() / int64(b.N)
-	}
-	rep.Counters["bench.iterations"] = int64(b.N)
-	execOut.mu.Lock()
-	execOut.reports = append(execOut.reports, rep)
-	execOut.mu.Unlock()
-}
-
-// writeRunSet deduplicates accumulated reports by label (the harness may
-// rerun a benchmark while sizing b.N; the final report wins) and writes
-// them as a pardetect.obs.runset/v1 envelope.
-func writeRunSet(path string, reports []obs.Report) {
-	last := map[string]int{}
-	for i, r := range reports {
-		last[r.Label] = i
-	}
-	set := obs.RunSet{Schema: obs.RunSetSchema}
-	for i, r := range reports {
-		if last[r.Label] == i {
-			set.Runs = append(set.Runs, r)
-		}
-	}
-	if len(set.Runs) == 0 {
-		return
-	}
-	if data, err := set.JSON(); err == nil {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "writeRunSet %s: %v\n", path, err)
-		}
-	}
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if path := os.Getenv("EXEC_OUT"); path != "" {
-		execOut.mu.Lock()
-		reports := execOut.reports
-		execOut.mu.Unlock()
-		writeRunSet(path, reports)
-	}
-	os.Exit(code)
-}
 
 // ---------------------------------------------------------------------------
 // Table III — one benchmark per application row: full analysis + simulated
@@ -374,111 +301,6 @@ func BenchmarkAblation_PipelineGrain(b *testing.B) {
 			}
 			b.ReportMetric(speedup, "speedup")
 		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Farm — concurrent batch analysis of every Table III app. The sub-benchmarks
-// contrast a sequential pool (jobs=1) with a GOMAXPROCS-sized pool; the
-// busy/wall metric is the pool's occupancy (≈ jobs when the farm scales).
-// ---------------------------------------------------------------------------
-
-func benchFarm(b *testing.B, jobs int) {
-	b.Helper()
-	var batch *farm.Batch
-	for i := 0; i < b.N; i++ {
-		batch = farm.RunApps(apps.TableIIIOrder, farm.Options{Jobs: jobs})
-		if errs := batch.Errs(); len(errs) != 0 {
-			b.Fatalf("%s: %v", errs[0].Name, errs[0].Err)
-		}
-	}
-	rep := batch.Report()
-	b.ReportMetric(float64(rep.Counters["farm.tasks"]), "apps/op")
-	if wall := float64(rep.Counters["farm.wall_ns"]); wall > 0 {
-		b.ReportMetric(float64(rep.Counters["farm.busy_ns"])/wall, "busy/wall")
-	}
-}
-
-func BenchmarkFarm(b *testing.B) {
-	pool := runtime.GOMAXPROCS(0)
-	if pool == 1 {
-		pool = 4 // still exercise the pool (time-sliced) on a single-CPU box
-	}
-	b.Run("jobs=1", func(b *testing.B) { benchFarm(b, 1) })
-	b.Run(fmt.Sprintf("jobs=%d", pool), func(b *testing.B) { benchFarm(b, pool) })
-}
-
-// ---------------------------------------------------------------------------
-// Execution engines — tree walker vs compiled bytecode (DESIGN.md §5). The
-// grid is engine × tracing over representative apps (raw interpreter and
-// profiled throughput), plus engine × app over the full analysis pipeline
-// (the end-to-end number the ≥2× speedup target is stated against). With
-// EXEC_OUT set, every cell lands in BENCH_exec.json for the benchgate.
-// ---------------------------------------------------------------------------
-
-// execApps are the apps the engine grid measures: the heaviest 2-D kernel
-// (2mm), the fusion benchmark with the largest phase-2 load (correlation)
-// and a stencil with deep loop nests (fdtd-2d).
-var execApps = []string{"2mm", "correlation", "fdtd-2d"}
-
-func BenchmarkExec(b *testing.B) {
-	for _, engine := range []string{interp.EngineTree, interp.EngineBytecode} {
-		for _, traced := range []bool{false, true} {
-			cfg := fmt.Sprintf("engine=%s/traced=%v", engine, traced)
-			for _, name := range execApps {
-				name, engine, traced := name, engine, traced
-				b.Run(cfg+"/"+name, func(b *testing.B) {
-					prog := apps.Get(name).Build()
-					var steps int64
-					for i := 0; i < b.N; i++ {
-						var tr interp.Tracer
-						var col *trace.Collector
-						if traced {
-							col = trace.NewCollector()
-							tr = col
-						}
-						m, err := interp.New(prog, interp.Options{Tracer: tr, Engine: engine})
-						if err != nil {
-							b.Fatal(err)
-						}
-						if _, err := m.Run(); err != nil {
-							b.Fatal(err)
-						}
-						steps = m.Steps()
-						if col != nil {
-							col.Finish(prog.Name)
-						}
-					}
-					b.ReportMetric(float64(steps), "stmts/run")
-					recordExec(b, "exec/"+name+"/"+cfg)
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkExecAnalysis runs the complete analysis pipeline (phase-1
-// profile, detection, phase-2 pair profile, pattern fits) per app on each
-// engine — the geomean of the tree/bytecode ratio over these cells is the
-// engine's headline speedup (EXPERIMENTS.md, BENCH_exec). core.Analyze is
-// called directly: the report layer's schedule sweep (sched.Sweep) never
-// executes the interpreter and would only dilute the comparison.
-func BenchmarkExecAnalysis(b *testing.B) {
-	for _, engine := range []string{interp.EngineTree, interp.EngineBytecode} {
-		engine := engine
-		for _, name := range apps.TableIIIOrder {
-			name := name
-			app := apps.Get(name)
-			b.Run(fmt.Sprintf("engine=%s/%s", engine, name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					opts := core.Options{InferReductionOperator: true, Engine: engine}
-					if _, err := core.Analyze(app.Build(), opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-				recordExec(b, fmt.Sprintf("exec/analysis/%s/engine=%s", name, engine))
-			})
-		}
 	}
 }
 

@@ -8,7 +8,6 @@
 //	parcorpus -dir corpus/ [-jobs 8] [-store-dir cache/] [-engine tree]
 //	          [-manifest path] [-out report.txt] [-json] [-stats] [-timeout 5s]
 //	parcorpus -dir corpus/ -gen 1000 [-seed 1]
-//	parcorpus -bench 1000 [-jobs 8] [-engine tree] [-bench-out BENCH_corpus.json]
 //
 // The default mode is a corpus run. Incrementality is two tiers deep: a
 // manifest next to the corpus skips files whose program fingerprint is
@@ -21,20 +20,14 @@
 // -gen N generates a deterministic fuzzer-seeded corpus of N programs into
 // -dir and exits; rerunning with the same -seed reproduces the same corpus.
 //
-// -bench N measures the three canonical corpus passes over a fresh
-// N-program corpus in a temporary directory — cold (empty manifest and
-// store), warm (nothing changed) and dirty (1% of programs touched) — and
-// writes a pardetect.corpus.bench/v1 document to -bench-out (stdout if
-// empty). scripts/corpusgate.go gates this document structurally in CI.
+// Corpus passes are timed by the benchmark module's corpus_cold and
+// corpus_dirty workloads (bench/README.md), not by this command.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"time"
 
 	"pardetect/internal/corpus"
 	"pardetect/internal/interp"
@@ -54,8 +47,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-program analysis budget (0 = none)")
 	gen := flag.Int("gen", 0, "generate this many fuzzer-seeded programs into -dir and exit")
 	seed := flag.Uint64("seed", 1, "base seed for -gen (deterministic: same seed, same corpus)")
-	bench := flag.Int("bench", 0, "benchmark cold/warm/dirty passes over a fresh corpus of this many programs")
-	benchOut := flag.String("bench-out", "", "write the bench document to this file (default stdout)")
 	flag.Parse()
 
 	// Flag validation happens up front, before any filesystem work: bad
@@ -88,9 +79,6 @@ func main() {
 		if *gen < 0 {
 			fail("bad -gen %d: must be >= 1", *gen)
 		}
-		if *bench != 0 {
-			fail("-gen and -bench are mutually exclusive")
-		}
 		if *dir == "" {
 			fail("-gen needs -dir")
 		}
@@ -100,18 +88,9 @@ func main() {
 		}
 		fmt.Printf("generated %d programs in %s (base seed %d)\n", *gen, *dir, *seed)
 
-	case *bench != 0:
-		if *bench < 0 {
-			fail("bad -bench %d: must be >= 1", *bench)
-		}
-		if err := runBench(*bench, *jobs, *engine, *timeout, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "parcorpus: bench: %v\n", err)
-			os.Exit(1)
-		}
-
 	default:
 		if *dir == "" {
-			fmt.Fprintln(os.Stderr, "usage: parcorpus -dir corpus/ [flags]   (or -gen N, -bench N; see -h)")
+			fmt.Fprintln(os.Stderr, "usage: parcorpus -dir corpus/ [flags]   (or -gen N; see -h)")
 			os.Exit(2)
 		}
 		os.Exit(runCorpus(corpus.Options{
@@ -168,95 +147,4 @@ func runCorpus(opts corpus.Options, out string, asJSON, stats bool) int {
 		return 1
 	}
 	return 0
-}
-
-// benchPass is one measured corpus pass in the bench document.
-type benchPass struct {
-	WallNS   int64 `json:"wall_ns"`
-	Analyzed int   `json:"analyzed"`
-	Cached   int   `json:"cached"`
-	Skipped  int   `json:"skipped"`
-	Failed   int   `json:"failed"`
-}
-
-// benchDoc is the pardetect.corpus.bench/v1 document corpusgate consumes.
-type benchDoc struct {
-	Schema        string    `json:"schema"`
-	Programs      int       `json:"programs"`
-	Jobs          int       `json:"jobs"`
-	Engine        string    `json:"engine"`
-	DirtyPrograms int       `json:"dirty_programs"`
-	Cold          benchPass `json:"cold"`
-	Warm          benchPass `json:"warm"`
-	Dirty         benchPass `json:"dirty"`
-}
-
-// runBench generates a fresh n-program corpus in a temp dir and measures the
-// cold, warm and one-percent-dirty passes.
-func runBench(n, jobs int, engine string, timeout time.Duration, outPath string) error {
-	root, err := os.MkdirTemp("", "parcorpus-bench-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(root)
-	dir := filepath.Join(root, "corpus")
-	if err := corpus.GenerateFiles(dir, n, 1); err != nil {
-		return err
-	}
-	opts := corpus.Options{
-		Dir:      dir,
-		StoreDir: filepath.Join(root, "store"),
-		Jobs:     jobs,
-		Engine:   engine,
-		Timeout:  timeout,
-	}
-	pass := func() (benchPass, error) {
-		start := time.Now()
-		rep, err := corpus.Run(opts)
-		wall := time.Since(start)
-		if err != nil {
-			return benchPass{}, err
-		}
-		return benchPass{
-			WallNS:   wall.Nanoseconds(),
-			Analyzed: rep.Analyzed,
-			Cached:   rep.Cached,
-			Skipped:  rep.Skipped,
-			Failed:   rep.Failed,
-		}, nil
-	}
-
-	doc := benchDoc{Schema: "pardetect.corpus.bench/v1", Programs: n, Jobs: jobs, Engine: engine}
-	if doc.Cold, err = pass(); err != nil {
-		return fmt.Errorf("cold pass: %w", err)
-	}
-	if doc.Warm, err = pass(); err != nil {
-		return fmt.Errorf("warm pass: %w", err)
-	}
-
-	// Dirty pass: rewrite 1% of the corpus (at least one program) with fresh
-	// seeds, modelling the steady-state "a few programs changed" rerun.
-	doc.DirtyPrograms = n / 100
-	if doc.DirtyPrograms < 1 {
-		doc.DirtyPrograms = 1
-	}
-	for i := 0; i < doc.DirtyPrograms; i++ {
-		if err := corpus.GenerateFile(dir, i, uint64(n+i)+1_000_003); err != nil {
-			return err
-		}
-	}
-	if doc.Dirty, err = pass(); err != nil {
-		return fmt.Errorf("dirty pass: %w", err)
-	}
-
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if outPath == "" {
-		os.Stdout.Write(data)
-		return nil
-	}
-	return os.WriteFile(outPath, data, 0o644)
 }

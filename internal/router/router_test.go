@@ -15,6 +15,7 @@ import (
 
 	"pardetect/internal/fuzzer"
 	"pardetect/internal/server"
+	"pardetect/internal/wire"
 )
 
 // cluster is a router in front of n real in-process pardetectd backends.
@@ -71,11 +72,11 @@ func wirePool(t *testing.T, base uint64, n int) [][]byte {
 	t.Helper()
 	pool := make([][]byte, n)
 	for i := range pool {
-		wire, err := server.EncodeProgram(fuzzer.Generate(base + uint64(i)))
+		doc, err := wire.EncodeProgram(fuzzer.Generate(base + uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool[i] = wire
+		pool[i] = doc
 	}
 	return pool
 }
@@ -141,12 +142,12 @@ func TestRouterCrossSurfaceAffinity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := io.ReadAll(ir.Body)
+	doc, err := io.ReadAll(ir.Body)
 	ir.Body.Close()
 	if err != nil || ir.StatusCode != 200 {
 		t.Fatalf("GET /ir: status %d err %v", ir.StatusCode, err)
 	}
-	post, _ := postAnalyze(t, c.front.URL, wire)
+	post, _ := postAnalyze(t, c.front.URL, doc)
 	if got := post.Header.Get(BackendHeader); got != home {
 		t.Fatalf("POSTed bicg IR routed to %s, want the app's home %s", got, home)
 	}

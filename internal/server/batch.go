@@ -15,6 +15,7 @@ import (
 	"pardetect/internal/farm"
 	"pardetect/internal/interp"
 	"pardetect/internal/obs"
+	"pardetect/internal/wire"
 )
 
 // POST /analyze/batch carries many programs through one request — the
@@ -163,7 +164,7 @@ func (s *Server) runBatchLine(i int, raw []byte, params analyzeParams, deadline 
 		}
 		lineParams.timeout = remaining
 	}
-	prog, err := DecodeProgram(raw)
+	prog, err := wire.DecodeProgram(raw)
 	if err != nil {
 		line.Outcome, line.Error = "bad_line", err.Error()
 		return line

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"pardetect/internal/wire"
 )
 
 // postBatch issues an /analyze/batch request and decodes the NDJSON reply.
@@ -40,11 +42,11 @@ func TestBatchNDJSON(t *testing.T) {
 	// skipped, and the bad line fails alone.
 	var body bytes.Buffer
 	for _, name := range []string{"batch-a", "batch-b", "batch-c"} {
-		wire, err := EncodeProgram(slowProgram(name, 8))
+		doc, err := wire.EncodeProgram(slowProgram(name, 8))
 		if err != nil {
 			t.Fatalf("EncodeProgram: %v", err)
 		}
-		body.Write(wire)
+		body.Write(doc)
 		body.WriteString("\n\n")
 	}
 	body.WriteString("{not json\n")
@@ -87,8 +89,8 @@ func TestBatchNDJSON(t *testing.T) {
 
 	// The batch shares the tier stack with /analyze: a single-program request
 	// for a batched program is a hit with the identical summary.
-	wire, _ := EncodeProgram(slowProgram("batch-b", 8))
-	r2, b2 := post(t, ts.URL+"/analyze", wire)
+	doc, _ := wire.EncodeProgram(slowProgram("batch-b", 8))
+	r2, b2 := post(t, ts.URL+"/analyze", doc)
 	if got := r2.Header.Get("X-Pardetect-Cache"); got != "hit" {
 		t.Fatalf("single request after batch: verdict %q, want hit", got)
 	}
@@ -114,11 +116,11 @@ func TestBatchNDJSON(t *testing.T) {
 
 func TestBatchClientErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, MaxBatchPrograms: 2})
-	wire, err := EncodeProgram(slowProgram("limits", 8))
+	doc, err := wire.EncodeProgram(slowProgram("limits", 8))
 	if err != nil {
 		t.Fatalf("EncodeProgram: %v", err)
 	}
-	three := bytes.Repeat(append(wire, '\n'), 3)
+	three := bytes.Repeat(append(doc, '\n'), 3)
 
 	tests := []struct {
 		name   string
@@ -131,12 +133,12 @@ func TestBatchClientErrors(t *testing.T) {
 		{"method", "GET", "/analyze/batch", nil, 405, "use POST"},
 		{"empty", "POST", "/analyze/batch", []byte("\n\n"), 400, "empty batch"},
 		{"too many", "POST", "/analyze/batch", three, 400, "exceeds the limit"},
-		{"bad parallel", "POST", "/analyze/batch?parallel=0", wire, 400, "bad parallel"},
-		{"negative parallel", "POST", "/analyze/batch?parallel=-3", wire, 400, "bad parallel"},
-		{"overflow parallel", "POST", "/analyze/batch?parallel=99999999999999999999999", wire, 400, "bad parallel"},
-		{"fractional parallel", "POST", "/analyze/batch?parallel=2.5", wire, 400, "bad parallel"},
-		{"bad engine", "POST", "/analyze/batch?engine=llvm", wire, 400, "unknown engine"},
-		{"trailing data line", "POST", "/analyze/batch", append(append([]byte{}, wire...), []byte("garbage")...), 200, "trailing data"},
+		{"bad parallel", "POST", "/analyze/batch?parallel=0", doc, 400, "bad parallel"},
+		{"negative parallel", "POST", "/analyze/batch?parallel=-3", doc, 400, "bad parallel"},
+		{"overflow parallel", "POST", "/analyze/batch?parallel=99999999999999999999999", doc, 400, "bad parallel"},
+		{"fractional parallel", "POST", "/analyze/batch?parallel=2.5", doc, 400, "bad parallel"},
+		{"bad engine", "POST", "/analyze/batch?engine=llvm", doc, 400, "unknown engine"},
+		{"trailing data line", "POST", "/analyze/batch", append(append([]byte{}, doc...), []byte("garbage")...), 200, "trailing data"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -167,11 +169,11 @@ func TestBatchTimeoutPerLine(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	var body bytes.Buffer
 	for i := 0; i < 3; i++ {
-		wire, err := EncodeProgram(slowProgram("deadline", slowN))
+		doc, err := wire.EncodeProgram(slowProgram("deadline", slowN))
 		if err != nil {
 			t.Fatalf("EncodeProgram: %v", err)
 		}
-		body.Write(wire)
+		body.Write(doc)
 		body.WriteByte('\n')
 	}
 	resp, lines := postBatch(t, ts.URL+"/analyze/batch?timeout=1ns&parallel=1", body.Bytes())
@@ -194,11 +196,11 @@ func TestBatchParallelClamp(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 	var body bytes.Buffer
 	for _, name := range []string{"clamp-a", "clamp-b", "clamp-c", "clamp-d"} {
-		wire, err := EncodeProgram(slowProgram(name, 8))
+		doc, err := wire.EncodeProgram(slowProgram(name, 8))
 		if err != nil {
 			t.Fatalf("EncodeProgram: %v", err)
 		}
-		body.Write(wire)
+		body.Write(doc)
 		body.WriteByte('\n')
 	}
 	resp, lines := postBatch(t, ts.URL+"/analyze/batch?parallel=64", body.Bytes())

@@ -3,6 +3,7 @@ package server
 import (
 	"pardetect/internal/apps"
 	"pardetect/internal/core"
+	"pardetect/internal/wire"
 )
 
 // The routing hooks: internal/router computes a request's content address
@@ -14,10 +15,10 @@ import (
 // FingerprintWire decodes a wire-IR program (the POST /analyze body
 // encoding) and returns its content address — the key the server's LRU,
 // persistent store and singleflight all use. The decode is the same
-// validating DecodeProgram the /analyze handler runs, so a body this
+// validating wire.DecodeProgram the /analyze handler runs, so a body this
 // function rejects is exactly a body the backend would answer 400 to.
 func FingerprintWire(data []byte) (string, error) {
-	p, err := DecodeProgram(data)
+	p, err := wire.DecodeProgram(data)
 	if err != nil {
 		return "", err
 	}

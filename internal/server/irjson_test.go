@@ -6,6 +6,7 @@ import (
 
 	"pardetect/internal/apps"
 	"pardetect/internal/core"
+	"pardetect/internal/wire"
 )
 
 // TestIRRoundTripAllApps pins the codec's totality: every registered
@@ -15,11 +16,11 @@ import (
 func TestIRRoundTripAllApps(t *testing.T) {
 	for _, a := range apps.All() {
 		p := a.Build()
-		data, err := EncodeProgram(p)
+		data, err := wire.EncodeProgram(p)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", a.Name, err)
 		}
-		q, err := DecodeProgram(data)
+		q, err := wire.DecodeProgram(data)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", a.Name, err)
 		}
@@ -50,7 +51,7 @@ func TestDecodeProgramRejectsBadWire(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := DecodeProgram([]byte(tc.in))
+			_, err := wire.DecodeProgram([]byte(tc.in))
 			if err == nil {
 				t.Fatalf("decoded invalid wire program")
 			}

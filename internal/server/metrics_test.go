@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pardetect/internal/obs"
+	"pardetect/internal/wire"
 )
 
 // promSeries parses the text exposition into "name{labels}" → value rows
@@ -149,11 +150,11 @@ func TestSlowSamplerCapturesSpanTree(t *testing.T) {
 	get(t, ts.URL+"/analyze?app=fib")
 	get(t, ts.URL+"/analyze?app=fib")
 	// ...then the induced slow one.
-	wire, err := EncodeProgram(slowProgram("induced-slow", slowN))
+	doc, err := wire.EncodeProgram(slowProgram("induced-slow", slowN))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp, body := post(t, ts.URL+"/analyze?cache=skip", wire); resp.StatusCode != http.StatusOK {
+	if resp, body := post(t, ts.URL+"/analyze?cache=skip", doc); resp.StatusCode != http.StatusOK {
 		t.Fatalf("slow request: status %d body %s", resp.StatusCode, body)
 	}
 
@@ -252,7 +253,7 @@ func TestRetryAfterSecondsClamps(t *testing.T) {
 // floor, not a division artifact.
 func TestRetryAfterColdServer(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, Queue: 0})
-	slow, err := EncodeProgram(slowProgram("cold-occupy", slowN))
+	slow, err := wire.EncodeProgram(slowProgram("cold-occupy", slowN))
 	if err != nil {
 		t.Fatal(err)
 	}

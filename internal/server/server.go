@@ -525,7 +525,7 @@ func (s *Server) handleIR(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, http.StatusNotFound, "unknown app %q (see /apps)", name)
 		return
 	}
-	data, err := EncodeProgram(app.Build())
+	data, err := wire.EncodeProgram(app.Build())
 	if err != nil {
 		s.obs.Add("server.errors", 1)
 		s.jsonError(w, http.StatusInternalServerError, "encode: %v", err)
@@ -608,7 +608,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			s.clientError(w, http.StatusBadRequest, "read body: %v", err)
 			return
 		}
-		prog, err = DecodeProgram(body)
+		prog, err = wire.DecodeProgram(body)
 		sp.End()
 		if err != nil {
 			s.clientError(w, http.StatusBadRequest, "%v", err)

@@ -18,6 +18,7 @@ import (
 	"pardetect/internal/interp"
 	"pardetect/internal/ir"
 	"pardetect/internal/report"
+	"pardetect/internal/wire"
 )
 
 // newTestServer builds a server and mounts it on an httptest listener.
@@ -164,10 +165,10 @@ func stwPauses() uint64 {
 // alone opens.
 func TestRequestsDoNotStopTheWorld(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
-	_, wire := get(t, ts.URL+"/ir?app=bicg")
+	_, doc := get(t, ts.URL+"/ir?app=bicg")
 	before := stwPauses()
-	r1, b1 := post(t, ts.URL+"/analyze", wire)
-	r2, b2 := post(t, ts.URL+"/analyze", wire)
+	r1, b1 := post(t, ts.URL+"/analyze", doc)
+	r2, b2 := post(t, ts.URL+"/analyze", doc)
 	got := stwPauses() - before
 	if c1, c2 := r1.Header.Get("X-Pardetect-Cache"), r2.Header.Get("X-Pardetect-Cache"); c1 != "miss" || c2 != "hit" {
 		t.Fatalf("cache outcomes %q then %q, want miss then hit (bodies %s / %s)", c1, c2, b1, b2)
@@ -180,7 +181,7 @@ func TestRequestsDoNotStopTheWorld(t *testing.T) {
 func TestSingleflightCollapsesConcurrentDuplicates(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 4})
 	prog := slowProgram("dupe", slowN)
-	wire, err := EncodeProgram(prog)
+	doc, err := wire.EncodeProgram(prog)
 	if err != nil {
 		t.Fatalf("EncodeProgram: %v", err)
 	}
@@ -192,7 +193,7 @@ func TestSingleflightCollapsesConcurrentDuplicates(t *testing.T) {
 	}
 	replies := make(chan reply, 4)
 	send := func() {
-		resp, body := post(t, ts.URL+"/analyze", wire)
+		resp, body := post(t, ts.URL+"/analyze", doc)
 		replies <- reply{resp.Header.Get("X-Pardetect-Cache"), resp.StatusCode, body}
 	}
 
@@ -231,7 +232,7 @@ func TestSingleflightCollapsesConcurrentDuplicates(t *testing.T) {
 
 func TestBackpressure429WhenQueueFull(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, Queue: 0}) // one worker, zero queue
-	slow, err := EncodeProgram(slowProgram("occupy", slowN))
+	slow, err := wire.EncodeProgram(slowProgram("occupy", slowN))
 	if err != nil {
 		t.Fatalf("EncodeProgram: %v", err)
 	}
@@ -246,7 +247,7 @@ func TestBackpressure429WhenQueueFull(t *testing.T) {
 	}()
 	waitUntil(t, "worker occupied", func() bool { return s.pool.Running() == 1 })
 
-	other, err := EncodeProgram(slowProgram("rejected", slowN))
+	other, err := wire.EncodeProgram(slowProgram("rejected", slowN))
 	if err != nil {
 		t.Fatalf("EncodeProgram: %v", err)
 	}
@@ -325,7 +326,7 @@ func TestEngineParityByteIdenticalWithCLI(t *testing.T) {
 
 func TestShutdownDrainsInFlight(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
-	slow, err := EncodeProgram(slowProgram("draining", slowN))
+	slow, err := wire.EncodeProgram(slowProgram("draining", slowN))
 	if err != nil {
 		t.Fatalf("EncodeProgram: %v", err)
 	}

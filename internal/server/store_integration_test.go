@@ -7,6 +7,9 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"pardetect/internal/fuzzer"
+	"pardetect/internal/wire"
 )
 
 // startStoreServer builds a server backed by dir without the shared cleanup,
@@ -31,11 +34,19 @@ func startStoreServer(t *testing.T, opts Options) (*Server, *httptest.Server, fu
 }
 
 // TestStoreWarmRestart is the durability contract end to end: analyses
-// performed before a clean shutdown are served as cache hits — byte
-// identical — by a fresh server process opening the same store directory,
-// with zero re-analysis.
+// performed before a clean shutdown — an app by name and a pool of POSTed
+// fuzzer programs — are served as cache hits, byte identical, by a fresh
+// server process opening the same store directory, with zero re-analysis.
 func TestStoreWarmRestart(t *testing.T) {
 	dir := t.TempDir()
+	pool := make([][]byte, 16)
+	for i := range pool {
+		doc, err := wire.EncodeProgram(fuzzer.Generate(uint64(7000 + i)))
+		if err != nil {
+			t.Fatalf("EncodeProgram: %v", err)
+		}
+		pool[i] = doc
+	}
 
 	sA, tsA, stopA := startStoreServer(t, Options{Workers: 2, StoreDir: dir})
 	r1, b1 := get(t, tsA.URL+"/analyze?app=bicg")
@@ -43,15 +54,29 @@ func TestStoreWarmRestart(t *testing.T) {
 		t.Fatalf("populate: status %d, body %s", r1.StatusCode, b1)
 	}
 	fp := r1.Header.Get("X-Pardetect-Fingerprint")
+	keys := map[string]bool{fp: true}
+	bodies := make([][]byte, len(pool))
+	for i, doc := range pool {
+		r, b := post(t, tsA.URL+"/analyze", doc)
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("populate pool[%d]: status %d, body %s", i, r.StatusCode, b)
+		}
+		keys[r.Header.Get("X-Pardetect-Fingerprint")] = true
+		bodies[i] = b
+	}
 	stopA() // Shutdown flushes the write-behind queue
-	if n := sA.Observer().Counter("server.store.writes"); n != 1 {
-		t.Fatalf("server.store.writes after shutdown = %d, want 1", n)
+	if len(keys) != 1+len(pool) {
+		t.Fatalf("%d distinct fingerprints over bicg and %d pool programs, want all distinct", len(keys), len(pool))
+	}
+	want := int64(len(keys))
+	if n := sA.Observer().Counter("server.store.writes"); n != want {
+		t.Fatalf("server.store.writes after shutdown = %d, want %d", n, want)
 	}
 
 	sB, tsB, stopB := startStoreServer(t, Options{Workers: 2, StoreDir: dir})
 	defer stopB()
-	if n := sB.Observer().Counter("server.store.warmed"); n != 1 {
-		t.Fatalf("server.store.warmed = %d, want 1 (startup must warm the LRU)", n)
+	if n := sB.Observer().Counter("server.store.warmed"); n != want {
+		t.Fatalf("server.store.warmed = %d, want %d (startup must warm the LRU)", n, want)
 	}
 	r2, b2 := get(t, tsB.URL+"/analyze?app=bicg")
 	if r2.StatusCode != http.StatusOK {
@@ -66,8 +91,20 @@ func TestStoreWarmRestart(t *testing.T) {
 	if got := r2.Header.Get("X-Pardetect-Fingerprint"); got != fp {
 		t.Fatalf("restart fingerprint %q, want %q", got, fp)
 	}
+	for i, doc := range pool {
+		r, b := post(t, tsB.URL+"/analyze", doc)
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("replay pool[%d]: status %d, body %s", i, r.StatusCode, b)
+		}
+		if got := r.Header.Get("X-Pardetect-Cache"); got != "hit" {
+			t.Fatalf("replay pool[%d] after restart: verdict %q, want hit", i, got)
+		}
+		if !bytes.Equal(b, bodies[i]) {
+			t.Fatalf("replay pool[%d]: hit body differs from the analysis that populated the store", i)
+		}
+	}
 	if n := sB.Observer().Counter("server.analyses"); n != 0 {
-		t.Fatalf("server.analyses after a warm-restart hit = %d, want 0", n)
+		t.Fatalf("server.analyses after warm-restart hits = %d, want 0", n)
 	}
 }
 
@@ -79,8 +116,8 @@ func TestStoreReadThroughBeyondLRU(t *testing.T) {
 
 	// Server A analyses two programs; server B's LRU holds only one, so the
 	// older program survives on disk alone.
-	progA, errA := EncodeProgram(slowProgram("disk-old", 8))
-	progB, errB := EncodeProgram(slowProgram("disk-new", 9))
+	progA, errA := wire.EncodeProgram(slowProgram("disk-old", 8))
+	progB, errB := wire.EncodeProgram(slowProgram("disk-new", 9))
 	if errA != nil || errB != nil {
 		t.Fatalf("EncodeProgram: %v / %v", errA, errB)
 	}

@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
+
+	"pardetect/internal/wire"
 )
 
 // fakeClock drives the limiter deterministically.
@@ -63,6 +66,31 @@ func TestTenantLimiterRateAndRefill(t *testing.T) {
 	}
 	if admitted != 2 {
 		t.Fatalf("admitted %d after a long idle, want the burst of 2", admitted)
+	}
+}
+
+// TestTenantLimiterBelowOneRPS pins the burst clamp: a tenant configured
+// below 1 rps still gets a bucket of one request, not zero, and refills
+// it at its configured rate.
+func TestTenantLimiterBelowOneRPS(t *testing.T) {
+	l := newTenantLimiter(0.01, 0) // one request per 100 s
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	l.now = clk.now
+	release, reason, _ := l.acquire("acme")
+	if release == nil {
+		t.Fatalf("first request rejected (%s): a sub-1-rps bucket must hold one token", reason)
+	}
+	release()
+	if release, reason, ra := l.acquire("acme"); release != nil || reason != "rate" || ra < 1 {
+		t.Fatalf("second request = (admitted %v, %s, retry %d), want a rate rejection", release != nil, reason, ra)
+	}
+	clk.advance(99 * time.Second)
+	if release, _, _ := l.acquire("acme"); release != nil {
+		t.Fatalf("request admitted before the 100 s refill")
+	}
+	clk.advance(time.Second)
+	if release, reason, _ := l.acquire("acme"); release == nil {
+		t.Fatalf("request after the 100 s refill rejected: %s", reason)
 	}
 }
 
@@ -134,11 +162,12 @@ func TestTenantOf(t *testing.T) {
 	}
 }
 
-// TestTenantFairnessHTTP drives the serving path: a hog tenant that burned
-// its bucket is bounced with 429 + Retry-After before global admission,
-// while another tenant's identical request sails through.
+// TestTenantFairnessHTTP drives the serving path: a hog tenant that bursts
+// past its bucket is bounced with 429 + Retry-After before global admission,
+// while the victim tenants that follow get every request through.
 func TestTenantFairnessHTTP(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 2, TenantRPS: 0.01}) // burst 1, ~no refill
+	const rps = 4 // a bucket of 4 requests per tenant, refilled at 4/s
+	s, ts := newTestServer(t, Options{Workers: 2, TenantRPS: rps})
 	req := func(tenant string) (*http.Response, []byte) {
 		t.Helper()
 		r, err := http.NewRequest("GET", ts.URL+"/analyze?app=bicg", nil)
@@ -156,38 +185,55 @@ func TestTenantFairnessHTTP(t *testing.T) {
 		return resp, buf.Bytes()
 	}
 
-	r1, b1 := req("hog")
-	if r1.StatusCode != http.StatusOK {
-		t.Fatalf("hog's first request: status %d, body %s", r1.StatusCode, b1)
+	// The hog's burst: its first request populates the cache, and once its
+	// bucket is empty the rest are bounced.
+	var hogRejects int64
+	for i := 0; i < 5*rps; i++ {
+		r, b := req("hog")
+		switch r.StatusCode {
+		case http.StatusOK:
+		case http.StatusTooManyRequests:
+			hogRejects++
+			if ra := r.Header.Get("Retry-After"); ra == "" || ra == "0" {
+				t.Fatalf("tenant 429 Retry-After = %q, want a positive hint", ra)
+			}
+			if oc := r.Header.Get(outcomeHeader); oc != "reject" {
+				t.Fatalf("tenant 429 outcome header = %q, want reject", oc)
+			}
+		default:
+			t.Fatalf("hog request %d: status %d, body %s", i, r.StatusCode, b)
+		}
 	}
-	r2, b2 := req("hog")
-	if r2.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("hog's second request: status %d, want 429; body %s", r2.StatusCode, b2)
-	}
-	if ra := r2.Header.Get("Retry-After"); ra == "" || ra == "0" {
-		t.Fatalf("tenant 429 Retry-After = %q, want a positive hint", ra)
-	}
-	if oc := r2.Header.Get(outcomeHeader); oc != "reject" {
-		t.Fatalf("tenant 429 outcome header = %q, want reject", oc)
+	if hogRejects < 1 {
+		t.Fatalf("the hog sent %d requests and none was rejected", 5*rps)
 	}
 
-	// The victim is untouched by the hog's exhaustion — and is served from
-	// the cache entry the hog populated, so fairness costs no extra analysis.
-	r3, b3 := req("victim")
-	if r3.StatusCode != http.StatusOK {
-		t.Fatalf("victim's request: status %d, body %s", r3.StatusCode, b3)
-	}
-	if got := r3.Header.Get("X-Pardetect-Cache"); got != "hit" {
-		t.Fatalf("victim verdict = %q, want hit", got)
+	// The victims are untouched by the hog's exhaustion — and are served
+	// from the cache entry the hog populated, so fairness costs no extra
+	// analysis.
+	for v := 0; v < 3; v++ {
+		tenant := fmt.Sprintf("victim-%d", v)
+		for i := 0; i < rps-1; i++ {
+			r, b := req(tenant)
+			if r.StatusCode != http.StatusOK {
+				t.Fatalf("%s request %d: status %d, body %s", tenant, i, r.StatusCode, b)
+			}
+			if got := r.Header.Get("X-Pardetect-Cache"); got != "hit" {
+				t.Fatalf("%s request %d: verdict %q, want hit", tenant, i, got)
+			}
+		}
 	}
 
 	o := s.Observer()
-	if n := o.Counter("server.tenant.rejects"); n != 1 {
-		t.Fatalf("server.tenant.rejects = %d, want 1", n)
+	if n := o.Counter("server.tenant.rejects"); n != hogRejects {
+		t.Fatalf("server.tenant.rejects = %d, want the hog's %d", n, hogRejects)
 	}
-	// The per-tenant metrics series carries the rejection.
-	if c := s.m.tenantReject("hog", "rate"); c.Value() != 1 {
-		t.Fatalf("tenant reject counter = %d, want 1", c.Value())
+	// The per-tenant metrics series carries the rejections.
+	if c := s.m.tenantReject("hog", "rate"); c.Value() != hogRejects {
+		t.Fatalf("tenant reject counter = %d, want %d", c.Value(), hogRejects)
+	}
+	if n := o.Counter("server.analyses"); n != 1 {
+		t.Fatalf("server.analyses = %d, want 1", n)
 	}
 }
 
@@ -196,7 +242,7 @@ func TestTenantFairnessHTTP(t *testing.T) {
 // tenant still gets through.
 func TestTenantInflightHTTP(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 2, TenantMaxInflight: 1})
-	slow, err := EncodeProgram(slowProgram("occupy-tenant", slowN))
+	slow, err := wire.EncodeProgram(slowProgram("occupy-tenant", slowN))
 	if err != nil {
 		t.Fatalf("EncodeProgram: %v", err)
 	}

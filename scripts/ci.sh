@@ -1,63 +1,47 @@
 #!/bin/sh
 # ci.sh — the repository's continuous-integration gate.
 #
-# Runs the same checks the tier-1 acceptance uses, plus formatting, vet and
-# a race-detector pass over the concurrency-sensitive packages (the parallel
-# schedulers, the telemetry observer — which takes events from tracer
-# callbacks while debug endpoints snapshot it — the analysis farm, whose
-# tests run all 19 app analyses concurrently, and the pardetectd service),
-# plus a one-shot BenchmarkFarm smoke run so the batch driver keeps working
-# as a benchmark harness, and a pardetectd end-to-end smoke
-# (scripts/servesmoke.go: cached + uncached request, backpressure probe,
-# /healthz, clean SIGTERM drain against the real binary, plus a 3-backend +
-# pardetectrouter leg: routed affinity, batch fan-out, and failover after a
-# backend SIGKILL).
-#
-# Next to gofmt and vet, a telemetry-cost gate: no non-test Go file may call
-# runtime.ReadMemStats, which stops the world on every call (spans and farm
-# jobs read their allocation from runtime/metrics via obs.HeapAllocBytes).
-#
-# Before any of that, a repo-hygiene gate: the tree must not track built
-# binaries (executable bits outside *.sh, or binary file content) or scratch
-# benchmark artifacts (*.fresh.json) — those are build products, and a
-# committed one silently staleness-poisons every later comparison.
-#
-# On top of that: a shuffled test pass (-shuffle=on) to catch test-order
-# dependencies, a build-and-smoke run of the benchmark module (bench/, its
-# own Go module, which the root `go test ./...` never compiles: every
-# workload once, untraced and traced), the golden-table gate
-# (scripts/goldens.sh, byte-diffs the rendered Tables III-V against
-# testdata/goldens/ under both interpreter engines), a bounded fuzzer
-# campaign (internal/fuzzer, CAMPAIGN_N programs, default 500) whose
-# differential — including the tree-vs-bytecode
-# engine-parity oracle — and metamorphic oracles must all agree, an
-# execution-engine benchmark smoke (BenchmarkExec plus BenchmarkExecAnalysis
-# into a temp-dir BENCH_exec.fresh.json, gated by scripts/benchgate.go
-# against the committed BENCH_exec.json: a >40% geomean regression of the
-# bytecode engine fails the build), and a serving-layer benchmark smoke
-# (cmd/servebench with
-# -replicas 3 into a temp-dir BENCH_serve.fresh.json, gated by
-# scripts/servegate.go: non-zero throughput, ordered latency quantiles,
-# populated /metrics histograms, router affinity >= 0.95 with zero failover
-# errors, no throughput collapse against the committed BENCH_serve.json).
-#
-# Corpus mode gets the same two-layer treatment: an end-to-end smoke
-# (scripts/corpussmoke.go — generates a CORPUS_N-program corpus, proves the
-# shipped parcorpus binary emits byte-identical cold reports across -jobs
-# and -engine, a 100%-skipped warm rerun, and exactly-one re-analysis after
-# touching one file) and a benchmark gate (parcorpus -bench into a temp-dir
-# BENCH_corpus.fresh.json, validated structurally by scripts/corpusgate.go
-# alongside the committed BENCH_corpus.json: cold analyses everything, warm
-# re-analyses nothing, dirty re-analyses exactly the touched programs, and
-# warm beats cold on wall time).
+# In order:
+#   - repo hygiene (scripts/hygiene.sh): the tree tracks no built binaries
+#     and no scratch benchmark artifacts (*.fresh.json);
+#   - gofmt, and a telemetry-cost check: no non-test Go file may call
+#     runtime.ReadMemStats, which stops the world (spans and farm jobs read
+#     runtime/metrics through obs.HeapAllocBytes);
+#   - go vet, go build, go test, and a shuffled test pass (-shuffle=on) to
+#     catch test-order dependencies;
+#   - a race-detector pass over the concurrency-sensitive packages: the
+#     parallel schedulers, the telemetry observer, the analysis farm (its
+#     tests run all 19 app analyses concurrently), the fuzzer, the
+#     pardetectd service, the router and corpus mode;
+#   - a build-and-smoke run of the benchmark module (bench/, its own Go
+#     module, which the root `go test ./...` never compiles: every workload
+#     once, untraced and traced);
+#   - the golden-table gate (scripts/goldens.sh: Tables III-V byte-diffed
+#     against testdata/goldens/ under both interpreter engines);
+#   - the pardetectd smoke (scripts/servesmoke.go: cached and uncached
+#     requests, batch NDJSON, backpressure, /healthz, SIGTERM drain and a
+#     warm restart against the real binary, plus a 3-backend
+#     pardetectrouter leg with affinity, batch fan-out and a backend
+#     SIGKILLed mid-run);
+#   - the corpus-mode smoke (scripts/corpussmoke.go: a CORPUS_N-program
+#     corpus, default 1000, through the real parcorpus binary: byte-identical
+#     cold reports across -jobs and -engine, a fully skipped warm rerun and
+#     exactly one re-analysis after touching one file);
+#   - a fuzzer campaign (CAMPAIGN_N programs, default 500) whose
+#     differential, engine-parity and metamorphic oracles must all agree;
+#   - the performance gate (scripts/perfgate.sh): three alternating pairs
+#     of every benchmark workload, the base commit PERF_BASE (default
+#     HEAD~1; also used when PERF_BASE names no commit in this clone, as
+#     after a force-push or on a new branch) against this tree on this
+#     machine, failing on any `pdbench -compare` "worse" verdict, on a
+#     metric where every change run is worse than every base run by more
+#     than its bound, or on a higher failed-operation share
+#     (scripts/perfcheck.go).
 #
 # Usage: scripts/ci.sh   (or: make ci)
 set -eu
 
 cd "$(dirname "$0")/.."
-
-scratch=$(mktemp -d)
-trap 'rm -rf "$scratch"' EXIT
 
 echo "==> repo hygiene (no tracked binaries or scratch artifacts)"
 sh scripts/hygiene.sh
@@ -102,25 +86,18 @@ sh scripts/goldens.sh check
 echo "==> pardetectd service smoke (scripts/servesmoke.go)"
 go run scripts/servesmoke.go
 
-echo "==> servebench smoke (cmd/servebench, 3-replica router leg, vs committed BENCH_serve.json)"
-go run ./cmd/servebench -dur "${SERVEBENCH_DUR:-2s}" -c 4 -replicas 3 -out "$scratch/BENCH_serve.fresh.json"
-go run scripts/servegate.go -baseline BENCH_serve.json -fresh "$scratch/BENCH_serve.fresh.json"
-
 echo "==> corpus-mode smoke (scripts/corpussmoke.go, ${CORPUS_N:-1000} programs)"
 go run scripts/corpussmoke.go
-
-echo "==> corpus benchmark gate (parcorpus -bench vs committed BENCH_corpus.json)"
-go run ./cmd/parcorpus -bench "${CORPUSBENCH_N:-200}" -bench-out "$scratch/BENCH_corpus.fresh.json"
-go run scripts/corpusgate.go -baseline BENCH_corpus.json -fresh "$scratch/BENCH_corpus.fresh.json"
 
 echo "==> fuzzer campaign (${CAMPAIGN_N:-500} programs)"
 CAMPAIGN_N="${CAMPAIGN_N:-500}" go test -run '^TestCampaign$' -count=1 -v ./internal/fuzzer/
 
-echo "==> BenchmarkFarm smoke (1 iteration per pool size)"
-go test -run '^$' -bench '^BenchmarkFarm$' -benchtime 1x .
-
-echo "==> execution-engine benchmark gate (BenchmarkExec + BenchmarkExecAnalysis vs committed BENCH_exec.json)"
-EXEC_OUT="$scratch/BENCH_exec.fresh.json" go test -run '^$' -bench '^BenchmarkExec(Analysis)?$' -benchtime "${EXECBENCH_TIME:-20x}" .
-go run scripts/benchgate.go -baseline BENCH_exec.json -fresh "$scratch/BENCH_exec.fresh.json"
+perf_base=${PERF_BASE:-HEAD~1}
+if ! git rev-parse --verify --quiet "$perf_base^{commit}" >/dev/null; then
+    echo "note: PERF_BASE $perf_base is not a commit in this clone; comparing against HEAD~1"
+    perf_base=HEAD~1
+fi
+echo "==> performance gate (scripts/perfgate.sh $perf_base)"
+sh scripts/perfgate.sh "$perf_base"
 
 echo "ci: all checks passed"

@@ -2,9 +2,9 @@
 # hygiene.sh — repo-hygiene gate: the tree must not track build products.
 #
 # Fails when `git ls-files` contains:
-#   - scratch benchmark artifacts (*.fresh.json) — those are per-run outputs
-#     that ci.sh writes into a temp dir; a committed one staleness-poisons
-#     every later baseline comparison;
+#   - scratch benchmark artifacts (*.fresh.json) — those are per-run
+#     outputs; a committed one goes stale and poisons every later
+#     comparison against it;
 #   - files with the executable bit outside *.sh — compiled binaries
 #     accidentally `git add`ed from the repo root;
 #   - files with binary content (grep's binary-files classification — a
