@@ -12,6 +12,11 @@
 # then re-checked under both engines) and commit the new goldens with the
 # change that caused them.
 #
+# It also runs TestFingerprintGolden (fingerprints_test.go), which checks
+# testdata/goldens/fingerprints.txt under both engines: per Table III app
+# the phase-1 profile and result fingerprints, a PET digest and a digest of
+# every phase-2 sample. Update mode rewrites it from the tree engine too.
+#
 # Usage: scripts/goldens.sh [check|update]
 set -eu
 
@@ -57,5 +62,14 @@ for t in 3 4 5; do
         fi
     done
 done
-[ "$rc" -eq 0 ] && echo "goldens: all tables match under both engines"
+fpflag=""
+[ "$mode" = update ] && fpflag="-update-fingerprints"
+if go test -count=1 -run '^TestFingerprintGolden$' . $fpflag >/dev/null 2>&1; then
+    echo "goldens: fingerprints ok (engines tree, bytecode)"
+else
+    echo "goldens: fingerprints drifted:" >&2
+    go test -count=1 -run '^TestFingerprintGolden$' . >&2 || true
+    rc=1
+fi
+[ "$rc" -eq 0 ] && echo "goldens: all tables and fingerprints match under both engines"
 exit "$rc"
