@@ -14,6 +14,7 @@ import (
 	"pardetect/internal/cu"
 	"pardetect/internal/interp"
 	"pardetect/internal/patterns"
+	"pardetect/internal/pet"
 	"pardetect/internal/report"
 	"pardetect/internal/sched"
 	"pardetect/internal/trace"
@@ -337,4 +338,103 @@ func BenchmarkProfilerOverhead(b *testing.B) {
 		}
 		_ = col.Finish(prog.Name)
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Tracer-consumer micro-benchmarks: one recorded set of compiled-engine event
+// batches per app, fed to each consumer on its own, so a consumer's per-event
+// cost is measured without interpreter dispatch. Metrics: ns/event (events
+// of the recording, per op) and allocs/op (with -benchmem).
+// ---------------------------------------------------------------------------
+
+// recordedRun is one program's phase-1 event stream as the bytecode engine
+// delivered it: the final name table (append-only during the run, so it is
+// valid for every batch) and a copy of each batch.
+type recordedRun struct {
+	name    string
+	names   []string
+	batches [][]interp.Event
+	events  int
+	pairs   []trace.PairKey
+}
+
+type batchRecorder struct {
+	interp.NopTracer
+	rec *recordedRun
+}
+
+func (r batchRecorder) TraceBatch(names []string, events []interp.Event) {
+	r.rec.names = append(r.rec.names[:0], names...)
+	r.rec.batches = append(r.rec.batches, append([]interp.Event(nil), events...))
+	r.rec.events += len(events)
+}
+
+// recordRun records app's event batches and the phase-2 candidate pairs
+// core.Analyze derives for it.
+func recordRun(b *testing.B, app string) *recordedRun {
+	b.Helper()
+	p := apps.Get(app).Build()
+	rec := &recordedRun{name: p.Name}
+	m, err := interp.New(p, interp.Options{Tracer: batchRecorder{rec: rec}, Engine: interp.EngineBytecode})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Analyze(p, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec.pairs = patterns.CandidatePairs(res.Profile, res.Tree, 0.02)
+	return rec
+}
+
+var consumerApps = []string{"strassen", "2mm", "nqueens"}
+
+// benchConsumer replays every recorded batch into a fresh consumer per op.
+func benchConsumer(b *testing.B, consume func(rec *recordedRun)) {
+	for _, app := range consumerApps {
+		b.Run(app, func(b *testing.B) {
+			rec := recordRun(b, app)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				consume(rec)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rec.events), "ns/event")
+		})
+	}
+}
+
+func BenchmarkConsumerCollector(b *testing.B) {
+	benchConsumer(b, func(rec *recordedRun) {
+		col := trace.NewCollector()
+		for _, ev := range rec.batches {
+			col.TraceBatch(rec.names, ev)
+		}
+		col.Finish(rec.name)
+	})
+}
+
+func BenchmarkConsumerPairProfiler(b *testing.B) {
+	benchConsumer(b, func(rec *recordedRun) {
+		pp := trace.NewPairProfiler(rec.pairs, 0)
+		for _, ev := range rec.batches {
+			pp.TraceBatch(rec.names, ev)
+		}
+		pp.Finish()
+	})
+}
+
+func BenchmarkConsumerPhase1(b *testing.B) {
+	benchConsumer(b, func(rec *recordedRun) {
+		col, pb := trace.NewCollector(), pet.NewBuilder()
+		col.FeedPET(pb)
+		for _, ev := range rec.batches {
+			col.TraceBatch(rec.names, ev)
+		}
+		col.Finish(rec.name)
+		pb.Finish()
+	})
 }

@@ -165,13 +165,15 @@ func Analyze(p *ir.Program, opts Options) (*Result, error) {
 
 	// Phase 1: dependence profile + PET.
 	sp := o.Start("phase1.profile")
+	// The collector walks each event batch once for itself and the PET.
 	col := trace.NewCollector()
 	pb := pet.NewBuilder()
-	tr := interp.Tee(col, pb)
+	col.FeedPET(pb)
+	var tr interp.Tracer = col
 	var ev *obs.EventTracer
 	if o != nil {
 		ev = obs.NewEventTracer(0)
-		tr = interp.Tee(col, pb, ev)
+		tr = interp.Tee(col, ev)
 	}
 	if err := runProgram(p, tr, opts.MaxSteps, deadline, opts.Engine); err != nil {
 		return nil, fmt.Errorf("core: phase-1 run: %w", err)

@@ -271,23 +271,32 @@ func (b *Builder) pop() {
 // make.
 func (b *Builder) TraceBatch(names []string, events []interp.Event) {
 	for i := range events {
-		e := &events[i]
-		switch e.Kind {
-		case interp.EvCount:
-			b.top().Self += int64(e.A)
-		case interp.EvLoopEnter:
-			b.enterChild(Loop, names[e.Name], int(e.Line))
-		case interp.EvLoopIter:
-			if t := b.top(); t.Kind == Loop && t.Name == names[e.Name] {
-				t.Iterations++
-			}
-		case interp.EvLoopExit:
-			b.pop()
-		case interp.EvCallEnter:
-			b.CallEnter(names[e.Name], int(e.Line))
-		case interp.EvCallExit:
-			b.pop()
+		if k := events[i].Kind; k != interp.EvLoad && k != interp.EvStore {
+			b.Event(names, &events[i])
 		}
+	}
+}
+
+// Event applies one batched event to the tree; names is the batch's name
+// table. It is the per-event handler of TraceBatch, exported so a consumer
+// already walking a batch (trace.Collector.FeedPET) can build the PET in the
+// same pass. Loads and stores do not shape the tree and are ignored.
+func (b *Builder) Event(names []string, e *interp.Event) {
+	switch e.Kind {
+	case interp.EvCount:
+		b.top().Self += int64(e.A)
+	case interp.EvLoopEnter:
+		b.enterChild(Loop, names[e.Name], int(e.Line))
+	case interp.EvLoopIter:
+		if t := b.top(); t.Kind == Loop && t.Name == names[e.Name] {
+			t.Iterations++
+		}
+	case interp.EvLoopExit:
+		b.pop()
+	case interp.EvCallEnter:
+		b.CallEnter(names[e.Name], int(e.Line))
+	case interp.EvCallExit:
+		b.pop()
 	}
 }
 

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"pardetect/internal/interp"
+	"pardetect/internal/pet"
 )
 
 // toLine32 narrows a source line to the int32 every internal line table
@@ -54,17 +56,21 @@ type Collector struct {
 	deps    map[depKey]int64
 	carried map[carrKey]*carrAgg
 	cross   map[crossKey]int64
-	trips   map[uint32]*TripStat
+	// trips is indexed by interned loop ID; a loop was observed iff its
+	// entry has activations.
+	trips []TripStat
 
 	// depCache is a direct-mapped write-back cache in front of deps: loop
 	// bodies emit the same few dependence keys millions of times, so almost
 	// every increment hits a slot and skips the map entirely. Evicted and
 	// resident counts are flushed into deps by flushDeps (Finish).
 	depCache [depCacheSize]depSlot
-	// lastDep points at the slot the previous dep() call used (nil before
-	// the first): array sweeps hit one key for a whole loop, and the memo
-	// skips the hash on those runs.
-	lastDep *depSlot
+	// siteDep remembers, per static access site (the key's kind,
+	// destination line and symbol, folded to a small index), the depCache
+	// slot the site last counted into. A site in a loop body emits the same
+	// key on nearly every execution, so the memo skips the hash; a stale or
+	// colliding entry just fails the key check.
+	siteDep [siteMemoSize]uint16
 	// crossCache plays the same role for the cross map.
 	crossCache [crossCacheSize]crossSlot
 	// lastCarr memoizes the most recent carried-group lookup: consecutive
@@ -91,8 +97,16 @@ type Collector struct {
 	// inflate the recursive call site (DiscoPoP does not record the number
 	// of recursive invocations, §IV-B).
 	callFrames []callFrame
-	// curCall is the live frame of the persistent call-path tree.
-	curCall *callNode
+	// calls holds the call-path tree (callNode); curCall indexes the live
+	// frame. Calls past callLimit trigger compactCalls, so the tree stays
+	// proportional to what the shadow and the live stack still reference.
+	calls     []callNode
+	curCall   uint32
+	callLimit int
+
+	// pet, when set by FeedPET, receives every control event (loop, call,
+	// count) the collector walks.
+	pet *pet.Builder
 }
 
 type callFrame struct {
@@ -101,63 +115,72 @@ type callFrame struct {
 	total    int64
 }
 
-// callNode is one frame of the persistent call-path tree. Pointer identity
+// callNode is one frame of the persistent call-path tree. Node identity
 // doubles as frame-activation identity: two activations of the same function
-// get distinct nodes. Shadow-memory entries keep a pointer to the node live
+// get distinct nodes. Shadow-memory entries keep the index of the node live
 // at access time, allowing dependence attribution at the frame where write
 // and read paths diverge — e.g. a store inside insertsort() called (via
 // recursion) from cilksort's first recursive call, later read inside
 // cilkmerge() called from the same cilksort activation, yields a dependence
 // between the two call-site lines in cilksort's body. This is what lets the
 // CU graph of a function connect call-anchored CUs (Figure 3).
+//
+// Nodes live in Collector.calls and refer to each other by index, so shadow
+// entries hold no pointers; index 0 is the "no frame" sentinel (top level,
+// and the parent of every outermost call).
 type callNode struct {
-	parent *callNode
+	parent uint32
 	line   int32
 	depth  int32
 }
 
-// divergeLines attributes a dependence between two call paths: it returns
-// the statement lines, within the deepest common frame, under which the
-// write and the read happened. When both accesses are in the same frame the
-// direct lines already attribute the dependence and ok is false.
-func divergeLines(w, r *callNode, wLine, rLine int32) (int32, int32, bool) {
+// minCallLimit is the call-node count below which the collector never
+// compacts its call tree (compactCalls).
+const minCallLimit = 1 << 16
+
+// divergeLines attributes a dependence between two call paths, given as
+// indices into calls: it returns the statement lines, within the deepest
+// common frame, under which the write and the read happened. When both
+// accesses are in the same frame the direct lines already attribute the
+// dependence and ok is false.
+func divergeLines(calls []callNode, w, r uint32, wLine, rLine int32) (int32, int32, bool) {
 	if w == r {
 		return 0, 0, false
 	}
-	var wChild, rChild *callNode
-	for w != nil && r != nil && w.depth > r.depth {
-		wChild, w = w, w.parent
+	var wChild, rChild uint32
+	for w != 0 && r != 0 && calls[w].depth > calls[r].depth {
+		wChild, w = w, calls[w].parent
 	}
-	for w != nil && r != nil && r.depth > w.depth {
-		rChild, r = r, r.parent
+	for w != 0 && r != 0 && calls[r].depth > calls[w].depth {
+		rChild, r = r, calls[r].parent
 	}
 	for w != r {
-		if w == nil || r == nil {
+		if w == 0 || r == 0 {
 			return 0, 0, false
 		}
 		wChild, rChild = w, r
-		w, r = w.parent, r.parent
+		w, r = calls[w].parent, calls[r].parent
 	}
-	if w == nil {
+	if w == 0 {
 		// No common frame at all (disjoint path trees): not attributable.
 		return 0, 0, false
 	}
 	wl, rl := wLine, rLine
-	if wChild != nil {
-		wl = wChild.line
+	if wChild != 0 {
+		wl = calls[wChild].line
 	}
-	if rChild != nil {
-		rl = rChild.line
+	if rChild != 0 {
+		rl = calls[rChild].line
 	}
 	return wl, rl, true
 }
 
 type writeInfo struct {
 	line  int32
-	array bool
 	name  uint32 // interned symbol name
+	call  uint32 // index into Collector.calls
+	array bool
 	stack stackVec
-	call  *callNode
 }
 
 type readInfo struct {
@@ -166,12 +189,32 @@ type readInfo struct {
 	name  uint32 // interned symbol name
 }
 
-type depKey struct {
-	kind     DepKind
-	src, dst int32
-	name     uint32 // interned symbol name
-	array    bool
-	carried  bool
+// depKey packs one line-level dependence into two words, so the hot path
+// compares and hashes two integers: lines is src<<32 | dst, sym is the
+// interned symbol name<<32 | kind<<2 | array<<1 | carried.
+type depKey struct{ lines, sym uint64 }
+
+func newDepKey(kind DepKind, src, dst int32, name uint32, array, carried bool) depKey {
+	sym := uint64(name)<<32 | uint64(kind)<<2
+	if array {
+		sym |= 2
+	}
+	if carried {
+		sym |= 1
+	}
+	return depKey{lines: uint64(uint32(src))<<32 | uint64(uint32(dst)), sym: sym}
+}
+
+func (k depKey) dep(name string, count int64) Dep {
+	return Dep{
+		Kind:    DepKind(uint32(k.sym) >> 2),
+		SrcLine: int(int32(k.lines >> 32)),
+		DstLine: int(int32(k.lines)),
+		Name:    name,
+		Array:   k.sym&2 != 0,
+		Carried: k.sym&1 != 0,
+		Count:   count,
+	}
 }
 
 const (
@@ -182,6 +225,7 @@ const (
 	// maxDenseLine bounds the direct-indexed line-ops table.
 	maxDenseLine   = 1 << 16
 	crossCacheSize = 64
+	siteMemoSize   = 256
 )
 
 type crossSlot struct {
@@ -194,27 +238,26 @@ type depSlot struct {
 	count int64 // 0 = empty slot
 }
 
-// dep counts one occurrence of k through the direct-mapped cache.
+// dep counts one occurrence of k through the site memo and the
+// direct-mapped cache; a memo hit skips the hash.
 func (c *Collector) dep(k depKey) {
-	// Consecutive events repeat the same key throughout an array sweep;
-	// one pointer to the previous slot skips the hash for that run.
-	if s := c.lastDep; s != nil && s.count != 0 && s.key == k {
+	site := &c.siteDep[(uint32(k.lines)^uint32(k.sym>>32)<<3^uint32(k.sym)<<4)&(siteMemoSize-1)]
+	if s := &c.depCache[*site]; s.count != 0 && s.key == k {
 		s.count++
 		return
 	}
-	h := uint64(uint32(k.src))<<32 | uint64(uint32(k.dst))
-	h ^= uint64(k.name)<<7 ^ uint64(k.kind)<<2
-	if k.array {
-		h ^= 1 << 62
-	}
-	if k.carried {
-		h ^= 1 << 61
-	}
+	c.depMiss(k, site)
+}
+
+// depMiss counts k through the direct-mapped cache, flushing an evicted key
+// to deps, and points the site memo at k's slot.
+func (c *Collector) depMiss(k depKey, site *uint16) {
+	h := k.lines ^ bits.RotateLeft64(k.sym, 29)
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 29
-	s := &c.depCache[h&(depCacheSize-1)]
-	c.lastDep = s
+	*site = uint16(h & (depCacheSize - 1))
+	s := &c.depCache[*site]
 	if s.key == k && s.count != 0 {
 		s.count++
 		return
@@ -300,16 +343,24 @@ func NewCollector() *Collector {
 	return &Collector{
 		in:        newInterner(),
 		syms:      newInterner(),
-		lastWrite: newPagedShadow[writeInfo](),
-		lastRead:  newPagedShadow[readInfo](),
+		lastWrite: newPagedShadow[writeInfo](writeInfoPages),
+		lastRead:  newPagedShadow[readInfo](readInfoPages),
 		deps:      make(map[depKey]int64),
 		carried:   make(map[carrKey]*carrAgg),
 		cross:     make(map[crossKey]int64),
-		trips:     make(map[uint32]*TripStat),
 		lineOpsOv: make(map[int32]int64),
 		funcCalls: make(map[string]int64),
+		calls:     make([]callNode, 1, 16),
+		callLimit: minCallLimit,
 	}
 }
+
+// FeedPET makes the collector hand every control event it walks (loop,
+// call and operation-count events) to b, so one pass over the event stream
+// builds both the dependence profile and the PET: batches reach
+// pet.Builder.Event from the collector's own walk, and per-event calls are
+// forwarded. Call it before the run; b is finished by its owner.
+func (c *Collector) FeedPET(b *pet.Builder) { c.pet = b }
 
 // ShadowPages reports how many shadow pages the run materialized (the
 // obs counter shadow.pages).
@@ -320,12 +371,18 @@ func (c *Collector) ShadowPages() int64 {
 // LoopEnter implements interp.Tracer.
 func (c *Collector) LoopEnter(loopID string, line int) {
 	c.loopEnter(c.in.idx(loopID))
+	if c.pet != nil {
+		c.pet.LoopEnter(loopID, line)
+	}
 }
 
 func (c *Collector) loopEnter(id uint32) {
 	c.nextAct++
 	c.loops = append(c.loops, liveLoop{id: id, act: c.nextAct, iter: -1})
-	c.trip(id).Activations++
+	if int(id) >= len(c.trips) {
+		c.trips = append(c.trips, make([]TripStat, int(id)+1-len(c.trips))...)
+	}
+	c.trips[id].Activations++
 }
 
 // LoopIter implements interp.Tracer. The event is validated against the live
@@ -337,6 +394,9 @@ func (c *Collector) loopEnter(id uint32) {
 // classification.
 func (c *Collector) LoopIter(loopID string, iter int64) {
 	c.loopIter(c.in.idx(loopID), iter)
+	if c.pet != nil {
+		c.pet.LoopIter(loopID, iter)
+	}
 }
 
 func (c *Collector) loopIter(id uint32, iter int64) {
@@ -346,7 +406,7 @@ func (c *Collector) loopIter(id uint32, iter int64) {
 	}
 	c.loops = c.loops[:i+1]
 	c.loops[i].iter = iter
-	c.trip(c.loops[i].id).Iterations++
+	c.trips[id].Iterations++
 }
 
 // LoopExit implements interp.Tracer. Like LoopIter, the exit unwinds to (and
@@ -354,6 +414,9 @@ func (c *Collector) loopIter(id uint32, iter int64) {
 // live is dropped rather than popping an unrelated frame.
 func (c *Collector) LoopExit(loopID string) {
 	c.loopExit(c.in.idx(loopID))
+	if c.pet != nil {
+		c.pet.LoopExit(loopID)
+	}
 }
 
 func (c *Collector) loopExit(id uint32) {
@@ -376,21 +439,61 @@ func unwindTo(loops []liveLoop, id uint32) int {
 // CallEnter implements interp.Tracer.
 func (c *Collector) CallEnter(fn string, line int) {
 	c.callEnter(fn, toLine32(line))
+	if c.pet != nil {
+		c.pet.CallEnter(fn, line)
+	}
 }
 
 func (c *Collector) callEnter(fn string, line int32) {
 	c.funcCalls[fn]++
 	c.callFrames = append(c.callFrames, callFrame{fn: fn, callLine: line})
 	depth := int32(0)
-	if c.curCall != nil {
-		depth = c.curCall.depth + 1
+	if c.curCall != 0 {
+		depth = c.calls[c.curCall].depth + 1
 	}
-	c.curCall = &callNode{parent: c.curCall, line: line, depth: depth}
+	if len(c.calls) >= c.callLimit {
+		c.compactCalls()
+	}
+	c.calls = append(c.calls, callNode{parent: c.curCall, line: line, depth: depth})
+	c.curCall = uint32(len(c.calls) - 1)
+}
+
+// compactCalls drops the call nodes that neither a live shadow write nor the
+// live frame can reach any more and renumbers the rest, keeping their order
+// (a parent always precedes its children). A call-heavy run would otherwise
+// hold one node per call ever made.
+func (c *Collector) compactCalls() {
+	keep := make([]uint32, len(c.calls)) // old index -> new index; 0 = dropped
+	mark := func(i uint32) {
+		for i != 0 && keep[i] == 0 {
+			keep[i] = 1
+			i = c.calls[i].parent
+		}
+	}
+	mark(c.curCall)
+	c.lastWrite.each(func(w *writeInfo) { mark(w.call) })
+	n := uint32(1)
+	for i := 1; i < len(c.calls); i++ {
+		if keep[i] != 0 {
+			nd := c.calls[i]
+			nd.parent = keep[nd.parent]
+			c.calls[n] = nd
+			keep[i] = n
+			n++
+		}
+	}
+	c.calls = c.calls[:n]
+	c.lastWrite.each(func(w *writeInfo) { w.call = keep[w.call] })
+	c.curCall = keep[c.curCall]
+	c.callLimit = 2*len(c.calls) + minCallLimit
 }
 
 // CallExit implements interp.Tracer.
 func (c *Collector) CallExit(fn string) {
 	c.callExit()
+	if c.pet != nil {
+		c.pet.CallExit(fn)
+	}
 }
 
 func (c *Collector) callExit() {
@@ -414,14 +517,15 @@ func (c *Collector) callExit() {
 	if n > 0 {
 		c.callFrames[n-1].total += top.total
 	}
-	if c.curCall != nil {
-		c.curCall = c.curCall.parent
-	}
+	c.curCall = c.calls[c.curCall].parent
 }
 
 // Count implements interp.Tracer.
 func (c *Collector) Count(n int64, line int) {
 	c.count(n, toLine32(line))
+	if c.pet != nil {
+		c.pet.Count(n, line)
+	}
 }
 
 func (c *Collector) count(n int64, line int32) {
@@ -447,23 +551,6 @@ func (c *Collector) addLine(line int32, n int64) {
 		return
 	}
 	c.lineOpsOv[line] += n
-}
-
-func (c *Collector) trip(id uint32) *TripStat {
-	t := c.trips[id]
-	if t == nil {
-		t = &TripStat{}
-		c.trips[id] = t
-	}
-	return t
-}
-
-// snap snapshots the live loop stack, counting truncated deep nests.
-func (c *Collector) snap() stackVec {
-	if len(c.loops) > maxSnapDepth {
-		c.snapTrunc++
-	}
-	return snapshot(c.loops)
 }
 
 // Load implements interp.Tracer: it records a RAW dependence against the
@@ -508,9 +595,9 @@ func (c *Collector) load(addr interp.Addr, name uint32, array bool, line int32) 
 		// into one region's dependence set would fabricate edges between
 		// unrelated statements of recursive functions.
 		if w.call == c.curCall {
-			c.dep(depKey{RAW, w.line, line, name, array, carried})
-		} else if wl, rl, ok := divergeLines(w.call, c.curCall, w.line, line); ok {
-			c.dep(depKey{RAW, wl, rl, name, array, carried})
+			c.dep(newDepKey(RAW, w.line, line, name, array, carried))
+		} else if wl, rl, ok := divergeLines(c.calls, w.call, c.curCall, w.line, line); ok {
+			c.dep(newDepKey(RAW, wl, rl, name, array, carried))
 		}
 		// Cross-loop: after the common live prefix, a write-side loop that
 		// has since exited feeding a distinct read-side loop is a
@@ -530,29 +617,24 @@ func (c *Collector) Store(addr interp.Addr, ref interp.Ref, line int) {
 
 func (c *Collector) store(addr interp.Addr, name uint32, array bool, line int32) {
 	if r := c.lastRead.get(addr); r != nil {
-		c.dep(depKey{WAR, r.line, line, name, array, false})
+		c.dep(newDepKey(WAR, r.line, line, name, array, false))
 	}
 	if w := c.lastWrite.get(addr); w != nil {
-		c.dep(depKey{WAW, w.line, line, name, array, false})
+		c.dep(newDepKey(WAW, w.line, line, name, array, false))
 	}
 	// Fill the shadow entry in place: a writeInfo is dominated by its
 	// stackVec and the by-value construction copied it twice.
 	e := c.lastWrite.put(addr)
 	e.line, e.array, e.name, e.call = line, array, name, c.curCall
-	live := c.loops
-	if len(live) > maxSnapDepth {
+	if e.stack.fill(c.loops) {
 		c.snapTrunc++
-		live = live[:maxSnapDepth]
 	}
-	for i := range live {
-		e.stack.e[i] = stackEnt{id: live[i].id, act: live[i].act, iter: live[i].iter}
-	}
-	e.stack.n = int8(len(live))
 }
 
 // TraceBatch implements interp.BatchTracer: the compiled engine hands whole
 // event runs over at once, and symbol/loop interning happens once per name
-// per run (via the memo) instead of once per event.
+// per run (via the memo) instead of once per event. Control events also go
+// to the PET builder set by FeedPET.
 func (c *Collector) TraceBatch(names []string, events []interp.Event) {
 	for i := len(c.batchLoop); i < len(names); i++ {
 		c.batchLoop = append(c.batchLoop, c.in.idx(names[i]))
@@ -563,8 +645,10 @@ func (c *Collector) TraceBatch(names []string, events []interp.Event) {
 		switch e.Kind {
 		case interp.EvLoad:
 			c.load(interp.Addr(e.A), c.batchSym[e.Name], e.Array, e.Line)
+			continue
 		case interp.EvStore:
 			c.store(interp.Addr(e.A), c.batchSym[e.Name], e.Array, e.Line)
+			continue
 		case interp.EvLoopEnter:
 			c.loopEnter(c.batchLoop[e.Name])
 		case interp.EvLoopIter:
@@ -577,6 +661,9 @@ func (c *Collector) TraceBatch(names []string, events []interp.Event) {
 			c.callExit()
 		case interp.EvCount:
 			c.count(int64(e.A), e.Line)
+		}
+		if c.pet != nil {
+			c.pet.Event(names, e)
 		}
 	}
 }
@@ -644,15 +731,7 @@ func (c *Collector) Finish(programName string) *Profile {
 	c.flushDeps()
 	c.flushCross()
 	for k, n := range c.deps {
-		p.Deps = append(p.Deps, Dep{
-			Kind:    k.kind,
-			SrcLine: int(k.src),
-			DstLine: int(k.dst),
-			Name:    c.syms.name(k.name),
-			Array:   k.array,
-			Carried: k.carried,
-			Count:   n,
-		})
+		p.Deps = append(p.Deps, k.dep(c.syms.name(uint32(k.sym>>32)), n))
 	}
 	sortDeps(p.Deps)
 
@@ -679,7 +758,9 @@ func (c *Collector) Finish(programName string) *Profile {
 		p.CrossLoopDeps[PairKey{Writer: c.in.name(k.writer), Reader: c.in.name(k.reader)}] += n
 	}
 	for id, t := range c.trips {
-		p.LoopTrips[c.in.name(id)] = *t
+		if t.Activations > 0 {
+			p.LoopTrips[c.in.name(uint32(id))] = t
+		}
 	}
 	p.LineOps = make(map[int]int64, len(c.lineOps)+len(c.lineOpsOv))
 	for line, n := range c.lineOps {
@@ -691,10 +772,10 @@ func (c *Collector) Finish(programName string) *Profile {
 		p.LineOps[int(line)] = n
 	}
 	p.FuncCalls = c.funcCalls
-	// Invalidate the shadow tables (O(1) epoch bump): a buggy reuse after
-	// Finish records no stale dependences against this run's accesses.
-	c.lastWrite.reset()
-	c.lastRead.reset()
+	// Hand the shadow pages on to the next profiler: a buggy reuse after
+	// Finish finds empty tables and records no stale dependences.
+	c.lastWrite.release()
+	c.lastRead.release()
 	return p
 }
 

@@ -99,34 +99,40 @@ func TestSameFrameDepKeepsDirectLines(t *testing.T) {
 }
 
 func TestDivergeLines(t *testing.T) {
-	root := &callNode{line: 0, depth: 0}
-	a := &callNode{parent: root, line: 10, depth: 1}
-	bb := &callNode{parent: root, line: 20, depth: 1}
-	deepA := &callNode{parent: a, line: 11, depth: 2}
+	// Index 0 is the "no frame" sentinel; root, a, bb, deepA form one tree
+	// and other a second, disjoint one.
+	const root, a, bb, deepA, other = 1, 2, 3, 4, 5
+	calls := []callNode{
+		{},
+		root:  {line: 0, depth: 0},
+		a:     {parent: root, line: 10, depth: 1},
+		bb:    {parent: root, line: 20, depth: 1},
+		deepA: {parent: a, line: 11, depth: 2},
+		other: {line: 5, depth: 0},
+	}
 
 	// Same frame: no divergence.
-	if _, _, ok := divergeLines(a, a, 1, 2); ok {
+	if _, _, ok := divergeLines(calls, a, a, 1, 2); ok {
 		t.Fatal("same frame must not diverge")
 	}
 	// Siblings under root: attributed to their call sites.
-	wl, rl, ok := divergeLines(a, bb, 99, 98)
+	wl, rl, ok := divergeLines(calls, a, bb, 99, 98)
 	if !ok || wl != 10 || rl != 20 {
 		t.Fatalf("siblings: (%d, %d, %v)", wl, rl, ok)
 	}
 	// Writer deeper than reader, reader is the common frame: the reader
 	// keeps its direct line.
-	wl, rl, ok = divergeLines(deepA, a, 99, 42)
+	wl, rl, ok = divergeLines(calls, deepA, a, 99, 42)
 	if !ok || wl != 11 || rl != 42 {
 		t.Fatalf("deep writer: (%d, %d, %v)", wl, rl, ok)
 	}
 	// Reader deeper than writer.
-	wl, rl, ok = divergeLines(a, deepA, 42, 99)
+	wl, rl, ok = divergeLines(calls, a, deepA, 42, 99)
 	if !ok || wl != 42 || rl != 11 {
 		t.Fatalf("deep reader: (%d, %d, %v)", wl, rl, ok)
 	}
 	// Disconnected paths (no common ancestor) report no attribution.
-	other := &callNode{line: 5, depth: 0}
-	if _, _, ok := divergeLines(a, other, 1, 2); ok {
+	if _, _, ok := divergeLines(calls, a, other, 1, 2); ok {
 		t.Fatal("disconnected paths must not attribute")
 	}
 }

@@ -12,6 +12,12 @@ import "pardetect/internal/interp"
 // recent write. The first-read part is implemented with a per-address write
 // version: a read is recorded for a pair only when that pair has not yet
 // recorded the current version of the address.
+//
+// Matching is dense. NewPairProfiler interns the candidate loops first, so
+// they own the smallest loop indices, and lays the pairs out as a
+// reader-by-writer table of aggregator lists. A load walks the write-time
+// stack once per matching reader frame and looks each frame up in that
+// reader's row.
 type PairProfiler struct {
 	interp.NopTracer
 
@@ -25,13 +31,24 @@ type PairProfiler struct {
 	// snapTrunc counts snapshots truncated at maxSnapDepth.
 	snapTrunc int64
 
-	writers map[uint32][]int // writer loop idx -> indices into aggs
-	readers map[uint32][]int // reader loop idx -> indices into aggs
-	aggs    []*pairAgg
+	// role marks each candidate loop (indices below nloops) as a writer
+	// (roleWriter) and/or reader (roleReader) of some pair.
+	role []uint8
+	// cells[r*nloops+w] is 0 when (writer w, reader r) is no candidate
+	// pair, else 1 + the index into cellAggs of the pair's aggregators (a
+	// pair given twice has two).
+	cells    []int32
+	cellAggs [][]int
+	nloops   int
+	aggs     []*pairAgg
 
 	// lastWrite is a direct-indexed paged shadow table (shadow.go).
 	lastWrite pagedShadow[pairWrite]
-	version   uint64
+	// masks extend the first-read filter past the 64 aggregators that
+	// pairWrite.recorded covers: masks[g] holds the bits of aggregators
+	// 64(g+1) to 64(g+1)+63, tagged with the write version they belong to.
+	masks   []pagedShadow[pairMask]
+	version uint64
 
 	// batchLoop memoizes engine name-table indices to interned loop IDs for
 	// TraceBatch (symbol names are irrelevant here: Load/Store only use the
@@ -58,29 +75,34 @@ type pairWrite struct {
 	stack   stackVec
 	version uint64
 	// recorded is the first-read filter for this write: bit i set means
-	// aggregator i has already sampled this write version at this address.
-	// A new store assigns the whole entry, clearing the mask. Aggregators
-	// beyond 64 (never seen in practice — pairs come from hotspot loops)
-	// fall back to the per-agg recorded shadow.
+	// aggregator i (i < 64) has already sampled this write version at this
+	// address. A new store clears it; later aggregators use masks.
 	recorded uint64
 }
 
+// pairMask is the first-read filter of one group of 64 aggregators past the
+// first at one address. Its bits belong to write version; a mask with an
+// older version reads as all clear, so stores never touch it.
+type pairMask struct {
+	version uint64
+	bits    uint64
+}
+
+const (
+	roleWriter = 1 << iota
+	roleReader
+)
+
 // readerMatch is one cached hit of the current stack against the candidate
 // reader loops: the snapshot frame (for the read iteration number i_y) and
-// the aggregators interested in that loop.
+// that reader's row of the cell table, indexed by writer loop.
 type readerMatch struct {
 	frame int
-	aggs  []int
+	row   []int32
 }
 
 type pairAgg struct {
 	key       PairKey
-	writerIdx uint32
-	readerIdx uint32
-	// recorded holds, per address, the last write version this pair sampled
-	// (the first-read filter). Direct-indexed like the write shadow: write
-	// versions start at 1, so a live entry is never zero.
-	recorded  pagedShadow[uint64]
 	points    []IterPair
 	truncated bool
 }
@@ -100,29 +122,48 @@ func NewPairProfiler(pairs []PairKey, maxPoints int) *PairProfiler {
 	}
 	p := &PairProfiler{
 		in:        newInterner(),
-		writers:   make(map[uint32][]int),
-		readers:   make(map[uint32][]int),
-		lastWrite: newPagedShadow[pairWrite](),
+		lastWrite: newPagedShadow[pairWrite](pairWritePages),
 		maxPoints: maxPoints,
 	}
 	for _, k := range pairs {
-		a := &pairAgg{
-			key:       k,
-			writerIdx: p.in.idx(k.Writer),
-			readerIdx: p.in.idx(k.Reader),
-			recorded:  newPagedShadow[uint64](),
+		p.in.idx(k.Writer)
+		p.in.idx(k.Reader)
+	}
+	p.nloops = len(p.in.toID)
+	p.role = make([]uint8, p.nloops)
+	p.cells = make([]int32, p.nloops*p.nloops)
+	for i, k := range pairs {
+		w, r := p.in.idx(k.Writer), p.in.idx(k.Reader)
+		p.aggs = append(p.aggs, &pairAgg{key: k})
+		p.role[w] |= roleWriter
+		p.role[r] |= roleReader
+		c := &p.cells[int(r)*p.nloops+int(w)]
+		if *c == 0 {
+			p.cellAggs = append(p.cellAggs, nil)
+			*c = int32(len(p.cellAggs))
 		}
-		i := len(p.aggs)
-		p.aggs = append(p.aggs, a)
-		p.writers[a.writerIdx] = append(p.writers[a.writerIdx], i)
-		p.readers[a.readerIdx] = append(p.readers[a.readerIdx], i)
+		p.cellAggs[*c-1] = append(p.cellAggs[*c-1], i)
+	}
+	for g := 64; g < len(p.aggs); g += 64 {
+		p.masks = append(p.masks, newPagedShadow[pairMask](pairMaskPages))
 	}
 	return p
 }
 
 // ShadowPages reports how many shadow pages the run materialized (the
-// obs counter shadow.pages).
-func (p *PairProfiler) ShadowPages() int64 { return p.lastWrite.pages }
+// obs counter shadow.pages), first-read masks included.
+func (p *PairProfiler) ShadowPages() int64 {
+	n := p.lastWrite.pages
+	for i := range p.masks {
+		n += p.masks[i].pages
+	}
+	return n
+}
+
+// hasRole reports whether loop id is a candidate loop with the given role.
+func (p *PairProfiler) hasRole(id uint32, role uint8) bool {
+	return int(id) < p.nloops && p.role[id]&role != 0
+}
 
 // LoopEnter implements interp.Tracer.
 func (p *PairProfiler) LoopEnter(loopID string, line int) {
@@ -132,10 +173,10 @@ func (p *PairProfiler) LoopEnter(loopID string, line int) {
 func (p *PairProfiler) loopEnter(id uint32) {
 	p.nextAct++
 	p.loops = append(p.loops, liveLoop{id: id, act: p.nextAct, iter: -1})
-	if _, ok := p.writers[id]; ok {
+	if p.hasRole(id, roleWriter) {
 		p.liveWriters++
 	}
-	if _, ok := p.readers[id]; ok {
+	if p.hasRole(id, roleReader) {
 		p.liveReaders++
 	}
 	p.curDirty = true
@@ -176,10 +217,10 @@ func (p *PairProfiler) loopExit(id uint32) {
 // liveReaders in step.
 func (p *PairProfiler) popTo(n int) {
 	for i := n; i < len(p.loops); i++ {
-		if _, ok := p.writers[p.loops[i].id]; ok {
+		if p.hasRole(p.loops[i].id, roleWriter) {
 			p.liveWriters--
 		}
-		if _, ok := p.readers[p.loops[i].id]; ok {
+		if p.hasRole(p.loops[i].id, roleReader) {
 			p.liveReaders--
 		}
 	}
@@ -217,15 +258,9 @@ func (p *PairProfiler) store(addr interp.Addr) {
 	e := p.lastWrite.put(addr)
 	e.version = p.version
 	e.recorded = 0
-	live := p.loops
-	if len(live) > maxSnapDepth {
+	if e.stack.fill(p.loops) {
 		p.snapTrunc++
-		live = live[:maxSnapDepth]
 	}
-	for i := range live {
-		e.stack.e[i] = stackEnt{id: live[i].id, act: live[i].act, iter: live[i].iter}
-	}
-	e.stack.n = int8(len(live))
 }
 
 // Load implements interp.Tracer: record (i_x, i_y) samples for all candidate
@@ -239,14 +274,13 @@ func (p *PairProfiler) load(addr interp.Addr) {
 		return // no candidate reader loop live: nothing can record
 	}
 	if p.curDirty {
-		if len(p.loops) > maxSnapDepth {
+		if p.curSnap.fill(p.loops) {
 			p.snapTrunc++
 		}
-		p.curSnap = snapshot(p.loops)
 		p.curMatch = p.curMatch[:0]
 		for ri := 0; ri < int(p.curSnap.n); ri++ {
-			if aggIdxs, ok := p.readers[p.curSnap.e[ri].id]; ok {
-				p.curMatch = append(p.curMatch, readerMatch{frame: ri, aggs: aggIdxs})
+			if r := int(p.curSnap.e[ri].id); p.hasRole(uint32(r), roleReader) {
+				p.curMatch = append(p.curMatch, readerMatch{frame: ri, row: p.cells[r*p.nloops : (r+1)*p.nloops]})
 			}
 		}
 		p.curDirty = false
@@ -258,42 +292,58 @@ func (p *PairProfiler) load(addr interp.Addr) {
 	if w == nil {
 		return
 	}
-	// A pair matches when the writer loop appears in the write-time stack,
-	// the reader loop appears in the current stack, and the writer's
-	// activation is no longer live (the write's loop has finished — the
-	// dependence really crosses loops).
+	// A pair matches when the writer loop appears in the write-time stack
+	// (its outermost occurrence supplies i_x), the reader loop appears in
+	// the current stack, and the writer's activation is no longer live (the
+	// write's loop has finished — the dependence really crosses loops).
 	for _, m := range p.curMatch {
 		y := p.curSnap.e[m.frame].iter
-		for _, ai := range m.aggs {
-			a := p.aggs[ai]
-			wi := findLoop(w.stack, a.writerIdx)
-			if wi < 0 {
+		for j := 0; j < int(w.stack.n); j++ {
+			wf := &w.stack.e[j]
+			if int(wf.id) >= len(m.row) || m.row[wf.id] == 0 || findLoop(&w.stack, wf.id) != j {
 				continue
 			}
-			if liveAct(p.curSnap, a.writerIdx, w.stack.e[wi].act) {
+			if liveAct(&p.curSnap, wf.id, wf.act) {
 				continue // same activation still live: intra-loop, not cross-loop
 			}
-			if !p.allReads {
-				if ai < 64 {
-					bit := uint64(1) << ai
-					if w.recorded&bit != 0 {
-						continue // not the first read of this write
-					}
-					w.recorded |= bit
-				} else {
-					if r := a.recorded.get(addr); r != nil && *r == w.version {
-						continue
-					}
-					*a.recorded.put(addr) = w.version
+			for _, ai := range p.cellAggs[m.row[wf.id]-1] {
+				if !p.allReads && !p.firstRead(addr, w, ai) {
+					continue // not the first read of this write
 				}
+				a := p.aggs[ai]
+				if len(a.points) >= p.maxPoints {
+					a.truncated = true
+					continue
+				}
+				a.points = append(a.points, IterPair{X: wf.iter, Y: y})
 			}
-			if len(a.points) >= p.maxPoints {
-				a.truncated = true
-				continue
-			}
-			a.points = append(a.points, IterPair{X: w.stack.e[wi].iter, Y: y})
 		}
 	}
+}
+
+// firstRead reports whether aggregator ai has not yet sampled write w of
+// addr, and marks it sampled.
+func (p *PairProfiler) firstRead(addr interp.Addr, w *pairWrite, ai int) bool {
+	if ai < 64 {
+		bit := uint64(1) << ai
+		if w.recorded&bit != 0 {
+			return false
+		}
+		w.recorded |= bit
+		return true
+	}
+	masks := &p.masks[ai/64-1]
+	m := masks.get(addr)
+	if m == nil || m.version != w.version {
+		m = masks.put(addr)
+		*m = pairMask{version: w.version}
+	}
+	bit := uint64(1) << (ai % 64)
+	if m.bits&bit != 0 {
+		return false
+	}
+	m.bits |= bit
+	return true
 }
 
 // TraceBatch implements interp.BatchTracer. Only the loop events need name
@@ -321,7 +371,7 @@ func (p *PairProfiler) TraceBatch(names []string, events []interp.Event) {
 	}
 }
 
-func findLoop(v stackVec, id uint32) int {
+func findLoop(v *stackVec, id uint32) int {
 	for i := 0; i < int(v.n); i++ {
 		if v.e[i].id == id {
 			return i
@@ -330,7 +380,7 @@ func findLoop(v stackVec, id uint32) int {
 	return -1
 }
 
-func liveAct(v stackVec, id uint32, act uint32) bool {
+func liveAct(v *stackVec, id uint32, act uint32) bool {
 	for i := 0; i < int(v.n); i++ {
 		if v.e[i].id == id && v.e[i].act == act {
 			return true
@@ -341,7 +391,10 @@ func liveAct(v stackVec, id uint32, act uint32) bool {
 
 // Finish returns the recorded samples. The profiler must not be reused.
 func (p *PairProfiler) Finish() *PairPoints {
-	p.lastWrite.reset()
+	p.lastWrite.release()
+	for i := range p.masks {
+		p.masks[i].release()
+	}
 	out := &PairPoints{
 		Points:            make(map[PairKey][]IterPair, len(p.aggs)),
 		Truncated:         make(map[PairKey]bool),

@@ -50,10 +50,10 @@ type liveLoop struct {
 	iter int64
 }
 
-// snapshot copies the live stack into a fixed vector, keeping the outermost
-// maxSnapDepth frames (outer frames matter for carried/cross-loop analysis).
-func snapshot(live []liveLoop) stackVec {
-	var v stackVec
+// fill copies the live stack into v, keeping the outermost maxSnapDepth
+// frames (outer frames matter for carried/cross-loop analysis), and reports
+// whether deeper frames were dropped.
+func (v *stackVec) fill(live []liveLoop) (truncated bool) {
 	n := len(live)
 	if n > maxSnapDepth {
 		n = maxSnapDepth
@@ -62,21 +62,5 @@ func snapshot(live []liveLoop) stackVec {
 		v.e[i] = stackEnt{id: live[i].id, act: live[i].act, iter: live[i].iter}
 	}
 	v.n = int8(n)
-	return v
-}
-
-// commonPrefix returns the length of the longest prefix of w and r that
-// refers to the same loop activations (IDs and activation numbers equal;
-// iteration numbers may differ).
-func commonPrefix(w, r stackVec) int {
-	n := int(w.n)
-	if int(r.n) < n {
-		n = int(r.n)
-	}
-	for i := 0; i < n; i++ {
-		if w.e[i].id != r.e[i].id || w.e[i].act != r.e[i].act {
-			return i
-		}
-	}
-	return n
+	return len(live) > maxSnapDepth
 }

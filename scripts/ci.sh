@@ -12,7 +12,8 @@
 #   - a race-detector pass over the concurrency-sensitive packages: the
 #     parallel schedulers, the telemetry observer, the analysis farm (its
 #     tests run all 19 app analyses concurrently), the fuzzer, the
-#     pardetectd service, the router and corpus mode;
+#     pardetectd service, the router, corpus mode and the profilers (their
+#     shadow pages are recycled across concurrent analyses);
 #   - a build-and-smoke run of the benchmark module (bench/, its own Go
 #     module, which the root `go test ./...` never compiles: every workload
 #     once, untraced and traced);
@@ -74,8 +75,8 @@ go test ./...
 echo "==> go test -shuffle=on -count=1 ./...  (order-independence)"
 go test -shuffle=on -count=1 ./...
 
-echo "==> go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/..."
-go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/...
+echo "==> go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/... ./internal/trace/..."
+go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/... ./internal/trace/...
 
 echo "==> benchmark module smoke (cd bench && go test ./...)"
 (cd bench && go test ./...)
