@@ -117,7 +117,9 @@ type Result struct {
 	Wait time.Duration
 }
 
-// PanicError wraps a panic recovered from a farmed analysis.
+// PanicError wraps a panic recovered from a farmed analysis. A tracer panic
+// that the interpreter re-raised from its consumer goroutine
+// (*interp.TracerPanic) is unwrapped: Value and Stack are the tracer's.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
@@ -173,7 +175,11 @@ func runOne(job Job, opts Options) (res Result) {
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
-			res.Err = &PanicError{Value: r, Stack: debug.Stack()}
+			if tp, ok := r.(*interp.TracerPanic); ok {
+				res.Err = &PanicError{Value: tp.Value, Stack: tp.Stack}
+			} else {
+				res.Err = &PanicError{Value: r, Stack: debug.Stack()}
+			}
 		}
 		res.Elapsed = time.Since(start)
 	}()

@@ -126,6 +126,35 @@ func TestFarmPanicRecovery(t *testing.T) {
 	}
 }
 
+// panicTracer fails in the first batch it is handed.
+type panicTracer struct{ interp.NopTracer }
+
+func (panicTracer) TraceBatch([]string, []interp.Event) { panic("deliberate tracer panic") }
+
+// TestFarmTracerPanicKeepsTracerStack: a tracer panic that the interpreter
+// re-raises from its consumer goroutine becomes a PanicError holding the
+// tracer's own panic value and the stack of the tracer frame that panicked.
+func TestFarmTracerPanicKeepsTracerStack(t *testing.T) {
+	job := Job{Name: "tracer-panic", Run: func(*obs.Observer) (*report.AppRun, error) {
+		m, err := interp.New(apps.Get("2mm").Build(), interp.Options{Tracer: panicTracer{}})
+		if err != nil {
+			return nil, err
+		}
+		_, err = m.Run()
+		return nil, err
+	}}
+	var pe *PanicError
+	if err := Run([]Job{job}, Options{Jobs: 1}).Results[0].Err; !errors.As(err, &pe) {
+		t.Fatalf("error %T is not a *PanicError: %v", err, err)
+	}
+	if pe.Value != "deliberate tracer panic" {
+		t.Errorf("PanicError.Value = %#v, want the tracer's panic value", pe.Value)
+	}
+	if !strings.Contains(string(pe.Stack), "panicTracer.TraceBatch") {
+		t.Errorf("PanicError.Stack lacks the panicking tracer frame:\n%s", pe.Stack)
+	}
+}
+
 // TestFarmDeadline pins the per-run wall-clock deadline: with a timeout
 // that has effectively already expired, every analysis must fail with an
 // error wrapping interp.ErrDeadline instead of running to completion.

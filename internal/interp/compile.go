@@ -1,9 +1,13 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pardetect/internal/ir"
@@ -784,6 +788,7 @@ type vm struct {
 	batch   BatchTracer // tracer if it batches natively, else nil
 	buf     []Event     // fixed length eventBufSize; bufn is the fill level
 	bufn    int
+	hand    *handoff // consumer goroutine of a pipelined run, else nil
 }
 
 const (
@@ -828,16 +833,15 @@ func newVM(c *compiled, m *Machine) *vm {
 var eventBufPool = sync.Pool{New: func() any { return make([]Event, eventBufSize) }}
 
 // run executes the entry function. The event buffer is flushed on every
-// return path: an aborted run delivers exactly the events that preceded the
-// abort, as the tree engine's synchronous callbacks do.
+// normal return path: an aborted run delivers exactly the events that
+// preceded the abort, as the tree engine's synchronous callbacks do.
 func (v *vm) run(entry *cfunc) (float64, error) {
+	if !v.tracing {
+		return v.callFunc(entry, nil, 0)
+	}
+	defer v.endTrace()
 	ret, err := v.callFunc(entry, nil, 0)
 	v.flush()
-	if v.buf != nil {
-		eventBufPool.Put(v.buf)
-		v.buf = nil
-		v.tracing = false
-	}
 	return ret, err
 }
 
@@ -928,30 +932,190 @@ func growZeroedBytes(s []uint8, need int) []uint8 {
 	return ns
 }
 
-// slot hands out the next buffer entry, flushing a full buffer first.
+// slot hands out the next buffer entry, spilling a full buffer first.
 // Indexed stores into a preallocated buffer beat append here (the slice
 // header lives in the heap-allocated vm and append would write it back on
 // every event), and letting callers assign fields in place avoids copying
 // a 24-byte Event through an argument.
 func (v *vm) slot() *Event {
 	if v.bufn == eventBufSize {
-		v.flush()
+		v.spill()
 	}
 	e := &v.buf[v.bufn&(eventBufSize-1)]
 	v.bufn++
 	return e
 }
 
+// flush hands the filled part of the buffer to the tracer: on the
+// caller's goroutine, unless the run already has a consumer goroutine.
 func (v *vm) flush() {
 	if v.bufn == 0 {
 		return
 	}
-	if v.batch != nil {
-		v.batch.TraceBatch(v.c.names, v.buf[:v.bufn])
-	} else {
-		ReplayBatch(v.tracer, v.c.names, v.buf[:v.bufn])
+	if v.hand != nil {
+		v.handOff()
+		return
 	}
+	v.deliver(v.buf[:v.bufn])
 	v.bufn = 0
+}
+
+// spill flushes a full buffer of a run that goes on. The first spill
+// starts the run's consumer goroutine, and from then on the engine fills a
+// free buffer while the consumer works through the full ones. A run whose
+// events fit one buffer never spills, so it pays no goroutine.
+func (v *vm) spill() {
+	if v.hand == nil {
+		v.hand = startHandoff(v)
+	}
+	v.handOff()
+}
+
+// handOff queues the filled part of the buffer for the consumer goroutine
+// and takes a free buffer, waiting for one when the consumer is
+// eventBufsInFlight-1 buffers behind.
+func (v *vm) handOff() {
+	h := v.hand
+	h.full <- v.buf[:v.bufn]
+	v.buf = <-h.free
+	v.bufn = 0
+	if h.failed.Load() {
+		// The tracer panicked on an earlier buffer: stop the engine close
+		// to where a synchronous tracer would have stopped it. endTrace
+		// re-raises the tracer's panic in place of this one.
+		panic(errTracerFailed)
+	}
+}
+
+// deliver hands one batch to the tracer. It reads only fields fixed for
+// the whole run, so the consumer goroutine may call it.
+func (v *vm) deliver(events []Event) {
+	if v.batch != nil {
+		v.batch.TraceBatch(v.c.names, events)
+	} else {
+		ReplayBatch(v.tracer, v.c.names, events)
+	}
+}
+
+// eventBufsInFlight bounds the buffers of a pipelined run: the one the
+// engine fills, one the consumer works on and one queued between them.
+// With eventBufSize that is 288 KiB per run, all from eventBufPool.
+const eventBufsInFlight = 3
+
+var errTracerFailed = errors.New("interp: tracer failed on the consumer goroutine")
+
+// handoff carries full event buffers from the engine to the single
+// consumer goroutine of a pipelined run, and empty ones back. Each
+// channel has room for every buffer of the run, so a send never blocks; the
+// engine waits only in its receive from free, when the consumer is
+// eventBufsInFlight-1 buffers behind.
+type handoff struct {
+	full     chan []Event  // filled buffers, in program order; closed by endTrace
+	free     chan []Event  // drained buffers, returned by the consumer
+	done     chan struct{} // closed when the consumer goroutine has exited
+	failed   atomic.Bool   // the tracer panicked or exited its goroutine
+	panicked *TracerPanic  // the tracer's panic; nil after runtime.Goexit
+}
+
+// TracerPanic is the value Machine.Run panics with when the tracer of a
+// pipelined run panicked on the consumer goroutine. Value is the tracer's
+// own panic value and Stack the consumer goroutine's stack at the panic,
+// which holds the failing tracer frame; the stack of Run's caller does not.
+// Recoverers that report panics (farm.PanicError) unwrap it.
+type TracerPanic struct {
+	Value any
+	Stack []byte
+}
+
+// Error prints the stack too, so a crash on an unrecovered TracerPanic
+// shows where the tracer failed.
+func (p *TracerPanic) Error() string {
+	return fmt.Sprintf("interp: tracer panicked: %v\n\n%s", p.Value, p.Stack)
+}
+
+// Unwrap returns Value when it is an error.
+func (p *TracerPanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
+}
+
+func startHandoff(v *vm) *handoff {
+	h := &handoff{
+		full: make(chan []Event, eventBufsInFlight),
+		free: make(chan []Event, eventBufsInFlight),
+		done: make(chan struct{}),
+	}
+	for i := 1; i < eventBufsInFlight; i++ {
+		h.free <- eventBufPool.Get().([]Event)
+	}
+	go h.consume(v)
+	return h
+}
+
+// consume delivers queued buffers in order until endTrace closes full.
+// After a tracer failure it keeps draining without delivering, so the
+// engine can never block on it.
+func (h *handoff) consume(v *vm) {
+	defer func() {
+		// A tracer that called runtime.Goexit unwinds this goroutine
+		// past the loop below; drain here for the same reason.
+		for b := range h.full {
+			h.free <- b[:eventBufSize]
+		}
+		close(h.done)
+	}()
+	for b := range h.full {
+		if !h.failed.Load() {
+			h.tryDeliver(v, b)
+		}
+		h.free <- b[:eventBufSize]
+	}
+}
+
+// tryDeliver runs one batch through the tracer, recording a panic and the
+// stack it was raised on instead of letting it end the consumer goroutine.
+// A runtime.Goexit is recorded too (recover returns nil for it) before it
+// ends the goroutine through consume's deferred drain.
+func (h *handoff) tryDeliver(v *vm, b []Event) {
+	ok := false
+	defer func() {
+		if !ok {
+			if r := recover(); r != nil {
+				h.panicked = &TracerPanic{Value: r, Stack: debug.Stack()}
+			}
+			h.failed.Store(true)
+		}
+	}()
+	v.deliver(b)
+	ok = true
+}
+
+// endTrace runs when run returns or the engine panics. A pipelined run
+// closes the hand-off and waits for the consumer to deliver everything
+// queued, so no tracer call outlives Run; then every buffer goes back to
+// the pool. A tracer failure is re-raised here, on the caller's goroutine,
+// as a *TracerPanic, in place of any engine panic: the tracer's batch
+// preceded whatever the engine was executing when it stopped, so this is
+// the failure a synchronous run would have raised first.
+func (v *vm) endTrace() {
+	h := v.hand
+	if h != nil {
+		close(h.full)
+		<-h.done
+		for len(h.free) > 0 {
+			eventBufPool.Put(<-h.free)
+		}
+	}
+	eventBufPool.Put(v.buf)
+	v.buf = nil
+	if h == nil || !h.failed.Load() {
+		return
+	}
+	recover()
+	if h.panicked == nil {
+		runtime.Goexit()
+	}
+	panic(h.panicked)
 }
 
 func (v *vm) emitCount(n int64, line int32) {

@@ -144,6 +144,86 @@ func TestEngineParityDeadline(t *testing.T) {
 	}
 }
 
+// bufferedLoop builds a loop whose body makes several events per statement,
+// so an abort after a few thousand statements lands many event buffers
+// into the run.
+func bufferedLoop(name string) *ir.Program {
+	b := ir.NewBuilder(name)
+	b.GlobalArray("a", 64)
+	f := b.Function("main")
+	f.Assign("s", ir.C(0))
+	f.For("i", ir.C(0), ir.C(100000), func(k *ir.Block) {
+		idx := []ir.Expr{&ir.Bin{Op: ir.Mod, L: ir.V("i"), R: ir.C(64)}}
+		k.Assign("s", ir.AddE(ir.V("s"), ir.Ld("a", idx...)))
+		k.Store("a", idx, ir.AddE(ir.V("s"), ir.V("i")))
+	})
+	f.Ret(ir.V("s"))
+	return b.Build()
+}
+
+// requireHandOffs checks that the bytecode run of p under opts delivers at
+// least three batches, and not all on the caller's goroutine: the abort the
+// test pins lands after buffers were handed to the consumer goroutine.
+func requireHandOffs(t *testing.T, p *ir.Program, opts interp.Options, caller string) {
+	t.Helper()
+	probe := &batchProbe{caller: caller}
+	opts.Tracer, opts.Engine = probe, interp.EngineBytecode
+	m, err := interp.New(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err == nil {
+		t.Fatal("run did not abort")
+	}
+	if probe.batches < 3 || probe.onCaller == probe.batches {
+		t.Fatalf("%d events in %d batches, %d on the caller's goroutine; want an abort after several hand-offs", probe.events, probe.batches, probe.onCaller)
+	}
+}
+
+// TestEngineParityMaxStepsAcrossBuffers: a step limit that trips after
+// several event buffers went to the consumer goroutine stops both engines at
+// the same statement, and the aborted prefix profiles identically.
+func TestEngineParityMaxStepsAcrossBuffers(t *testing.T) {
+	p := bufferedLoop("steps-buffers")
+	for _, limit := range []int64{20000, 20001, 45678} {
+		opts := interp.Options{MaxSteps: limit}
+		requireHandOffs(t, p, opts, "TestEngineParityMaxStepsAcrossBuffers")
+		checkParity(t, p, opts, "interp: step limit exceeded: limit")
+	}
+}
+
+// TestEngineParityDeadlineAcrossBuffers: an expired deadline trips at the
+// first wall-clock poll, 2^14 statements in and several handed-off buffers
+// into the run; both engines stop there with the same error, and the
+// aborted prefix profiles identically.
+func TestEngineParityDeadlineAcrossBuffers(t *testing.T) {
+	p := bufferedLoop("deadline-buffers")
+	opts := interp.Options{Deadline: time.Now().Add(-time.Hour)}
+	requireHandOffs(t, p, opts, "TestEngineParityDeadlineAcrossBuffers")
+
+	var errs, fps [2]string
+	for i, engine := range []string{interp.EngineTree, interp.EngineBytecode} {
+		col := trace.NewCollector()
+		topts := optsWithEngine(opts, engine)
+		topts.Tracer = col
+		m, err := interp.New(p, topts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, runErr := m.Run()
+		if runErr == nil || !strings.Contains(runErr.Error(), "wall-clock deadline exceeded after 16384 steps") {
+			t.Fatalf("engine %s: want an abort at the first deadline poll, got %v", engine, runErr)
+		}
+		errs[i], fps[i] = runErr.Error(), col.Finish(p.Name).Fingerprint()
+	}
+	if errs[0] != errs[1] {
+		t.Errorf("deadline error differs: tree %q vs bytecode %q", errs[0], errs[1])
+	}
+	if fps[0] != fps[1] {
+		t.Errorf("profile fingerprint divergence: tree %s vs bytecode %s", fps[0], fps[1])
+	}
+}
+
 func optsWithEngine(o interp.Options, engine string) interp.Options {
 	o.Engine = engine
 	return o

@@ -3,11 +3,20 @@ package interp
 // Batched event stream. The compiled engine (Options.Engine == EngineBytecode)
 // does not invoke a Tracer method per memory access; it appends compact Event
 // records to a buffer and hands whole runs to the consumer at once. Consumers
-// that care about throughput implement BatchTracer (trace.Collector and
-// trace.PairProfiler do); everything else — the PET builder, the telemetry
+// that care about throughput implement BatchTracer (trace.Collector,
+// trace.PairProfiler and the PET builder do); everything else — the telemetry
 // sampler, ad-hoc test tracers — is fed through ReplayBatch, which unpacks the
 // batch into the ordinary one-call-per-event Tracer interface, preserving
 // program order exactly.
+//
+// A run that fills more than one buffer is pipelined: the engine hands each
+// full buffer to a single consumer goroutine and carries on in a free one,
+// with at most three buffers in flight. Batches still arrive in program
+// order from one goroutine, but that goroutine may not be Run's caller, and
+// the engine is ahead of the tracer meanwhile. Run returns only after every
+// event is delivered, and a tracer panic is re-raised by Run on the caller's
+// goroutine as a *TracerPanic. Runs that fit one buffer deliver
+// synchronously on the caller's goroutine.
 
 // EventKind discriminates the records of a batched event stream. The kinds
 // mirror the Tracer interface one for one.
@@ -49,12 +58,14 @@ type Event struct {
 // BatchTracer is implemented by tracers that can consume whole event batches.
 // The compiled engine feeds such tracers via TraceBatch instead of one method
 // call per event; the per-event Tracer methods remain for the tree engine.
+// The Tracer contract holds per batch: batches arrive in program order from
+// one goroutine, possibly not Run's caller, all before Run returns.
 //
 // names is the engine's name table: Event.Name indexes it. The table is
 // append-only for the lifetime of a run — a later batch's table is always an
 // extension of an earlier one, so consumers may memoize per-index work keyed
 // on the table identity. Neither names nor events may be retained after
-// TraceBatch returns.
+// TraceBatch returns: the engine refills the buffer.
 type BatchTracer interface {
 	Tracer
 	TraceBatch(names []string, events []Event)

@@ -26,9 +26,13 @@ type Ref struct {
 	Name string
 }
 
-// Tracer receives the instrumentation event stream of one execution. All
-// methods are invoked synchronously in program order. Implementations that
-// need loop-iteration or call-stack context should embed ContextTracker.
+// Tracer receives the instrumentation event stream of one execution. Its
+// methods are invoked in program order from one goroutine, which need not be
+// the goroutine that called Machine.Run (see BatchTracer); every event is
+// delivered before Run returns, so the tracer's state may be read once Run
+// is done. The engine may run ahead of the callbacks, so a tracer must not
+// read machine state from inside one. Implementations that need
+// loop-iteration or call-stack context should embed ContextTracker.
 type Tracer interface {
 	// Load is invoked after a memory read of addr by the statement at line.
 	Load(addr Addr, ref Ref, line int)
