@@ -348,8 +348,8 @@ func BenchmarkProfilerOverhead(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 // recordedRun is one program's phase-1 event stream as the bytecode engine
-// delivered it: the final name table (append-only during the run, so it is
-// valid for every batch) and a copy of each batch.
+// delivered it: the run's name table (fixed for the run, so it is valid for
+// every batch) and a copy of each batch.
 type recordedRun struct {
 	name    string
 	names   []string
@@ -359,7 +359,6 @@ type recordedRun struct {
 }
 
 type batchRecorder struct {
-	interp.NopTracer
 	rec *recordedRun
 }
 

@@ -91,13 +91,13 @@ func TestFarmTablesMatchSequential(t *testing.T) {
 func TestFarmPanicRecovery(t *testing.T) {
 	jobs := []Job{
 		{Name: "ok-before", Run: func(o *obs.Observer) (*report.AppRun, error) {
-			return report.RunAppObserved("fib", o)
+			return report.RunAppEngine("fib", o, 0, "")
 		}},
 		{Name: "boom", Run: func(o *obs.Observer) (*report.AppRun, error) {
 			panic("deliberate test panic")
 		}},
 		{Name: "ok-after", Run: func(o *obs.Observer) (*report.AppRun, error) {
-			return report.RunAppObserved("bicg", o)
+			return report.RunAppEngine("bicg", o, 0, "")
 		}},
 	}
 	batch := Run(jobs, Options{Jobs: 2})
@@ -127,7 +127,7 @@ func TestFarmPanicRecovery(t *testing.T) {
 }
 
 // panicTracer fails in the first batch it is handed.
-type panicTracer struct{ interp.NopTracer }
+type panicTracer struct{}
 
 func (panicTracer) TraceBatch([]string, []interp.Event) { panic("deliberate tracer panic") }
 
@@ -360,7 +360,7 @@ func TestPoolPanicAndDeadline(t *testing.T) {
 		t.Fatalf("err = %v, want PanicError(pool-panic)", r.Err)
 	}
 	ch, ok = p.TrySubmit(Job{Name: "slow", Run: func(o *obs.Observer) (*report.AppRun, error) {
-		return report.RunAppTimeout("correlation", o, p.opts.Timeout)
+		return report.RunAppEngine("correlation", o, p.opts.Timeout, "")
 	}})
 	if !ok {
 		t.Fatal("slow rejected")

@@ -1,13 +1,8 @@
 package interp
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pardetect/internal/ir"
@@ -64,11 +59,10 @@ type compiled struct {
 
 // compiler carries the per-program lowering state.
 type compiler struct {
+	nameTable
 	prog      *ir.Program
 	arrayBase map[string]Addr
 	funcs     map[string]*cfunc
-	names     []string
-	nameIdx   map[string]uint32
 }
 
 // slotTable assigns dense frame slots to every variable name a function
@@ -96,7 +90,6 @@ func compile(prog *ir.Program, arrayBase map[string]Addr) *compiled {
 		prog:      prog,
 		arrayBase: arrayBase,
 		funcs:     make(map[string]*cfunc, len(prog.Funcs)),
-		nameIdx:   make(map[string]uint32),
 	}
 	// Two passes: create every function shell first so call sites can bind
 	// their callee *cfunc at compile time, then lower the bodies.
@@ -117,16 +110,6 @@ func compile(prog *ir.Program, arrayBase map[string]Addr) *compiled {
 		cf.nslots = len(st.slots)
 	}
 	return &compiled{entry: c.funcs[prog.Entry], names: c.names}
-}
-
-func (c *compiler) intern(s string) uint32 {
-	if i, ok := c.nameIdx[s]; ok {
-		return i
-	}
-	i := uint32(len(c.names))
-	c.names = append(c.names, s)
-	c.nameIdx[s] = i
-	return i
 }
 
 func (c *compiler) compileStmts(cf *cfunc, st *slotTable, stmts []ir.Stmt) []stmtFn {
@@ -335,14 +318,14 @@ func (c *compiler) compileFor(cf *cfunc, st *slotTable, s *ir.For, line int32) s
 		oldFl := v.flags[i]
 		v.flags[i] = oldFl | flagDefined | flagInduction
 		if v.tracing {
-			v.emitLoop(EvLoopEnter, loopIdx, line)
+			v.emitNamed(EvLoopEnter, loopIdx, line)
 		}
 		exit := func() {
 			if oldFl&flagInduction == 0 {
 				v.flags[i] &^= flagInduction
 			}
 			if v.tracing {
-				v.emitLoop(EvLoopExit, loopIdx, 0)
+				v.emitNamed(EvLoopExit, loopIdx, 0)
 			}
 		}
 		iter := int64(0)
@@ -387,11 +370,11 @@ func (c *compiler) compileWhile(cf *cfunc, st *slotTable, s *ir.While, line int3
 			return ctlNext, 0, err
 		}
 		if v.tracing {
-			v.emitLoop(EvLoopEnter, loopIdx, line)
+			v.emitNamed(EvLoopEnter, loopIdx, line)
 		}
 		exit := func() {
 			if v.tracing {
-				v.emitLoop(EvLoopExit, loopIdx, 0)
+				v.emitNamed(EvLoopExit, loopIdx, 0)
 			}
 		}
 		for iter := int64(0); ; iter++ {
@@ -766,7 +749,7 @@ func (c *compiler) compileCall(cf *cfunc, st *slotTable, x *ir.Call, line int32)
 
 // vm executes a compiled program. It mirrors Machine's run-time state — the
 // same array memory (shared slice), a flat scalar stack grown per call and
-// never reused, the same step and depth accounting — plus the event buffer.
+// never reused, the same step and depth accounting — plus its own emitter.
 type vm struct {
 	c        *compiled
 	arrayMem []float64
@@ -783,23 +766,13 @@ type vm struct {
 	hasDeadline bool
 	deadline    time.Time
 
-	tracing bool
-	tracer  Tracer
-	batch   BatchTracer // tracer if it batches natively, else nil
-	buf     []Event     // fixed length eventBufSize; bufn is the fill level
-	bufn    int
-	hand    *handoff // consumer goroutine of a pipelined run, else nil
+	emitter
 }
 
 const (
 	flagDefined uint8 = 1 << iota
 	flagInduction
 )
-
-// eventBufSize is the flush threshold of the event buffer. 4096 events keep
-// the batch in cache while amortizing the consumer hand-off far below the
-// per-event interface-call cost it replaces.
-const eventBufSize = 1 << 12
 
 func scalarAddr(i int) uint64 { return uint64(ScalarBase) + uint64(i) }
 
@@ -809,40 +782,18 @@ func newVM(c *compiled, m *Machine) *vm {
 		arrayMem: m.arrayMem,
 		maxSteps: m.opts.MaxSteps,
 		maxDepth: m.opts.MaxDepth,
-		tracer:   m.tracer,
+		emitter:  newEmitter(m.opts.Tracer, c.names),
 	}
 	if !m.opts.Deadline.IsZero() {
 		v.hasDeadline = true
 		v.deadline = m.opts.Deadline
 	}
-	if m.tracer != nil {
-		v.tracing = true
-		v.buf = eventBufPool.Get().([]Event)
-		if bt, ok := m.tracer.(BatchTracer); ok {
-			v.batch = bt
-		}
-	}
 	return v
 }
 
-// eventBufPool recycles event buffers across runs: an analysis executes the
-// interpreter several times (phase 1, extra inputs, phase 2) and a fresh
-// 96 KiB buffer per run is measurable zeroing cost on short programs. The
-// buffer holds no pointers and is fully overwritten before use, so reuse
-// needs no clearing.
-var eventBufPool = sync.Pool{New: func() any { return make([]Event, eventBufSize) }}
-
-// run executes the entry function. The event buffer is flushed on every
-// normal return path: an aborted run delivers exactly the events that
-// preceded the abort, as the tree engine's synchronous callbacks do.
+// run executes the entry function.
 func (v *vm) run(entry *cfunc) (float64, error) {
-	if !v.tracing {
-		return v.callFunc(entry, nil, 0)
-	}
-	defer v.endTrace()
-	ret, err := v.callFunc(entry, nil, 0)
-	v.flush()
-	return ret, err
+	return v.traceRun(func() (float64, error) { return v.callFunc(entry, nil, 0) })
 }
 
 // stepGate is the per-statement prologue: count the statement, enforce
@@ -872,7 +823,7 @@ func (v *vm) callFunc(cf *cfunc, args []float64, callLine int32) (float64, error
 	}
 	v.depth++
 	if v.tracing {
-		v.emitCall(EvCallEnter, cf.nameIdx, callLine)
+		v.emitNamed(EvCallEnter, cf.nameIdx, callLine)
 	}
 	base := len(v.scalarMem)
 	need := base + cf.nslots
@@ -894,7 +845,7 @@ func (v *vm) callFunc(cf *cfunc, args []float64, callLine int32) (float64, error
 	}
 	ctl, val, err := runStmts(v, base, cf.body)
 	if v.tracing {
-		v.emitCall(EvCallExit, cf.nameIdx, 0)
+		v.emitNamed(EvCallExit, cf.nameIdx, 0)
 	}
 	v.depth--
 	if err != nil {
@@ -930,215 +881,4 @@ func growZeroedBytes(s []uint8, need int) []uint8 {
 	ns := make([]uint8, need, c)
 	copy(ns, s)
 	return ns
-}
-
-// slot hands out the next buffer entry, spilling a full buffer first.
-// Indexed stores into a preallocated buffer beat append here (the slice
-// header lives in the heap-allocated vm and append would write it back on
-// every event), and letting callers assign fields in place avoids copying
-// a 24-byte Event through an argument.
-func (v *vm) slot() *Event {
-	if v.bufn == eventBufSize {
-		v.spill()
-	}
-	e := &v.buf[v.bufn&(eventBufSize-1)]
-	v.bufn++
-	return e
-}
-
-// flush hands the filled part of the buffer to the tracer: on the
-// caller's goroutine, unless the run already has a consumer goroutine.
-func (v *vm) flush() {
-	if v.bufn == 0 {
-		return
-	}
-	if v.hand != nil {
-		v.handOff()
-		return
-	}
-	v.deliver(v.buf[:v.bufn])
-	v.bufn = 0
-}
-
-// spill flushes a full buffer of a run that goes on. The first spill
-// starts the run's consumer goroutine, and from then on the engine fills a
-// free buffer while the consumer works through the full ones. A run whose
-// events fit one buffer never spills, so it pays no goroutine.
-func (v *vm) spill() {
-	if v.hand == nil {
-		v.hand = startHandoff(v)
-	}
-	v.handOff()
-}
-
-// handOff queues the filled part of the buffer for the consumer goroutine
-// and takes a free buffer, waiting for one when the consumer is
-// eventBufsInFlight-1 buffers behind.
-func (v *vm) handOff() {
-	h := v.hand
-	h.full <- v.buf[:v.bufn]
-	v.buf = <-h.free
-	v.bufn = 0
-	if h.failed.Load() {
-		// The tracer panicked on an earlier buffer: stop the engine close
-		// to where a synchronous tracer would have stopped it. endTrace
-		// re-raises the tracer's panic in place of this one.
-		panic(errTracerFailed)
-	}
-}
-
-// deliver hands one batch to the tracer. It reads only fields fixed for
-// the whole run, so the consumer goroutine may call it.
-func (v *vm) deliver(events []Event) {
-	if v.batch != nil {
-		v.batch.TraceBatch(v.c.names, events)
-	} else {
-		ReplayBatch(v.tracer, v.c.names, events)
-	}
-}
-
-// eventBufsInFlight bounds the buffers of a pipelined run: the one the
-// engine fills, one the consumer works on and one queued between them.
-// With eventBufSize that is 288 KiB per run, all from eventBufPool.
-const eventBufsInFlight = 3
-
-var errTracerFailed = errors.New("interp: tracer failed on the consumer goroutine")
-
-// handoff carries full event buffers from the engine to the single
-// consumer goroutine of a pipelined run, and empty ones back. Each
-// channel has room for every buffer of the run, so a send never blocks; the
-// engine waits only in its receive from free, when the consumer is
-// eventBufsInFlight-1 buffers behind.
-type handoff struct {
-	full     chan []Event  // filled buffers, in program order; closed by endTrace
-	free     chan []Event  // drained buffers, returned by the consumer
-	done     chan struct{} // closed when the consumer goroutine has exited
-	failed   atomic.Bool   // the tracer panicked or exited its goroutine
-	panicked *TracerPanic  // the tracer's panic; nil after runtime.Goexit
-}
-
-// TracerPanic is the value Machine.Run panics with when the tracer of a
-// pipelined run panicked on the consumer goroutine. Value is the tracer's
-// own panic value and Stack the consumer goroutine's stack at the panic,
-// which holds the failing tracer frame; the stack of Run's caller does not.
-// Recoverers that report panics (farm.PanicError) unwrap it.
-type TracerPanic struct {
-	Value any
-	Stack []byte
-}
-
-// Error prints the stack too, so a crash on an unrecovered TracerPanic
-// shows where the tracer failed.
-func (p *TracerPanic) Error() string {
-	return fmt.Sprintf("interp: tracer panicked: %v\n\n%s", p.Value, p.Stack)
-}
-
-// Unwrap returns Value when it is an error.
-func (p *TracerPanic) Unwrap() error {
-	err, _ := p.Value.(error)
-	return err
-}
-
-func startHandoff(v *vm) *handoff {
-	h := &handoff{
-		full: make(chan []Event, eventBufsInFlight),
-		free: make(chan []Event, eventBufsInFlight),
-		done: make(chan struct{}),
-	}
-	for i := 1; i < eventBufsInFlight; i++ {
-		h.free <- eventBufPool.Get().([]Event)
-	}
-	go h.consume(v)
-	return h
-}
-
-// consume delivers queued buffers in order until endTrace closes full.
-// After a tracer failure it keeps draining without delivering, so the
-// engine can never block on it.
-func (h *handoff) consume(v *vm) {
-	defer func() {
-		// A tracer that called runtime.Goexit unwinds this goroutine
-		// past the loop below; drain here for the same reason.
-		for b := range h.full {
-			h.free <- b[:eventBufSize]
-		}
-		close(h.done)
-	}()
-	for b := range h.full {
-		if !h.failed.Load() {
-			h.tryDeliver(v, b)
-		}
-		h.free <- b[:eventBufSize]
-	}
-}
-
-// tryDeliver runs one batch through the tracer, recording a panic and the
-// stack it was raised on instead of letting it end the consumer goroutine.
-// A runtime.Goexit is recorded too (recover returns nil for it) before it
-// ends the goroutine through consume's deferred drain.
-func (h *handoff) tryDeliver(v *vm, b []Event) {
-	ok := false
-	defer func() {
-		if !ok {
-			if r := recover(); r != nil {
-				h.panicked = &TracerPanic{Value: r, Stack: debug.Stack()}
-			}
-			h.failed.Store(true)
-		}
-	}()
-	v.deliver(b)
-	ok = true
-}
-
-// endTrace runs when run returns or the engine panics. A pipelined run
-// closes the hand-off and waits for the consumer to deliver everything
-// queued, so no tracer call outlives Run; then every buffer goes back to
-// the pool. A tracer failure is re-raised here, on the caller's goroutine,
-// as a *TracerPanic, in place of any engine panic: the tracer's batch
-// preceded whatever the engine was executing when it stopped, so this is
-// the failure a synchronous run would have raised first.
-func (v *vm) endTrace() {
-	h := v.hand
-	if h != nil {
-		close(h.full)
-		<-h.done
-		for len(h.free) > 0 {
-			eventBufPool.Put(<-h.free)
-		}
-	}
-	eventBufPool.Put(v.buf)
-	v.buf = nil
-	if h == nil || !h.failed.Load() {
-		return
-	}
-	recover()
-	if h.panicked == nil {
-		runtime.Goexit()
-	}
-	panic(h.panicked)
-}
-
-func (v *vm) emitCount(n int64, line int32) {
-	e := v.slot()
-	*e = Event{Kind: EvCount, A: uint64(n), Line: line}
-}
-
-func (v *vm) emitAccess(kind EventKind, addr uint64, name uint32, array bool, line int32) {
-	e := v.slot()
-	*e = Event{Kind: kind, A: addr, Name: name, Array: array, Line: line}
-}
-
-func (v *vm) emitLoop(kind EventKind, name uint32, line int32) {
-	e := v.slot()
-	*e = Event{Kind: kind, Name: name, Line: line}
-}
-
-func (v *vm) emitIter(name uint32, iter int64) {
-	e := v.slot()
-	*e = Event{Kind: EvLoopIter, Name: name, A: uint64(iter)}
-}
-
-func (v *vm) emitCall(kind EventKind, name uint32, line int32) {
-	e := v.slot()
-	*e = Event{Kind: kind, Name: name, Line: line}
 }

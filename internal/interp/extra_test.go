@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"math"
 	"testing"
 
 	"pardetect/internal/ir"
@@ -141,37 +140,4 @@ func TestWhileErrorInCondition(t *testing.T) {
 			t.Fatal("undefined variable in while condition must error")
 		}
 	})
-}
-
-// TestNopTracerAndContextTrackerDefaults: the embeddable helpers must accept
-// every event (compile-time interface check plus dynamic smoke calls).
-func TestNopTracerAndContextTrackerDefaults(t *testing.T) {
-	var n NopTracer
-	var tr Tracer = n
-	tr.Load(1, Ref{}, 1)
-	tr.Store(1, Ref{}, 1)
-	tr.LoopEnter("L", 1)
-	tr.LoopIter("L", 0)
-	tr.LoopExit("L")
-	tr.CallEnter("f", 0)
-	tr.CallExit("f")
-	tr.Count(1, 1)
-
-	var c ContextTracker
-	var tc Tracer = &c
-	tc.CallEnter("main", 0)
-	tc.CallEnter("g", 3)
-	tc.Load(1, Ref{}, 1)
-	tc.Store(1, Ref{}, 1)
-	tc.Count(1, 1)
-	if got := c.CallStack(); len(got) != 2 || got[0] != "main" || got[1] != "g" {
-		t.Fatalf("CallStack = %v", got)
-	}
-	tc.CallExit("g")
-	tc.CallExit("main")
-	tc.CallExit("underflow") // must not panic
-	tc.LoopExit("underflow") // must not panic
-	if math.IsNaN(0) {
-		t.Fatal("unreachable")
-	}
 }

@@ -29,9 +29,9 @@ type Options struct {
 	// must match the declared size exactly. Arrays not listed start zeroed.
 	ArrayInit map[string][]float64
 	// Engine selects the execution engine: EngineBytecode (the default, also
-	// selected by "") compiles the program to closure-threaded code at New
-	// and batches tracer events; EngineTree walks the AST and is the
-	// reference implementation the goldens and parity checks run against.
+	// selected by "") compiles the program to closure-threaded code at New;
+	// EngineTree walks the AST and is the reference implementation the
+	// goldens and parity checks run against.
 	// EngineRegVM is an alias of EngineBytecode, kept so existing clients
 	// that name the retired register engine still work. The default is
 	// decided here and in ParseEngine only. Both engines are observationally
@@ -92,9 +92,8 @@ var ErrMaxSteps = errors.New("interp: step limit exceeded")
 // Machine executes one mini-IR program. A Machine is single-use: create,
 // Run, then inspect arrays and the return value.
 type Machine struct {
-	prog   *ir.Program
-	opts   Options
-	tracer Tracer
+	prog *ir.Program
+	opts Options
 
 	arrayBase map[string]Addr
 	arrayMem  []float64 // all global arrays, contiguous
@@ -103,6 +102,12 @@ type Machine struct {
 	steps     int64
 	depth     int
 	induction []Addr // addresses of live For induction variables
+
+	// Tree engine tracing: the event emitter and the index of every name
+	// the program can emit (treeNames), both unused under the bytecode
+	// engine, whose vm has its own.
+	emitter
+	nameIdx map[string]uint32
 
 	// Bytecode engine state (the default; nil under EngineTree): the lowered
 	// program and its vm. The tree-walking fields above stay authoritative
@@ -124,7 +129,7 @@ func New(prog *ir.Program, opts Options) (*Machine, error) {
 	if opts.MaxDepth == 0 {
 		opts.MaxDepth = defaultMaxDepth
 	}
-	m := &Machine{prog: prog, opts: opts, tracer: opts.Tracer}
+	m := &Machine{prog: prog, opts: opts}
 	total := 0
 	m.arrayBase = make(map[string]Addr, len(prog.Arrays))
 	for _, a := range prog.Arrays {
@@ -144,6 +149,10 @@ func New(prog *ir.Program, opts Options) (*Machine, error) {
 	}
 	switch opts.Engine {
 	case EngineTree:
+		if opts.Tracer != nil {
+			t := treeNames(prog)
+			m.emitter, m.nameIdx = newEmitter(opts.Tracer, t.names), t.idx
+		}
 	case "", EngineBytecode, EngineRegVM:
 		m.code = compile(prog, m.arrayBase)
 		m.vm = newVM(m.code, m)
@@ -172,7 +181,7 @@ func (m *Machine) Run() (float64, error) {
 		m.ret = v
 		return v, nil
 	}
-	v, err := m.call(entry, nil, 0)
+	v, err := m.traceRun(func() (float64, error) { return m.call(entry, nil, 0) })
 	if err != nil {
 		return 0, err
 	}
@@ -226,8 +235,10 @@ func (m *Machine) call(fn *ir.Function, args []float64, callLine int) (float64, 
 		return 0, fmt.Errorf("interp: call depth limit %d exceeded at %s (line %d)", m.opts.MaxDepth, fn.Name, callLine)
 	}
 	m.depth++
-	if m.tracer != nil {
-		m.tracer.CallEnter(fn.Name, callLine)
+	var id uint32
+	if m.tracing {
+		id = m.name(fn.Name)
+		m.emitNamed(EvCallEnter, id, int32(callLine))
 	}
 	fr := &frame{fn: fn, vars: make(map[string]Addr, len(fn.Params)+8)}
 	for i, p := range fn.Params {
@@ -240,8 +251,8 @@ func (m *Machine) call(fn *ir.Function, args []float64, callLine int) (float64, 
 		// itself is register traffic in LLVM terms, so it is not traced.
 	}
 	ctl, v, err := m.execStmts(fr, fn.Body)
-	if m.tracer != nil {
-		m.tracer.CallExit(fn.Name)
+	if m.tracing {
+		m.emitNamed(EvCallExit, id, 0)
 	}
 	m.depth--
 	if err != nil {
@@ -286,10 +297,10 @@ func (m *Machine) execStmt(fr *frame, s ir.Stmt) (control, float64, error) {
 				fr.vars[dst.Name] = a
 			}
 			m.writeScalar(a, v)
-			if m.tracer != nil {
-				m.tracer.Count(n, s.Pos())
+			if m.tracing {
+				m.emitCount(n, int32(s.Pos()))
 				if !m.isInduction(a) {
-					m.tracer.Store(a, Ref{Name: dst.Name}, s.Pos())
+					m.emitAccess(EvStore, uint64(a), m.name(dst.Name), false, int32(s.Pos()))
 				}
 			}
 		case *ir.Elem:
@@ -298,9 +309,9 @@ func (m *Machine) execStmt(fr *frame, s ir.Stmt) (control, float64, error) {
 				return ctlNext, 0, err
 			}
 			m.arrayMem[a-1] = v
-			if m.tracer != nil {
-				m.tracer.Count(n+en, s.Pos())
-				m.tracer.Store(a, Ref{Array: true, Name: dst.Arr}, s.Pos())
+			if m.tracing {
+				m.emitCount(n+en, int32(s.Pos()))
+				m.emitAccess(EvStore, uint64(a), m.name(dst.Arr), true, int32(s.Pos()))
 			}
 		}
 		return ctlNext, 0, nil
@@ -316,8 +327,8 @@ func (m *Machine) execStmt(fr *frame, s ir.Stmt) (control, float64, error) {
 		if err != nil {
 			return ctlNext, 0, err
 		}
-		if m.tracer != nil {
-			m.tracer.Count(n+1, s.Pos())
+		if m.tracing {
+			m.emitCount(n+1, int32(s.Pos()))
 		}
 		if c != 0 {
 			return m.execStmts(fr, s.Then)
@@ -333,8 +344,8 @@ func (m *Machine) execStmt(fr *frame, s ir.Stmt) (control, float64, error) {
 			if err != nil {
 				return ctlNext, 0, err
 			}
-			if m.tracer != nil {
-				m.tracer.Count(n+1, s.Pos())
+			if m.tracing {
+				m.emitCount(n+1, int32(s.Pos()))
 			}
 		}
 		return ctlReturn, v, nil
@@ -347,8 +358,8 @@ func (m *Machine) execStmt(fr *frame, s ir.Stmt) (control, float64, error) {
 		if err != nil {
 			return ctlNext, 0, err
 		}
-		if m.tracer != nil {
-			m.tracer.Count(n, s.Pos())
+		if m.tracing {
+			m.emitCount(n, int32(s.Pos()))
 		}
 		return ctlNext, 0, nil
 
@@ -373,8 +384,8 @@ func (m *Machine) execFor(fr *frame, s *ir.For) (control, float64, error) {
 	if step <= 0 {
 		return ctlNext, 0, fmt.Errorf("interp: loop %s has non-positive step %g (line %d)", s.LoopID, step, s.Pos())
 	}
-	if m.tracer != nil {
-		m.tracer.Count(n1+n2+n3, s.Pos())
+	if m.tracing {
+		m.emitCount(n1+n2+n3, int32(s.Pos()))
 	}
 
 	// The induction variable is a fresh slot per loop execution; its
@@ -388,9 +399,11 @@ func (m *Machine) execFor(fr *frame, s *ir.For) (control, float64, error) {
 	m.induction = append(m.induction, a)
 	defer func() { m.induction = m.induction[:len(m.induction)-1] }()
 
-	if m.tracer != nil {
-		m.tracer.LoopEnter(s.LoopID, s.Pos())
-		defer m.tracer.LoopExit(s.LoopID)
+	var id uint32
+	if m.tracing {
+		id = m.name(s.LoopID)
+		m.emitNamed(EvLoopEnter, id, int32(s.Pos()))
+		defer m.emitNamed(EvLoopExit, id, 0)
 	}
 	iter := int64(0)
 	for v := start; v < end; v += step {
@@ -399,9 +412,9 @@ func (m *Machine) execFor(fr *frame, s *ir.For) (control, float64, error) {
 			return ctlNext, 0, fmt.Errorf("%w: limit %d in loop %s", ErrMaxSteps, m.opts.MaxSteps, s.LoopID)
 		}
 		m.writeScalar(a, v)
-		if m.tracer != nil {
-			m.tracer.LoopIter(s.LoopID, iter)
-			m.tracer.Count(2, s.Pos()) // compare + increment
+		if m.tracing {
+			m.emitIter(id, iter)
+			m.emitCount(2, int32(s.Pos())) // compare + increment
 		}
 		ctl, rv, err := m.execStmts(fr, s.Body)
 		if err != nil {
@@ -419,9 +432,11 @@ func (m *Machine) execFor(fr *frame, s *ir.For) (control, float64, error) {
 }
 
 func (m *Machine) execWhile(fr *frame, s *ir.While) (control, float64, error) {
-	if m.tracer != nil {
-		m.tracer.LoopEnter(s.LoopID, s.Pos())
-		defer m.tracer.LoopExit(s.LoopID)
+	var id uint32
+	if m.tracing {
+		id = m.name(s.LoopID)
+		m.emitNamed(EvLoopEnter, id, int32(s.Pos()))
+		defer m.emitNamed(EvLoopExit, id, 0)
 	}
 	for iter := int64(0); ; iter++ {
 		m.steps++
@@ -432,14 +447,14 @@ func (m *Machine) execWhile(fr *frame, s *ir.While) (control, float64, error) {
 		if err != nil {
 			return ctlNext, 0, err
 		}
-		if m.tracer != nil {
-			m.tracer.Count(n+1, s.Pos())
+		if m.tracing {
+			m.emitCount(n+1, int32(s.Pos()))
 		}
 		if c == 0 {
 			return ctlNext, 0, nil
 		}
-		if m.tracer != nil {
-			m.tracer.LoopIter(s.LoopID, iter)
+		if m.tracing {
+			m.emitIter(id, iter)
 		}
 		ctl, rv, err := m.execStmts(fr, s.Body)
 		if err != nil {
@@ -452,6 +467,50 @@ func (m *Machine) execWhile(fr *frame, s *ir.While) (control, float64, error) {
 			return ctlReturn, rv, nil
 		}
 	}
+}
+
+// treeNames builds the tree engine's name table before the run: every array,
+// function, loop ID and scalar name the program mentions, so the table stays
+// fixed while a consumer goroutine reads it, as the compiled table does.
+func treeNames(p *ir.Program) *nameTable {
+	t := &nameTable{}
+	for _, a := range p.Arrays {
+		t.intern(a.Name)
+	}
+	for _, f := range p.Funcs {
+		t.intern(f.Name)
+	}
+	ir.WalkProgram(p, func(_ *ir.Function, s ir.Stmt) {
+		switch s := s.(type) {
+		case *ir.Assign:
+			if v, ok := s.Dst.(ir.Var); ok {
+				t.intern(v.Name)
+			}
+		case *ir.For:
+			t.intern(s.LoopID)
+		case *ir.While:
+			t.intern(s.LoopID)
+		}
+		for _, x := range ir.StmtExprs(s) {
+			ir.WalkExpr(x, func(x ir.Expr) {
+				if v, ok := x.(ir.Var); ok {
+					t.intern(v.Name)
+				}
+			})
+		}
+	})
+	return t
+}
+
+// name returns s's index in the tree engine's name table. treeNames covers
+// every name the program can emit, so a miss means the program changed
+// after New or the two disagree: an engine bug, never index 0 in silence.
+func (m *Machine) name(s string) uint32 {
+	i, ok := m.nameIdx[s]
+	if !ok {
+		panic(fmt.Sprintf("interp: %q is missing from the tree engine's name table", s))
+	}
+	return i
 }
 
 func (m *Machine) isInduction(a Addr) bool {
@@ -501,8 +560,8 @@ func (m *Machine) eval(fr *frame, x ir.Expr, line int) (float64, int64, error) {
 			return 0, 0, fmt.Errorf("interp: read of undefined variable %q in %s (line %d)", x.Name, fr.fn.Name, line)
 		}
 		v := m.readScalar(a)
-		if m.tracer != nil && !m.isInduction(a) {
-			m.tracer.Load(a, Ref{Name: x.Name}, line)
+		if m.tracing && !m.isInduction(a) {
+			m.emitAccess(EvLoad, uint64(a), m.name(x.Name), false, int32(line))
 		}
 		return v, 1, nil
 
@@ -512,8 +571,8 @@ func (m *Machine) eval(fr *frame, x ir.Expr, line int) (float64, int64, error) {
 			return 0, 0, err
 		}
 		v := m.arrayMem[a-1]
-		if m.tracer != nil {
-			m.tracer.Load(a, Ref{Array: true, Name: x.Arr}, line)
+		if m.tracing {
+			m.emitAccess(EvLoad, uint64(a), m.name(x.Arr), true, int32(line))
 		}
 		return v, n + 1, nil
 
@@ -578,8 +637,8 @@ func (m *Machine) eval(fr *frame, x ir.Expr, line int) (float64, int64, error) {
 			args[i] = v
 			ops += n
 		}
-		if m.tracer != nil {
-			m.tracer.Count(ops, line)
+		if m.tracing {
+			m.emitCount(ops, int32(line))
 		}
 		v, err := m.call(callee, args, line)
 		return v, 0, err // callee ops were counted inside the call

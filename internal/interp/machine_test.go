@@ -303,20 +303,32 @@ func TestTracerEvents(t *testing.T) {
 }
 
 type countingTracer struct {
-	NopTracer
 	loads, stores, enters, exits int
 	iters                        int64
 	calls                        []string
 	counts                       int64
 }
 
-func (c *countingTracer) Load(Addr, Ref, int)         { c.loads++ }
-func (c *countingTracer) Store(Addr, Ref, int)        { c.stores++ }
-func (c *countingTracer) LoopEnter(string, int)       { c.enters++ }
-func (c *countingTracer) LoopExit(string)             { c.exits++ }
-func (c *countingTracer) LoopIter(id string, i int64) { c.iters++ }
-func (c *countingTracer) CallEnter(fn string, l int)  { c.calls = append(c.calls, fn) }
-func (c *countingTracer) Count(n int64, line int)     { c.counts += n }
+func (c *countingTracer) TraceBatch(names []string, events []Event) {
+	for _, e := range events {
+		switch e.Kind {
+		case EvLoad:
+			c.loads++
+		case EvStore:
+			c.stores++
+		case EvLoopEnter:
+			c.enters++
+		case EvLoopExit:
+			c.exits++
+		case EvLoopIter:
+			c.iters++
+		case EvCallEnter:
+			c.calls = append(c.calls, names[e.Name])
+		case EvCount:
+			c.counts += int64(e.A)
+		}
+	}
+}
 
 func TestRecursiveActivationsGetDistinctAddresses(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, engine string) {
@@ -353,61 +365,30 @@ func TestRecursiveActivationsGetDistinctAddresses(t *testing.T) {
 }
 
 type addrGrabber struct {
-	NopTracer
 	want  string
 	addrs *[]Addr
 }
 
-func (g *addrGrabber) Store(a Addr, ref Ref, line int) {
-	if ref.Name == g.want {
-		*g.addrs = append(*g.addrs, a)
-	}
-}
-
-func TestContextTracker(t *testing.T) {
-	var c ContextTracker
-	c.CallEnter("main", 0)
-	c.LoopEnter("L1", 1)
-	c.LoopIter("L1", 0)
-	c.LoopEnter("L2", 2)
-	c.LoopIter("L2", 5)
-	if f, ok := c.InnermostLoop(); !ok || f.ID != "L2" || f.Iter != 5 {
-		t.Fatalf("innermost = %+v ok=%v", f, ok)
-	}
-	if len(c.LoopStack()) != 2 || c.LoopStack()[0].ID != "L1" {
-		t.Fatalf("stack = %+v", c.LoopStack())
-	}
-	a1 := c.LoopStack()[0].Act
-	c.LoopExit("L2")
-	c.LoopExit("L1")
-	c.LoopEnter("L1", 1)
-	if c.LoopStack()[0].Act == a1 {
-		t.Fatal("re-entering a loop must produce a new activation")
-	}
-	if c.CurrentFunc() != "main" {
-		t.Fatalf("CurrentFunc = %q", c.CurrentFunc())
-	}
-	c.CallExit("main")
-	if c.CurrentFunc() != "" {
-		t.Fatal("call stack not popped")
-	}
-	var empty ContextTracker
-	if _, ok := empty.InnermostLoop(); ok {
-		t.Fatal("empty tracker reported a loop")
+func (g *addrGrabber) TraceBatch(names []string, events []Event) {
+	for _, e := range events {
+		if e.Kind == EvStore && names[e.Name] == g.want {
+			*g.addrs = append(*g.addrs, Addr(e.A))
+		}
 	}
 }
 
 func TestTeeFansOut(t *testing.T) {
 	a, b := &countingTracer{}, &countingTracer{}
-	tee := Tee(a, b)
-	tee.Store(1, Ref{Name: "x"}, 1)
-	tee.Load(1, Ref{Name: "x"}, 2)
-	tee.LoopEnter("L", 1)
-	tee.LoopIter("L", 0)
-	tee.LoopExit("L")
-	tee.CallEnter("f", 0)
-	tee.CallExit("f")
-	tee.Count(5, 1)
+	Tee(a, b).TraceBatch([]string{"x", "L", "f"}, []Event{
+		{Kind: EvStore, A: 1, Name: 0, Line: 1},
+		{Kind: EvLoad, A: 1, Name: 0, Line: 2},
+		{Kind: EvLoopEnter, Name: 1, Line: 1},
+		{Kind: EvLoopIter, Name: 1},
+		{Kind: EvLoopExit, Name: 1},
+		{Kind: EvCallEnter, Name: 2},
+		{Kind: EvCallExit, Name: 2},
+		{Kind: EvCount, A: 5, Line: 1},
+	})
 	for i, c := range []*countingTracer{a, b} {
 		if c.stores != 1 || c.loads != 1 || c.enters != 1 || c.exits != 1 || c.iters != 1 || c.counts != 5 || len(c.calls) != 1 {
 			t.Errorf("tracer %d missed events: %+v", i, c)

@@ -73,7 +73,7 @@ func TestSnapshotMaxStepsComparable(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, engine string) {
 		const limit = 5_000
 		a := runWith(t, Options{Engine: engine, MaxSteps: limit})
-		b := runWith(t, Options{Engine: engine, MaxSteps: limit, Tracer: NopTracer{}})
+		b := runWith(t, Options{Engine: engine, MaxSteps: limit, Tracer: &countingTracer{}})
 
 		for _, st := range []*State{a, b} {
 			if st.Completed || !st.StepLimited || st.DeadlineExceeded {

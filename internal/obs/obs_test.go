@@ -101,19 +101,23 @@ func TestCountersAndDecisions(t *testing.T) {
 
 func TestEventTracerCountsAndSamples(t *testing.T) {
 	et := NewEventTracer(4)
+	var evs []interp.Event
 	for i := 0; i < 10; i++ {
-		et.Load(interp.Addr(i), interp.Ref{}, 7)
+		evs = append(evs, interp.Event{Kind: interp.EvLoad, A: uint64(i), Line: 7})
 	}
 	for i := 0; i < 6; i++ {
-		et.Store(interp.Addr(i), interp.Ref{}, 9)
+		evs = append(evs, interp.Event{Kind: interp.EvStore, A: uint64(i), Line: 9})
 	}
-	et.LoopEnter("L1", 1)
-	et.LoopIter("L1", 0)
-	et.LoopIter("L1", 1)
-	et.LoopExit("L1")
-	et.CallEnter("f", 3)
-	et.CallExit("f")
-	et.Count(42, 7)
+	evs = append(evs,
+		interp.Event{Kind: interp.EvLoopEnter, Name: 1, Line: 1},
+		interp.Event{Kind: interp.EvLoopIter, Name: 1, A: 0},
+		interp.Event{Kind: interp.EvLoopIter, Name: 1, A: 1},
+		interp.Event{Kind: interp.EvLoopExit, Name: 1},
+		interp.Event{Kind: interp.EvCallEnter, Name: 2, Line: 3},
+		interp.Event{Kind: interp.EvCallExit, Name: 2},
+		interp.Event{Kind: interp.EvCount, A: 42, Line: 7},
+	)
+	et.TraceBatch([]string{"", "L1", "f"}, evs)
 
 	o := New("prog")
 	et.FlushTo(o)

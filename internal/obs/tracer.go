@@ -43,35 +43,28 @@ func (t *EventTracer) sampleMem(line int) {
 	}
 }
 
-// Load implements interp.Tracer.
-func (t *EventTracer) Load(addr interp.Addr, ref interp.Ref, line int) {
-	t.loads++
-	t.sampleMem(line)
+// TraceBatch implements interp.Tracer.
+func (t *EventTracer) TraceBatch(_ []string, events []interp.Event) {
+	for i := range events {
+		e := &events[i]
+		switch e.Kind {
+		case interp.EvLoad:
+			t.loads++
+			t.sampleMem(int(e.Line))
+		case interp.EvStore:
+			t.stores++
+			t.sampleMem(int(e.Line))
+		case interp.EvLoopEnter:
+			t.loopEnters++
+		case interp.EvLoopIter:
+			t.loopIters++
+		case interp.EvCallEnter:
+			t.calls++
+		case interp.EvCount:
+			t.ops += int64(e.A)
+		}
+	}
 }
-
-// Store implements interp.Tracer.
-func (t *EventTracer) Store(addr interp.Addr, ref interp.Ref, line int) {
-	t.stores++
-	t.sampleMem(line)
-}
-
-// LoopEnter implements interp.Tracer.
-func (t *EventTracer) LoopEnter(loopID string, line int) { t.loopEnters++ }
-
-// LoopIter implements interp.Tracer.
-func (t *EventTracer) LoopIter(loopID string, iter int64) { t.loopIters++ }
-
-// LoopExit implements interp.Tracer.
-func (t *EventTracer) LoopExit(loopID string) {}
-
-// CallEnter implements interp.Tracer.
-func (t *EventTracer) CallEnter(fn string, line int) { t.calls++ }
-
-// CallExit implements interp.Tracer.
-func (t *EventTracer) CallExit(fn string) {}
-
-// Count implements interp.Tracer.
-func (t *EventTracer) Count(n int64, line int) { t.ops += n }
 
 // FlushTo folds the accumulated totals into the observer's counters (under
 // the events.* namespace) and the sampled histogram into its line samples.

@@ -197,12 +197,11 @@ func (t *Tree) String() string {
 // Builder constructs a PET from the event stream; attach it as (part of) an
 // interp.Machine tracer, run, then call Finish.
 type Builder struct {
-	interp.NopTracer
 	root  *Node
 	stack []*Node
 }
 
-var _ interp.BatchTracer = (*Builder)(nil)
+var _ interp.Tracer = (*Builder)(nil)
 
 // NewBuilder returns an empty PET builder.
 func NewBuilder() *Builder {
@@ -224,9 +223,9 @@ func (b *Builder) enterChild(kind Kind, name string, line int) *Node {
 	return c
 }
 
-// CallEnter implements interp.Tracer. A call to a function already live on
-// the region stack merges into that ancestor node (recursion folding).
-func (b *Builder) CallEnter(fn string, line int) {
+// callEnter enters fn's region. A call to a function already live on the
+// region stack merges into that ancestor node (recursion folding).
+func (b *Builder) callEnter(fn string, line int) {
 	for i := len(b.stack) - 1; i >= 0; i-- {
 		n := b.stack[i]
 		if n.Kind == Func && n.Name == fn {
@@ -239,36 +238,15 @@ func (b *Builder) CallEnter(fn string, line int) {
 	b.enterChild(Func, fn, line)
 }
 
-// CallExit implements interp.Tracer.
-func (b *Builder) CallExit(string) { b.pop() }
-
-// LoopEnter implements interp.Tracer.
-func (b *Builder) LoopEnter(loopID string, line int) { b.enterChild(Loop, loopID, line) }
-
-// LoopIter implements interp.Tracer.
-func (b *Builder) LoopIter(loopID string, iter int64) {
-	if t := b.top(); t.Kind == Loop && t.Name == loopID {
-		t.Iterations++
-	}
-}
-
-// LoopExit implements interp.Tracer.
-func (b *Builder) LoopExit(string) { b.pop() }
-
-// Count implements interp.Tracer: operations are attributed to the innermost
-// live region.
-func (b *Builder) Count(n int64, line int) { b.top().Self += n }
-
 func (b *Builder) pop() {
 	if len(b.stack) > 1 {
 		b.stack = b.stack[:len(b.stack)-1]
 	}
 }
 
-// TraceBatch implements interp.BatchTracer. The tree's shape comes from the
+// TraceBatch implements interp.Tracer. The tree's shape comes from the
 // control events only; loads and stores — the overwhelming bulk of a batch —
-// are skipped here without the per-event interface call ReplayBatch would
-// make.
+// are skipped.
 func (b *Builder) TraceBatch(names []string, events []interp.Event) {
 	for i := range events {
 		if k := events[i].Kind; k != interp.EvLoad && k != interp.EvStore {
@@ -277,10 +255,12 @@ func (b *Builder) TraceBatch(names []string, events []interp.Event) {
 	}
 }
 
-// Event applies one batched event to the tree; names is the batch's name
-// table. It is the per-event handler of TraceBatch, exported so a consumer
-// already walking a batch (trace.Collector.FeedPET) can build the PET in the
-// same pass. Loads and stores do not shape the tree and are ignored.
+// Event applies one event to the tree; names is the batch's name table. It
+// is the per-event handler of TraceBatch, exported so a consumer already
+// walking a batch (trace.Collector.FeedPET) can build the PET in the same
+// pass. Loads and stores do not shape the tree and are ignored. Operation
+// counts are attributed to the innermost live region, and an iteration
+// counts only when its loop is that region.
 func (b *Builder) Event(names []string, e *interp.Event) {
 	switch e.Kind {
 	case interp.EvCount:
@@ -294,7 +274,7 @@ func (b *Builder) Event(names []string, e *interp.Event) {
 	case interp.EvLoopExit:
 		b.pop()
 	case interp.EvCallEnter:
-		b.CallEnter(names[e.Name], int(e.Line))
+		b.callEnter(names[e.Name], int(e.Line))
 	case interp.EvCallExit:
 		b.pop()
 	}

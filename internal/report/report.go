@@ -31,28 +31,19 @@ type AppRun struct {
 }
 
 // RunApp analyses one benchmark and simulates its parallel schedule.
-func RunApp(name string) (*AppRun, error) { return RunAppObserved(name, nil) }
+func RunApp(name string) (*AppRun, error) { return RunAppEngine(name, nil, 0, "") }
 
-// RunAppObserved is RunApp with pipeline telemetry: when o is non-nil it
-// receives the analysis phase spans, counters and decision log, plus a
-// sched.sweep span covering the speedup simulation.
-func RunAppObserved(name string, o *obs.Observer) (*AppRun, error) {
-	return RunAppTimeout(name, o, 0)
-}
-
-// RunAppTimeout is RunAppObserved with a per-run wall-clock deadline on the
+// RunAppEngine is RunApp with pipeline telemetry, a deadline and an explicit
+// interpreter engine. When o is non-nil it receives the analysis phase
+// spans, counters and decision log, plus a sched.sweep span covering the
+// speedup simulation. timeout is a per-run wall-clock deadline on the
 // analysis (core.Options.Timeout); 0 means no deadline. Batch drivers
 // (internal/farm) use the deadline so one wedged analysis cannot stall a
-// whole batch.
-func RunAppTimeout(name string, o *obs.Observer, timeout time.Duration) (*AppRun, error) {
-	return RunAppEngine(name, o, timeout, "")
-}
-
-// RunAppEngine is RunAppTimeout with an explicit interpreter engine for the
-// profiled executions ("" or interp.EngineBytecode for the compiled engine,
-// the default, with interp.EngineRegVM as its alias; interp.EngineTree for
-// the reference tree walker). Both engines produce identical profiles and
-// results; see core.Options.Engine.
+// whole batch. engine selects the interpreter for the profiled executions
+// ("" or interp.EngineBytecode for the compiled engine, the default, with
+// interp.EngineRegVM as its alias; interp.EngineTree for the reference tree
+// walker). Both engines produce identical profiles and results; see
+// core.Options.Engine.
 func RunAppEngine(name string, o *obs.Observer, timeout time.Duration, engine string) (*AppRun, error) {
 	app := apps.Get(name)
 	if app == nil {

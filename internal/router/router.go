@@ -501,7 +501,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rt.clientError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	lines := splitLines(body)
+	lines := server.SplitBatchLines(body)
 	if len(lines) == 0 {
 		rt.obs.Add("router.bad_requests", 1)
 		rt.clientError(w, http.StatusBadRequest, "empty batch: send one wire-IR program per line")
@@ -672,22 +672,6 @@ func (rt *Router) forwardSubBatch(r *http.Request, b *backend, group []*bline, o
 		rt.obs.Add("router.retries", 1)
 	}
 	return failed
-}
-
-// splitLines splits an NDJSON body into non-empty trimmed lines, the same
-// way the backend's batch handler does.
-func splitLines(body []byte) [][]byte {
-	var out [][]byte
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		out = append(out, append([]byte(nil), line...))
-	}
-	return out
 }
 
 // mergeWriter serialises the re-merged NDJSON stream: one line per result,

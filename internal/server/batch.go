@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -85,7 +83,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	lines := splitBatchLines(body)
+	lines := SplitBatchLines(body)
 	if len(lines) == 0 {
 		s.clientError(w, http.StatusBadRequest, "empty batch: send one wire-IR program per line")
 		return
@@ -199,21 +197,6 @@ func batchErrOutcome(err error) string {
 	default:
 		return "error"
 	}
-}
-
-// splitBatchLines splits the body into non-empty trimmed lines.
-func splitBatchLines(body []byte) [][]byte {
-	var out [][]byte
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		out = append(out, append([]byte(nil), line...))
-	}
-	return out
 }
 
 // batchWriter serialises streamed NDJSON lines: one encoder, one flush per

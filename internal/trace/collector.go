@@ -1,28 +1,12 @@
 package trace
 
 import (
-	"math"
 	"math/bits"
 	"sort"
 
 	"pardetect/internal/interp"
 	"pardetect/internal/pet"
 )
-
-// toLine32 narrows a source line to the int32 every internal line table
-// (shadow entries, dependence keys, call frames, operation counts) is keyed
-// on. It is the single int→int32 conversion point for trace: mini-IR lines
-// are small positive ints, but a corrupt or adversarial line must saturate
-// deterministically rather than silently alias a valid one.
-func toLine32(line int) int32 {
-	if line > math.MaxInt32 {
-		return math.MaxInt32
-	}
-	if line < math.MinInt32 {
-		return math.MinInt32
-	}
-	return int32(line)
-}
 
 // Collector is the phase-1 profiler. Attach it as the tracer of an
 // interp.Machine, run the program, then call Finish to obtain the Profile.
@@ -84,10 +68,9 @@ type Collector struct {
 	lineOps   []int64
 	lineOpsOv map[int32]int64
 	funcCalls map[string]int64
-	// batchLoop/batchSym memoize the translation from a batching engine's
-	// name table (interp.Event.Name) to this collector's interners. The
-	// engine's table is append-only across a run, so the memo extends
-	// monotonically and is valid for every later batch.
+	// batchLoop/batchSym memoize the translation from the engine's name
+	// table (interp.Event.Name) to this collector's interners. The table is
+	// fixed for a run, so the memo is valid for every later batch.
 	batchLoop []uint32
 	batchSym  []uint32
 	// callFrames tracks live calls for cost absorption: when a callee
@@ -357,23 +340,15 @@ func NewCollector() *Collector {
 
 // FeedPET makes the collector hand every control event it walks (loop,
 // call and operation-count events) to b, so one pass over the event stream
-// builds both the dependence profile and the PET: batches reach
-// pet.Builder.Event from the collector's own walk, and per-event calls are
-// forwarded. Call it before the run; b is finished by its owner.
+// builds both the dependence profile and the PET: each event reaches
+// pet.Builder.Event from the collector's own walk. Call it before the run;
+// b is finished by its owner.
 func (c *Collector) FeedPET(b *pet.Builder) { c.pet = b }
 
 // ShadowPages reports how many shadow pages the run materialized (the
 // obs counter shadow.pages).
 func (c *Collector) ShadowPages() int64 {
 	return c.lastWrite.pages + c.lastRead.pages
-}
-
-// LoopEnter implements interp.Tracer.
-func (c *Collector) LoopEnter(loopID string, line int) {
-	c.loopEnter(c.in.idx(loopID))
-	if c.pet != nil {
-		c.pet.LoopEnter(loopID, line)
-	}
 }
 
 func (c *Collector) loopEnter(id uint32) {
@@ -385,20 +360,12 @@ func (c *Collector) loopEnter(id uint32) {
 	c.trips[id].Activations++
 }
 
-// LoopIter implements interp.Tracer. The event is validated against the live
-// stack: if the top frame is not loopID (inner loops were abandoned without
-// exit events, e.g. a step-limit abort mid-loop), the stack unwinds to the
-// innermost matching frame first; an iteration event for a loop that is not
-// live at all is dropped. Blindly mutating the top frame would attribute the
-// iteration advance to the wrong loop and corrupt carried/cross-loop
-// classification.
-func (c *Collector) LoopIter(loopID string, iter int64) {
-	c.loopIter(c.in.idx(loopID), iter)
-	if c.pet != nil {
-		c.pet.LoopIter(loopID, iter)
-	}
-}
-
+// loopIter validates the event against the live stack: if the top frame is
+// not loop id (inner loops were abandoned without exit events, e.g. a
+// step-limit abort mid-loop), the stack unwinds to the innermost matching
+// frame first; an iteration event for a loop that is not live at all is
+// dropped. Blindly mutating the top frame would attribute the iteration
+// advance to the wrong loop and corrupt carried/cross-loop classification.
 func (c *Collector) loopIter(id uint32, iter int64) {
 	i := unwindTo(c.loops, id)
 	if i < 0 {
@@ -409,16 +376,9 @@ func (c *Collector) loopIter(id uint32, iter int64) {
 	c.trips[id].Iterations++
 }
 
-// LoopExit implements interp.Tracer. Like LoopIter, the exit unwinds to (and
-// pops) the innermost frame matching loopID; an exit for a loop that is not
-// live is dropped rather than popping an unrelated frame.
-func (c *Collector) LoopExit(loopID string) {
-	c.loopExit(c.in.idx(loopID))
-	if c.pet != nil {
-		c.pet.LoopExit(loopID)
-	}
-}
-
+// loopExit, like loopIter, unwinds to (and pops) the innermost frame
+// matching loop id; an exit for a loop that is not live is dropped rather
+// than popping an unrelated frame.
 func (c *Collector) loopExit(id uint32) {
 	if i := unwindTo(c.loops, id); i >= 0 {
 		c.loops = c.loops[:i]
@@ -434,14 +394,6 @@ func unwindTo(loops []liveLoop, id uint32) int {
 		}
 	}
 	return -1
-}
-
-// CallEnter implements interp.Tracer.
-func (c *Collector) CallEnter(fn string, line int) {
-	c.callEnter(fn, toLine32(line))
-	if c.pet != nil {
-		c.pet.CallEnter(fn, line)
-	}
 }
 
 func (c *Collector) callEnter(fn string, line int32) {
@@ -488,14 +440,9 @@ func (c *Collector) compactCalls() {
 	c.callLimit = 2*len(c.calls) + minCallLimit
 }
 
-// CallExit implements interp.Tracer.
-func (c *Collector) CallExit(fn string) {
-	c.callExit()
-	if c.pet != nil {
-		c.pet.CallExit(fn)
-	}
-}
-
+// callExit pops the live call. Its accumulated cost is charged to the call
+// site unless the callee is recursive (see callFrames); an exit with no live
+// call is dropped.
 func (c *Collector) callExit() {
 	n := len(c.callFrames)
 	if n == 0 {
@@ -518,14 +465,6 @@ func (c *Collector) callExit() {
 		c.callFrames[n-1].total += top.total
 	}
 	c.curCall = c.calls[c.curCall].parent
-}
-
-// Count implements interp.Tracer.
-func (c *Collector) Count(n int64, line int) {
-	c.count(n, toLine32(line))
-	if c.pet != nil {
-		c.pet.Count(n, line)
-	}
 }
 
 func (c *Collector) count(n int64, line int32) {
@@ -553,13 +492,8 @@ func (c *Collector) addLine(line int32, n int64) {
 	c.lineOpsOv[line] += n
 }
 
-// Load implements interp.Tracer: it records a RAW dependence against the
-// last write of addr, classifies it as loop-carried and/or cross-loop, and
-// updates the read shadow.
-func (c *Collector) Load(addr interp.Addr, ref interp.Ref, line int) {
-	c.load(addr, c.syms.idx(ref.Name), ref.Array, toLine32(line))
-}
-
+// load records a RAW dependence against the last write of addr, classifies
+// it as loop-carried and/or cross-loop, and updates the read shadow.
 func (c *Collector) load(addr interp.Addr, name uint32, array bool, line int32) {
 	if w := c.lastWrite.get(addr); w != nil {
 		// The read side compares against the live stack directly (truncated
@@ -609,12 +543,7 @@ func (c *Collector) load(addr interp.Addr, name uint32, array bool, line int32) 
 	*c.lastRead.put(addr) = readInfo{line: line, array: array, name: name}
 }
 
-// Store implements interp.Tracer: it records WAR/WAW dependences and updates
-// the write shadow.
-func (c *Collector) Store(addr interp.Addr, ref interp.Ref, line int) {
-	c.store(addr, c.syms.idx(ref.Name), ref.Array, toLine32(line))
-}
-
+// store records WAR/WAW dependences and updates the write shadow.
 func (c *Collector) store(addr interp.Addr, name uint32, array bool, line int32) {
 	if r := c.lastRead.get(addr); r != nil {
 		c.dep(newDepKey(WAR, r.line, line, name, array, false))
@@ -631,10 +560,9 @@ func (c *Collector) store(addr interp.Addr, name uint32, array bool, line int32)
 	}
 }
 
-// TraceBatch implements interp.BatchTracer: the compiled engine hands whole
-// event runs over at once, and symbol/loop interning happens once per name
-// per run (via the memo) instead of once per event. Control events also go
-// to the PET builder set by FeedPET.
+// TraceBatch implements interp.Tracer. Symbol and loop interning happens
+// once per name per run (via the memo) instead of once per event. Control
+// events also go to the PET builder set by FeedPET.
 func (c *Collector) TraceBatch(names []string, events []interp.Event) {
 	for i := len(c.batchLoop); i < len(names); i++ {
 		c.batchLoop = append(c.batchLoop, c.in.idx(names[i]))

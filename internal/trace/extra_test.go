@@ -167,9 +167,10 @@ func TestRecordAllReadsAblation(t *testing.T) {
 
 func TestCollectorLoopIterWithoutEnter(t *testing.T) {
 	c := NewCollector()
-	c.LoopIter("ghost", 0) // must not panic
-	c.LoopExit("ghost")    // must not panic
-	c.CallExit("ghost")    // must not panic on empty frame stack
+	f := feed(c)
+	f.LoopIter("ghost", 0) // must not panic
+	f.LoopExit("ghost")    // must not panic
+	f.CallExit("ghost")    // must not panic on empty frame stack
 	_ = c.Finish("empty")
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"pardetect/internal/interp"
@@ -16,36 +17,37 @@ import (
 
 func TestCollectorUnbalancedLoopEvents(t *testing.T) {
 	c := NewCollector()
+	f := feed(c)
 	ref := interp.Ref{Name: "x"}
 	const addr = interp.Addr(100)
 
-	c.LoopEnter("outer", 1)
-	c.LoopIter("outer", 0)
-	c.LoopEnter("inner", 2)
-	c.LoopIter("inner", 0)
-	c.Store(addr, ref, 3)
+	f.LoopEnter("outer", 1)
+	f.LoopIter("outer", 0)
+	f.LoopEnter("inner", 2)
+	f.LoopIter("inner", 0)
+	f.Store(addr, ref, 3)
 
 	// The inner loop is abandoned without a LoopExit: the next outer
 	// iteration event must unwind to the outer frame, not mutate the stale
 	// inner frame at the top of the stack.
-	c.LoopIter("outer", 1)
+	f.LoopIter("outer", 1)
 	if len(c.loops) != 1 || c.in.name(c.loops[0].id) != "outer" || c.loops[0].iter != 1 {
 		t.Fatalf("live stack after unbalanced iter = %+v, want [outer iter=1]", c.loops)
 	}
-	c.Load(addr, ref, 4)
+	f.Load(addr, ref, 4)
 
 	// An exit event for a loop that is no longer live must be dropped, not
 	// pop an unrelated frame.
-	c.LoopExit("inner")
+	f.LoopExit("inner")
 	if len(c.loops) != 1 {
 		t.Fatalf("exit of dead inner loop changed the stack: %+v", c.loops)
 	}
 	// An iteration event for a dead loop must be dropped too.
-	c.LoopIter("ghost", 7)
+	f.LoopIter("ghost", 7)
 	if len(c.loops) != 1 || c.loops[0].iter != 1 {
 		t.Fatalf("iter of unknown loop changed the stack: %+v", c.loops)
 	}
-	c.LoopExit("outer")
+	f.LoopExit("outer")
 	if len(c.loops) != 0 {
 		t.Fatalf("stack not empty after final exit: %+v", c.loops)
 	}
@@ -64,30 +66,31 @@ func TestCollectorUnbalancedLoopEvents(t *testing.T) {
 
 func TestPairProfilerUnbalancedLoopEvents(t *testing.T) {
 	p := NewPairProfiler([]PairKey{{Writer: "w", Reader: "r"}}, 0)
-	p.LoopEnter("w", 1)
+	f := feed(p)
+	f.LoopEnter("w", 1)
 	if p.liveWriters != 1 {
 		t.Fatalf("liveWriters = %d after entering writer loop, want 1", p.liveWriters)
 	}
-	p.LoopEnter("inner", 2)
+	f.LoopEnter("inner", 2)
 
 	// An iteration event for the writer loop with the inner frame abandoned
 	// must unwind to the writer frame and keep the live-writer count intact.
-	p.LoopIter("w", 1)
+	f.LoopIter("w", 1)
 	if len(p.loops) != 1 || p.liveWriters != 1 {
 		t.Fatalf("after unbalanced iter: %d frames, liveWriters = %d, want 1/1", len(p.loops), p.liveWriters)
 	}
 
-	p.LoopEnter("inner", 2)
+	f.LoopEnter("inner", 2)
 	// Exiting the writer loop with the inner frame still on the stack must
 	// pop both frames and keep liveWriters in step — a stale positive count
 	// would force slow-path snapshots forever after.
-	p.LoopExit("w")
+	f.LoopExit("w")
 	if len(p.loops) != 0 || p.liveWriters != 0 {
 		t.Fatalf("after unbalanced exit: %d frames, liveWriters = %d, want 0/0", len(p.loops), p.liveWriters)
 	}
 	// Events for dead loops are dropped.
-	p.LoopExit("inner")
-	p.LoopIter("w", 5)
+	f.LoopExit("inner")
+	f.LoopIter("w", 5)
 	if len(p.loops) != 0 || p.liveWriters != 0 {
 		t.Fatalf("dead-loop events changed state: %d frames, liveWriters = %d", len(p.loops), p.liveWriters)
 	}
@@ -96,6 +99,7 @@ func TestPairProfilerUnbalancedLoopEvents(t *testing.T) {
 func TestPairStoreFastPathVersionOnly(t *testing.T) {
 	key := PairKey{Writer: "w", Reader: "r"}
 	p := NewPairProfiler([]PairKey{key}, 0)
+	f := feed(p)
 	ref := interp.Ref{Name: "m", Array: true}
 	const addr = interp.Addr(7)
 
@@ -104,32 +108,32 @@ func TestPairStoreFastPathVersionOnly(t *testing.T) {
 	// stored to, it leaves no shadow entry at all — absent and version-only
 	// entries are indistinguishable to load, and not materializing the
 	// entry keeps non-candidate code regions from allocating pages.
-	p.LoopEnter("other", 1)
-	p.LoopIter("other", 0)
-	p.Store(addr, ref, 2)
+	f.LoopEnter("other", 1)
+	f.LoopIter("other", 0)
+	f.Store(addr, ref, 2)
 	if w := p.lastWrite.get(addr); w != nil {
 		t.Fatalf("fast-path store materialized shadow entry %+v, want none", w)
 	}
-	p.LoopExit("other")
+	f.LoopExit("other")
 
 	// A candidate write followed by a non-candidate store of the same
 	// address must invalidate in place: the entry loses its stack (so no
 	// pair can match) but keeps a fresh version.
-	p.LoopEnter("w", 3)
-	p.LoopIter("w", 0)
-	p.Store(addr, ref, 4)
-	p.LoopExit("w")
-	p.Store(addr, ref, 5)
+	f.LoopEnter("w", 3)
+	f.LoopIter("w", 0)
+	f.Store(addr, ref, 4)
+	f.LoopExit("w")
+	f.Store(addr, ref, 5)
 	if w := p.lastWrite.get(addr); w == nil || w.stack.n != 0 || w.version == 0 {
 		t.Fatalf("invalidating store left entry %+v, want version-only with empty stack", w)
 	}
 
 	// The invalidated entry records nothing: a read in the reader loop
 	// finds no writer frame in the empty stack.
-	p.LoopEnter("r", 6)
-	p.LoopIter("r", 0)
-	p.Load(addr, ref, 7)
-	p.LoopExit("r")
+	f.LoopEnter("r", 6)
+	f.LoopIter("r", 0)
+	f.Load(addr, ref, 7)
+	f.LoopExit("r")
 	if pts := p.Finish(); len(pts.Points[key]) != 0 {
 		t.Fatalf("recorded %d points from an invalidated write", len(pts.Points[key]))
 	}
@@ -180,23 +184,56 @@ func TestSnapshotTruncationCounted(t *testing.T) {
 
 func mustProg(p *ir.Program, _ string) *ir.Program { return p }
 
+// feeder drives a consumer event by event: each call reaches the consumer's
+// TraceBatch as a one-event batch. The name table only grows, a new name
+// taking the next index, so the consumers' per-index name memos stay valid.
+type feeder struct {
+	tr    interp.Tracer
+	names []string
+}
+
+func feed(tr interp.Tracer) *feeder { return &feeder{tr: tr} }
+
+func (f *feeder) emit(kind interp.EventKind, name string, a uint64, array bool, line int) {
+	i := slices.Index(f.names, name)
+	if i < 0 {
+		i = len(f.names)
+		f.names = append(f.names, name)
+	}
+	f.tr.TraceBatch(f.names, []interp.Event{{Kind: kind, A: a, Name: uint32(i), Array: array, Line: int32(line)}})
+}
+
+func (f *feeder) Load(addr interp.Addr, ref interp.Ref, line int) {
+	f.emit(interp.EvLoad, ref.Name, uint64(addr), ref.Array, line)
+}
+func (f *feeder) Store(addr interp.Addr, ref interp.Ref, line int) {
+	f.emit(interp.EvStore, ref.Name, uint64(addr), ref.Array, line)
+}
+func (f *feeder) LoopEnter(id string, line int) { f.emit(interp.EvLoopEnter, id, 0, false, line) }
+func (f *feeder) LoopIter(id string, iter int64) {
+	f.emit(interp.EvLoopIter, id, uint64(iter), false, 0)
+}
+func (f *feeder) LoopExit(id string) { f.emit(interp.EvLoopExit, id, 0, false, 0) }
+func (f *feeder) CallExit(fn string) { f.emit(interp.EvCallExit, fn, 0, false, 0) }
+
 func TestPairSnapshotTruncationCounted(t *testing.T) {
 	key := PairKey{Writer: "L0", Reader: "R"}
 	p := NewPairProfiler([]PairKey{key}, 0)
+	f := feed(p)
 	ref := interp.Ref{Name: "m", Array: true}
 	for i := 0; i <= maxSnapDepth; i++ { // 7 live frames, writer outermost
 		id := fmt.Sprintf("L%d", i)
-		p.LoopEnter(id, i)
-		p.LoopIter(id, 0)
+		f.LoopEnter(id, i)
+		f.LoopIter(id, 0)
 	}
-	p.Store(1, ref, 10)
+	f.Store(1, ref, 10)
 	for i := maxSnapDepth; i >= 0; i-- {
-		p.LoopExit(fmt.Sprintf("L%d", i))
+		f.LoopExit(fmt.Sprintf("L%d", i))
 	}
-	p.LoopEnter("R", 20)
-	p.LoopIter("R", 0)
-	p.Load(1, ref, 21)
-	p.LoopExit("R")
+	f.LoopEnter("R", 20)
+	f.LoopIter("R", 0)
+	f.Load(1, ref, 21)
+	f.LoopExit("R")
 
 	pts := p.Finish()
 	if pts.SnapshotTruncated != 1 {

@@ -19,14 +19,12 @@ import "pardetect/internal/interp"
 // stack once per matching reader frame and looks each frame up in that
 // reader's row.
 type PairProfiler struct {
-	interp.NopTracer
-
 	loops   []liveLoop
 	nextAct uint32
 	in      *interner
 	// liveWriters counts live loop frames that are candidate writer loops.
-	// While zero, Store skips the loop-stack snapshot entirely and records a
-	// version-only invalidation entry (see Store).
+	// While zero, store skips the loop-stack snapshot entirely and records a
+	// version-only invalidation entry (see store).
 	liveWriters int
 	// snapTrunc counts snapshots truncated at maxSnapDepth.
 	snapTrunc int64
@@ -51,8 +49,8 @@ type PairProfiler struct {
 	version uint64
 
 	// batchLoop memoizes engine name-table indices to interned loop IDs for
-	// TraceBatch (symbol names are irrelevant here: Load/Store only use the
-	// address).
+	// TraceBatch (symbol names are irrelevant here: load and store only use
+	// the address).
 	batchLoop []uint32
 
 	// Read-side cache. The live loop stack only changes on loop events, so
@@ -165,11 +163,6 @@ func (p *PairProfiler) hasRole(id uint32, role uint8) bool {
 	return int(id) < p.nloops && p.role[id]&role != 0
 }
 
-// LoopEnter implements interp.Tracer.
-func (p *PairProfiler) LoopEnter(loopID string, line int) {
-	p.loopEnter(p.in.idx(loopID))
-}
-
 func (p *PairProfiler) loopEnter(id uint32) {
 	p.nextAct++
 	p.loops = append(p.loops, liveLoop{id: id, act: p.nextAct, iter: -1})
@@ -182,14 +175,9 @@ func (p *PairProfiler) loopEnter(id uint32) {
 	p.curDirty = true
 }
 
-// LoopIter implements interp.Tracer. Like the Collector, the event is
-// validated against the live stack: mismatched inner frames (abandoned
-// without exit events) are unwound first, and an iteration event for a loop
-// that is not live is dropped.
-func (p *PairProfiler) LoopIter(loopID string, iter int64) {
-	p.loopIter(p.in.idx(loopID), iter)
-}
-
+// loopIter, like the Collector's, validates the event against the live
+// stack: mismatched inner frames (abandoned without exit events) are unwound
+// first, and an iteration event for a loop that is not live is dropped.
 func (p *PairProfiler) loopIter(id uint32, iter int64) {
 	i := unwindTo(p.loops, id)
 	if i < 0 {
@@ -200,13 +188,8 @@ func (p *PairProfiler) loopIter(id uint32, iter int64) {
 	p.curDirty = true
 }
 
-// LoopExit implements interp.Tracer. The exit unwinds to (and pops) the
-// innermost frame matching loopID; an exit for a loop that is not live is
-// dropped.
-func (p *PairProfiler) LoopExit(loopID string) {
-	p.loopExit(p.in.idx(loopID))
-}
-
+// loopExit unwinds to (and pops) the innermost frame matching loop id; an
+// exit for a loop that is not live is dropped.
 func (p *PairProfiler) loopExit(id uint32) {
 	if i := unwindTo(p.loops, id); i >= 0 {
 		p.popTo(i)
@@ -228,17 +211,13 @@ func (p *PairProfiler) popTo(n int) {
 	p.curDirty = true
 }
 
-// Store implements interp.Tracer. Only stores made while some candidate
+// store records a write of addr. Only stores made while some candidate
 // writer loop is live need shadow entries; others are recorded too because a
 // later write by a non-candidate site must invalidate the address ("last
 // write" semantics). For those invalidation-only stores the loop-stack
 // snapshot is skipped — the entry carries just the new write version with an
 // empty stack, which no candidate pair can match — keeping the hot path of
 // non-candidate code regions cheap.
-func (p *PairProfiler) Store(addr interp.Addr, ref interp.Ref, line int) {
-	p.store(addr)
-}
-
 func (p *PairProfiler) store(addr interp.Addr) {
 	p.version++
 	// Fill the entry in place: a pairWrite is dominated by its stackVec and
@@ -263,12 +242,8 @@ func (p *PairProfiler) store(addr interp.Addr) {
 	}
 }
 
-// Load implements interp.Tracer: record (i_x, i_y) samples for all candidate
-// pairs matching this read.
-func (p *PairProfiler) Load(addr interp.Addr, ref interp.Ref, line int) {
-	p.load(addr)
-}
-
+// load records (i_x, i_y) samples for all candidate pairs matching this
+// read of addr.
 func (p *PairProfiler) load(addr interp.Addr) {
 	if p.liveReaders == 0 {
 		return // no candidate reader loop live: nothing can record
@@ -346,10 +321,9 @@ func (p *PairProfiler) firstRead(addr interp.Addr, w *pairWrite, ai int) bool {
 	return true
 }
 
-// TraceBatch implements interp.BatchTracer. Only the loop events need name
-// translation (memoized against the engine's append-only table); loads and
-// stores are address-only here. Call and count events are ignored, as in the
-// embedded NopTracer.
+// TraceBatch implements interp.Tracer. Only the loop events need name
+// translation (memoized against the run's fixed table); loads and stores are
+// address-only here. Call and count events are ignored.
 func (p *PairProfiler) TraceBatch(names []string, events []interp.Event) {
 	for i := len(p.batchLoop); i < len(names); i++ {
 		p.batchLoop = append(p.batchLoop, p.in.idx(names[i]))

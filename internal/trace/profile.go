@@ -340,6 +340,6 @@ type PairPoints struct {
 }
 
 var (
-	_ interp.BatchTracer = (*Collector)(nil)
-	_ interp.BatchTracer = (*PairProfiler)(nil)
+	_ interp.Tracer = (*Collector)(nil)
+	_ interp.Tracer = (*PairProfiler)(nil)
 )

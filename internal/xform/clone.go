@@ -2,20 +2,10 @@ package xform
 
 import "pardetect/internal/ir"
 
-// cloneProgram deep-copies a program so transformations never alias the
-// input's statement nodes. The copy machinery lives in package ir (ir.Clone
-// and friends) so other IR consumers — notably the fuzzer's metamorphic
-// transforms — share one definition of a faithful deep copy.
-func cloneProgram(p *ir.Program) *ir.Program { return ir.Clone(p) }
-
-func cloneStmts(stmts []ir.Stmt) []ir.Stmt { return ir.CloneStmts(stmts) }
-
-func cloneExpr(x ir.Expr) ir.Expr { return ir.CloneExpr(x) }
-
 // renameVarStmts clones stmts replacing reads and writes of variable from
 // with variable to.
 func renameVarStmts(stmts []ir.Stmt, from, to string) []ir.Stmt {
-	return substStmts(cloneStmts(stmts), from, ir.V(to), true)
+	return substStmts(ir.CloneStmts(stmts), from, ir.V(to), true)
 }
 
 // substVarStmts replaces reads of the variable with an expression (writes of
@@ -79,7 +69,7 @@ func substExpr(x ir.Expr, name string, repl ir.Expr) ir.Expr {
 	switch x := x.(type) {
 	case ir.Var:
 		if x.Name == name {
-			return cloneExpr(repl)
+			return ir.CloneExpr(repl)
 		}
 		return x
 	case *ir.Elem:

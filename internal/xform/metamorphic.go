@@ -42,7 +42,7 @@ func RenumberLines(p *ir.Program, base, gap int) (*ir.Program, error) {
 	if base < 1 || gap < 1 {
 		return nil, fmt.Errorf("xform: RenumberLines needs base ≥ 1 and gap ≥ 1, got %d/%d", base, gap)
 	}
-	out := cloneProgram(p)
+	out := ir.Clone(p)
 	var lines []int
 	for _, f := range out.Funcs {
 		lines = append(lines, f.Line)
@@ -96,7 +96,7 @@ func RenumberLines(p *ir.Program, base, gap int) (*ir.Program, error) {
 // the same machine state and the same dependences. Pairs are chosen greedily
 // left-to-right without overlap, so the transform is deterministic.
 func SwapIndependentStmts(p *ir.Program) (*ir.Program, int) {
-	out := cloneProgram(p)
+	out := ir.Clone(p)
 	swaps := 0
 	var visit func(stmts []ir.Stmt)
 	visit = func(stmts []ir.Stmt) {
@@ -213,7 +213,7 @@ func stmtSymbols(s ir.Stmt) (syms map[string]bool, ok bool) {
 //     unconditional (straight-line, same-block) definition — so by-value
 //     parameter passing cannot change any value the program computes.
 func OutlineLoopBody(p *ir.Program, loopID string) (*ir.Program, error) {
-	out := cloneProgram(p)
+	out := ir.Clone(p)
 	fn, loop := findCountedLoop(out, loopID)
 	if loop == nil {
 		return nil, fmt.Errorf("xform: loop %q is not a counted loop of the program", loopID)

@@ -29,7 +29,7 @@ import (
 // that placement. The returned program is a fresh deep copy; the input is
 // not modified.
 func FuseLoops(p *ir.Program, loopX, loopY string) (*ir.Program, error) {
-	out := cloneProgram(p)
+	out := ir.Clone(p)
 	for _, f := range out.Funcs {
 		var xi, yi = -1, -1
 		var xFor, yFor *ir.For
@@ -75,7 +75,7 @@ func FuseLoops(p *ir.Program, loopX, loopY string) (*ir.Program, error) {
 // a constant. The peeled statements receive fresh source lines (they are
 // textual duplicates).
 func PeelFirstIteration(p *ir.Program, loopID string) (*ir.Program, error) {
-	out := cloneProgram(p)
+	out := ir.Clone(p)
 	nextLine := ir.LOC(out) + 1
 	alloc := func() int {
 		l := nextLine
@@ -98,7 +98,7 @@ func PeelFirstIteration(p *ir.Program, loopID string) (*ir.Program, error) {
 			}
 			// First iteration: substitute the induction variable with the
 			// start value and relabel lines.
-			peeled := relineStmts(substVarStmts(cloneStmts(l.Body), l.Var, ir.C(start.V)), alloc)
+			peeled := relineStmts(substVarStmts(ir.CloneStmts(l.Body), l.Var, ir.C(start.V)), alloc)
 			l.Start = ir.C(start.V + step.V)
 			body := make([]ir.Stmt, 0, len(f.Body)+len(peeled))
 			body = append(body, f.Body[:i]...)

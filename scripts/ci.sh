@@ -13,9 +13,10 @@
 #     parallel schedulers, the telemetry observer, the analysis farm (its
 #     tests run all 19 app analyses concurrently), the fuzzer, the
 #     pardetectd service, the router, corpus mode, the profilers (their
-#     shadow pages are recycled across concurrent analyses), the interpreter
-#     (its bytecode engine hands event buffers to a consumer goroutine) and
-#     the analysis core that drives it;
+#     shadow pages are recycled across concurrent analyses), the PET
+#     builder (fed from that consumer goroutine), the interpreter (both
+#     engines hand event buffers to a consumer goroutine) and the analysis
+#     core that drives it;
 #   - a build-and-smoke run of the benchmark module (bench/, its own Go
 #     module, which the root `go test ./...` never compiles: every workload
 #     once, untraced and traced);
@@ -77,8 +78,8 @@ go test ./...
 echo "==> go test -shuffle=on -count=1 ./...  (order-independence)"
 go test -shuffle=on -count=1 ./...
 
-echo "==> go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/... ./internal/trace/... ./internal/interp/... ./internal/core/..."
-go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/... ./internal/trace/... ./internal/interp/... ./internal/core/...
+echo "==> go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/... ./internal/trace/... ./internal/pet/... ./internal/interp/... ./internal/core/..."
+go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/... ./internal/trace/... ./internal/pet/... ./internal/interp/... ./internal/core/...
 
 echo "==> benchmark module smoke (cd bench && go test ./...)"
 (cd bench && go test ./...)
