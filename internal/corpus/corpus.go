@@ -23,13 +23,17 @@
 //     next consumer — this driver or the serving tier — hits.
 //
 // Mini-IR programs are self-contained (no imports), so every program is an
-// independent unit of work; files carrying byte-different documents that
-// decode to the same fingerprint are deduplicated into one analysis before
-// fan-out. The analysis batch runs on the internal/farm worker pool with
-// bounded jobs, panic recovery and per-run deadlines, and — because every
-// outcome is decided either statically (skip/dedupe, before fan-out) or by
-// a pure function of the program (the analysis itself) — the report is
-// byte-identical at any -jobs value and under any execution engine.
+// independent unit of work. A pass is one run of the internal/farm worker
+// pool (bounded jobs, panic recovery, per-run deadlines) with one job per
+// file: the job reads, hashes and, when the bytes are new, decodes and
+// fingerprints its file, and the first job to claim a fingerprint analyses
+// that program, so files carrying byte-different documents that decode to
+// the same fingerprint share one analysis. Which file of a fingerprint runs
+// first depends on scheduling, but no outcome does: a fingerprint covers
+// the program's name and whole body, the analysis is a pure function of the
+// program, and once the farm returns the key's first file in path order is
+// named its owner, so the report is byte-identical at any -jobs value and
+// under any execution engine.
 //
 // A raw-bytes match is trusted as written: the file is not re-decoded,
 // re-validated or re-analysed by the binary reading the manifest. That is
@@ -49,11 +53,13 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"pardetect/internal/core"
 	"pardetect/internal/farm"
 	"pardetect/internal/interp"
+	"pardetect/internal/ir"
 	"pardetect/internal/obs"
 	"pardetect/internal/report"
 	"pardetect/internal/store"
@@ -82,7 +88,9 @@ type Options struct {
 	// twice the corpus size or the store default, whichever is larger, so a
 	// default-configured run never evicts its own working set mid-run.
 	StoreMax int
-	// Jobs is the analysis worker-pool size; values < 1 select GOMAXPROCS.
+	// Jobs is the worker-pool size of the whole pass: every file is read,
+	// hashed, decoded and analysed on one of Jobs workers. Values < 1 select
+	// GOMAXPROCS.
 	Jobs int
 	// Engine selects the interpreter engine for every analysis (see
 	// core.Options.Engine). Results are byte-identical across engines.
@@ -90,8 +98,9 @@ type Options struct {
 	// Timeout bounds each program's analysis (core.Options.Timeout);
 	// 0 means none.
 	Timeout time.Duration
-	// Observer, when non-nil, receives per-phase spans (scan, manifest,
-	// decode, plan, store.open, analyze, report) and the corpus.* counters.
+	// Observer, when non-nil, receives per-phase spans (scan, manifest.load,
+	// process with store.open inside it, report, manifest.save) and the
+	// corpus.* counters.
 	Observer *obs.Observer
 }
 
@@ -194,42 +203,38 @@ func (r *Report) Text() string {
 	return sb.String()
 }
 
-// fileState threads one file through the phases.
+// fileState is one file's part of a pass, written by its farm job and read
+// once the farm returns. It holds no raw bytes and no decoded program: both
+// die with the job, so a warm or million-file pass holds neither.
 type fileState struct {
-	path string
-	raw  string // hex SHA-256 of the file's bytes
-	prog programOrErr
+	path    string
+	raw     string // hex SHA-256 of the file's bytes
+	name    string // the program's name
+	key     string // the program's content fingerprint
+	err     error  // read or decode failure
+	decoded bool   // the bytes were new to the manifest and were decoded
+	skipped bool   // the manifest proved the program unchanged
+	u       *unit  // the file's analysis; nil when failed or skipped
 }
 
-// programOrErr is the decode outcome: name + content fingerprint + the raw
-// document, or the decode error. The decoded AST itself is not retained —
-// only unit owners re-decode in the analysis phase, so a million-file warm
-// run never holds a million ASTs.
-type programOrErr struct {
-	name string
-	key  string
-	err  error
-	data []byte // raw document; handed off to the unit in the plan phase
-}
-
-// unit is one deduplicated analysis work item: a distinct content
-// fingerprint that is neither skipped nor failed, owned by the
-// lexicographically first file that produced it.
+// unit is one deduplicated analysis: a distinct content fingerprint that is
+// neither skipped nor failed. The first job to claim the fingerprint runs
+// it; the report names the fingerprint's first file in path order its
+// owner, and every later file an in-run duplicate.
 type unit struct {
-	key       string
-	ownerPath string
-	data      []byte // the owner's raw document
+	key   string
+	owned bool // the owner has been reported
 
-	// Result fields, written by exactly one farm worker.
+	// Result fields, written by the one job that claimed the unit.
 	outcome  Outcome // OutcomeCached (store hit) or OutcomeAnalyzed
 	headline string
 	resultFP string
 	err      error
 }
 
-// Run executes one corpus pass: scan, decode + fingerprint, manifest diff,
-// deduplicated fan-out over the farm with store read-through/write-back,
-// report, manifest save.
+// Run executes one corpus pass: scan, one farm pass that reads, hashes,
+// decodes, diffs against the manifest and analyses each file with store
+// read-through/write-back, report, manifest save.
 func Run(opts Options) (*Report, error) {
 	engine, err := interp.ParseEngine(opts.Engine)
 	if err != nil {
@@ -265,167 +270,83 @@ func Run(opts Options) (*Report, error) {
 	}
 	o.Add("corpus.manifest.entries", int64(len(manifest)))
 
-	// Phase: read + hash every file; decode + fingerprint only the files
-	// whose bytes the manifest has not seen. This is the whole cost of a
-	// warm run, so it stays lean: a file whose bytes hash to its manifest
-	// entry's Raw takes name and key from the entry (the plan phase then
-	// skips it), and the raw document of a decoded file is retained only
-	// until the plan phase decides who owns it.
-	sp = o.Start("corpus.decode")
+	// Phase: process. One farm job per file (pass.process). The store's
+	// default budget is twice the corpus or the store default, whichever is
+	// larger, so a pass never evicts its own working set.
+	sp = o.Start("corpus.process")
+	p := &pass{
+		dir: opts.Dir, manifest: manifest, engine: engine, timeout: opts.Timeout,
+		storeDir: opts.StoreDir, storeMax: opts.StoreMax, o: o,
+		units: map[string]*unit{},
+	}
+	if p.storeMax < 1 && 2*len(paths) > 4096 {
+		p.storeMax = 2 * len(paths)
+	}
 	files := make([]fileState, len(paths))
-	var decoded int64
+	jobs := make([]farm.Job, len(paths))
 	for i, rel := range paths {
 		f := &files[i]
 		f.path = rel
-		data, err := readProgram(filepath.Join(opts.Dir, filepath.FromSlash(rel)))
-		if err != nil {
-			f.prog.err = err
-			continue
-		}
-		sum := sha256.Sum256(data)
-		var raw [2 * sha256.Size]byte
-		hex.Encode(raw[:], sum[:])
-		if m, ok := manifest[rel]; ok && m.Raw == string(raw[:]) {
-			f.raw, f.prog.name, f.prog.key = m.Raw, m.Program, m.Key
-			continue
-		}
-		f.raw = string(raw[:])
-		decoded++
-		p, err := wire.DecodeProgram(data)
-		if err != nil {
-			f.prog.err = err
-			continue
-		}
-		f.prog.name = p.Name
-		f.prog.key = core.ProgramFingerprint(p)
-		f.prog.data = data
+		jobs[i] = farm.Job{Name: rel, Run: func(*obs.Observer) (*report.AppRun, error) {
+			p.process(f)
+			return nil, nil
+		}}
 	}
+	batch := farm.Run(jobs, farm.Options{Jobs: opts.Jobs})
 	sp.End()
-	o.Add("corpus.decoded", decoded)
-
-	// Phase: plan. Every outcome that does not require running the pipeline
-	// is decided here, statically, so the fan-out below cannot make the
-	// report depend on scheduling: a file is failed (bad decode), skipped
-	// (manifest fingerprint match) or mapped to its key's unit; the first
-	// file (in path order) of each un-skipped key owns the unit, later ones
-	// are in-run duplicates served from the same unit.
-	sp = o.Start("corpus.plan")
-	results := make([]ProgramResult, len(files))
-	units := map[string]*unit{}
-	fileUnit := make([]*unit, len(files))
-	var skipped int64
-	for i := range files {
-		f := &files[i]
-		results[i] = ProgramResult{Path: f.path, Program: f.prog.name, Key: f.prog.key}
-		if f.prog.err != nil {
-			results[i].Outcome = OutcomeFailed
-			results[i].Error = f.prog.err.Error()
-			continue
-		}
-		if m, ok := manifest[f.path]; ok && m.Key == f.prog.key {
-			results[i].Outcome = OutcomeSkipped
-			results[i].Headline = m.Headline
-			results[i].Fingerprint = m.Fingerprint
-			skipped++
-			continue
-		}
-		u, ok := units[f.prog.key]
-		if !ok {
-			u = &unit{key: f.prog.key, ownerPath: f.path, data: f.prog.data}
-			units[f.prog.key] = u
-		} else {
-			o.Add("corpus.duplicates", 1)
-		}
-		fileUnit[i] = u
-		f.prog.data = nil // the unit holds the only live copy now
+	if p.stErr != nil {
+		return nil, fmt.Errorf("corpus: opening result store: %w", p.stErr)
 	}
-	sp.End()
-	o.Add("corpus.skipped", skipped)
-	o.Add("corpus.units", int64(len(units)))
-
-	// The store tier opens lazily: a fully warm run (zero units) never
-	// touches it at all.
-	var st *store.Store
-	if opts.StoreDir != "" && len(units) > 0 {
-		max := opts.StoreMax
-		if max < 1 && 2*len(paths) > 4096 {
-			max = 2 * len(paths)
-		}
-		sp = o.Start("corpus.store.open")
-		st, err = store.Open(store.Options{Dir: opts.StoreDir, MaxEntries: max})
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("corpus: opening result store: %w", err)
-		}
-	}
-
-	// Phase: analyze. Units fan out over the farm pool (panic recovery,
-	// bounded jobs); each unit probes the store, analyses on a miss, and
-	// writes the fresh result back for the next run — and for pardetectd,
-	// which reads the same tier.
-	if len(units) > 0 {
-		sp = o.Start("corpus.analyze")
-		ordered := make([]*unit, 0, len(units))
-		for _, u := range units {
-			ordered = append(ordered, u)
-		}
-		sort.Slice(ordered, func(i, j int) bool { return ordered[i].ownerPath < ordered[j].ownerPath })
-		jobs := make([]farm.Job, len(ordered))
-		for i, u := range ordered {
-			u := u
-			jobs[i] = farm.Job{Name: u.ownerPath, Run: func(ro *obs.Observer) (*report.AppRun, error) {
-				return nil, u.run(st, engine, opts.Timeout)
-			}}
-		}
-		batch := farm.Run(jobs, farm.Options{Jobs: opts.Jobs})
-		for i, r := range batch.Results {
-			if r.Err != nil && ordered[i].err == nil {
-				// A panic the farm recovered (unit.run reports ordinary
-				// analysis errors itself).
-				ordered[i].err = r.Err
+	// A panic the farm recovered fails the unit its job claimed, or the
+	// file itself when it struck before the claim.
+	for i, r := range batch.Results {
+		switch f := &files[i]; {
+		case r.Err == nil:
+		case f.u != nil:
+			if f.u.err == nil {
+				f.u.err = r.Err
 			}
+		default:
+			f.err = r.Err
 		}
-		sp.End()
-
-		var analyzed, storeHits, storeWrites int64
-		for _, u := range ordered {
-			switch {
-			case u.err != nil:
-			case u.outcome == OutcomeCached:
-				storeHits++
-			default:
-				analyzed++
-				if st != nil {
-					storeWrites++
-				}
-			}
-		}
-		o.Add("corpus.analyzed", analyzed)
-		o.Add("corpus.store.hits", storeHits)
-		o.Add("corpus.store.writes", storeWrites)
 	}
 
 	// Phase: report. Unit results map back onto their files: the owner gets
 	// the unit's outcome, duplicates are cached copies of it.
 	sp = o.Start("corpus.report")
 	rep := &Report{Schema: ReportSchema, Programs: len(files), Patterns: map[string]int{}}
+	results := make([]ProgramResult, len(files))
 	newManifest := make(map[string]manifestEntry, len(files))
+	var decoded, skipped, duplicates int64
 	for i := range files {
-		u := fileUnit[i]
-		if u != nil {
-			if u.err != nil {
-				results[i].Outcome = OutcomeFailed
-				results[i].Error = u.err.Error()
-			} else {
-				results[i].Outcome = u.outcome
-				if results[i].Path != u.ownerPath {
-					results[i].Outcome = OutcomeCached // in-run duplicate
-				}
-				results[i].Headline = u.headline
-				results[i].Fingerprint = u.resultFP
-			}
+		f := &files[i]
+		if f.decoded {
+			decoded++
 		}
-		switch results[i].Outcome {
+		r := &results[i]
+		*r = ProgramResult{Path: f.path, Program: f.name, Key: f.key}
+		switch u := f.u; {
+		case f.err != nil:
+			r.Outcome, r.Error = OutcomeFailed, f.err.Error()
+		case f.skipped:
+			m := manifest[f.path]
+			r.Outcome, r.Headline, r.Fingerprint = OutcomeSkipped, m.Headline, m.Fingerprint
+			skipped++
+		default:
+			if u.owned {
+				duplicates++
+			}
+			if u.err != nil {
+				r.Outcome, r.Error = OutcomeFailed, u.err.Error()
+			} else {
+				r.Outcome, r.Headline, r.Fingerprint = u.outcome, u.headline, u.resultFP
+				if u.owned {
+					r.Outcome = OutcomeCached // in-run duplicate
+				}
+			}
+			u.owned = true
+		}
+		switch r.Outcome {
 		case OutcomeAnalyzed:
 			rep.Analyzed++
 		case OutcomeCached:
@@ -435,19 +356,43 @@ func Run(opts Options) (*Report, error) {
 		case OutcomeFailed:
 			rep.Failed++
 		}
-		if results[i].Outcome != OutcomeFailed {
-			rep.Patterns[results[i].Headline]++
-			newManifest[results[i].Path] = manifestEntry{
-				Raw:         files[i].raw,
-				Key:         results[i].Key,
-				Program:     results[i].Program,
-				Headline:    results[i].Headline,
-				Fingerprint: results[i].Fingerprint,
+		if r.Outcome != OutcomeFailed {
+			rep.Patterns[r.Headline]++
+			newManifest[r.Path] = manifestEntry{
+				Raw:         f.raw,
+				Key:         r.Key,
+				Program:     r.Program,
+				Headline:    r.Headline,
+				Fingerprint: r.Fingerprint,
 			}
 		}
 	}
 	rep.Results = results
 	sp.End()
+	o.Add("corpus.decoded", decoded)
+	if duplicates > 0 {
+		o.Add("corpus.duplicates", duplicates)
+	}
+	o.Add("corpus.skipped", skipped)
+	o.Add("corpus.units", int64(len(p.units)))
+	if len(p.units) > 0 {
+		var analyzed, storeHits, storeWrites int64
+		for _, u := range p.units {
+			switch {
+			case u.err != nil:
+			case u.outcome == OutcomeCached:
+				storeHits++
+			default:
+				analyzed++
+				if p.st != nil {
+					storeWrites++
+				}
+			}
+		}
+		o.Add("corpus.analyzed", analyzed)
+		o.Add("corpus.store.hits", storeHits)
+		o.Add("corpus.store.writes", storeWrites)
+	}
 	o.Add("corpus.cached", int64(rep.Cached))
 	o.Add("corpus.failed", int64(rep.Failed))
 
@@ -463,23 +408,101 @@ func Run(opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// run resolves one unit: store read-through, analyse on miss, write back.
-// Called on a farm worker; u is owned by exactly this call.
-func (u *unit) run(st *store.Store, engine string, timeout time.Duration) error {
+// pass is what one Run's farm jobs share.
+type pass struct {
+	dir      string
+	manifest map[string]manifestEntry
+	engine   string
+	timeout  time.Duration
+	storeDir string // empty when the store tier is off
+	storeMax int
+	o        *obs.Observer
+
+	storeOnce sync.Once
+	st        *store.Store
+	stErr     error
+
+	mu    sync.Mutex
+	units map[string]*unit // by content fingerprint
+}
+
+// openStore opens the store tier once, on the first claim, so a pass with
+// nothing to analyse never touches it. It returns nil when the tier is off.
+func (p *pass) openStore() (*store.Store, error) {
+	if p.storeDir == "" {
+		return nil, nil
+	}
+	p.storeOnce.Do(func() {
+		sp := p.o.Start("corpus.store.open")
+		p.st, p.stErr = store.Open(store.Options{Dir: p.storeDir, MaxEntries: p.storeMax})
+		sp.End()
+	})
+	return p.st, p.stErr
+}
+
+// process is one file's farm job. A file whose bytes hash to its manifest
+// entry's Raw is skipped on the entry's name and key without being decoded;
+// any other file is decoded and fingerprinted, and is still skipped if its
+// program fingerprints as the manifest recorded (a whitespace-only edit). A
+// surviving file claims its fingerprint: the first claimer probes the
+// store, analyses the program it decoded on a miss and writes the fresh
+// result back for the next run — and for pardetectd, which reads the same
+// tier. The bytes and the program die with the job.
+func (p *pass) process(f *fileState) {
+	data, err := readProgram(filepath.Join(p.dir, filepath.FromSlash(f.path)))
+	if err != nil {
+		f.err = err
+		return
+	}
+	sum := sha256.Sum256(data)
+	var raw [2 * sha256.Size]byte
+	hex.Encode(raw[:], sum[:])
+	m, inManifest := p.manifest[f.path]
+	if inManifest && m.Raw == string(raw[:]) {
+		f.raw, f.name, f.key, f.skipped = m.Raw, m.Program, m.Key, true
+		return
+	}
+	f.raw, f.decoded = string(raw[:]), true
+	prog, err := wire.DecodeProgram(data)
+	if err != nil {
+		f.err = err
+		return
+	}
+	f.name, f.key = prog.Name, core.ProgramFingerprint(prog)
+	if inManifest && m.Key == f.key {
+		f.skipped = true
+		return
+	}
+	p.mu.Lock()
+	u, claimed := p.units[f.key]
+	if !claimed {
+		u = &unit{key: f.key}
+		p.units[f.key] = u
+	}
+	p.mu.Unlock()
+	f.u = u
+	if claimed {
+		return
+	}
+	st, err := p.openStore()
+	if err != nil {
+		u.err = err
+		return
+	}
+	u.run(prog, st, p.engine, p.timeout)
+}
+
+// run resolves one unit: store read-through, analyse prog on a miss, write
+// back. Called on the farm worker whose job claimed u; u is owned by exactly
+// this call until the farm returns.
+func (u *unit) run(prog *ir.Program, st *store.Store, engine string, timeout time.Duration) {
 	if st != nil {
 		if e, res := st.Get(u.key); res == store.Hit {
 			u.outcome = OutcomeCached
 			u.headline = e.Headline
 			u.resultFP = e.Fingerprint
-			return nil
+			return
 		}
-	}
-	prog, err := wire.DecodeProgram(u.data)
-	if err != nil {
-		// The plan phase decoded this exact document; failure here is a
-		// codec bug, but surface it as the unit's failure, not a panic.
-		u.err = fmt.Errorf("re-decode %s: %w", u.ownerPath, err)
-		return u.err
 	}
 	res, err := core.Analyze(prog, core.Options{
 		InferReductionOperator: true,
@@ -488,7 +511,7 @@ func (u *unit) run(st *store.Store, engine string, timeout time.Duration) error 
 	})
 	if err != nil {
 		u.err = err
-		return err
+		return
 	}
 	u.outcome = OutcomeAnalyzed
 	u.headline = res.Headline
@@ -506,7 +529,6 @@ func (u *unit) run(st *store.Store, engine string, timeout time.Duration) error 
 			Body:        []byte(res.Summary()),
 		})
 	}
-	return nil
 }
 
 // errTooLarge fails a corpus file over the wire program cap.
@@ -529,7 +551,7 @@ func readProgram(path string) ([]byte, error) {
 		return nil, errTooLarge
 	}
 	// Sized like os.ReadFile: one spare byte lets the read see EOF without
-	// growing the buffer, which the plan phase may keep until analysis.
+	// growing the buffer.
 	data := make([]byte, 0, fi.Size()+1)
 	r := io.LimitReader(f, wire.MaxProgramBytes+1)
 	for {

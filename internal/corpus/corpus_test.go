@@ -570,3 +570,152 @@ func TestOversizedFileFails(t *testing.T) {
 		}
 	}
 }
+
+// mixedPass builds, in fresh temp dirs, a corpus whose next pass holds every
+// kind of file at once, and returns the options for that pass:
+//   - five files raw-skipped and one re-indented file skipped on its key;
+//   - a new program under two byte-different names (p00010.json and its
+//     re-indented twin.json), so its unit has a non-owner file;
+//   - an undecodable file and an oversized sparse one;
+//   - stored.json, a program new to the manifest but already in the store.
+func mixedPass(t *testing.T) Options {
+	t.Helper()
+	const n = 6
+	dir := genCorpus(t, n, 1300)
+	storeDir := filepath.Join(t.TempDir(), "store")
+	manifest := filepath.Join(t.TempDir(), "m.json")
+	runCorpus(t, Options{Dir: dir, Manifest: manifest, StoreDir: storeDir})
+
+	pre := t.TempDir()
+	if err := GenerateFile(pre, 0, 5555); err != nil {
+		t.Fatal(err)
+	}
+	runCorpus(t, Options{Dir: pre, Manifest: filepath.Join(t.TempDir(), "pre.json"), StoreDir: storeDir})
+	stored, err := os.ReadFile(filepath.Join(pre, FileName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reindent(t, filepath.Join(dir, FileName(2)))
+	if err := GenerateFile(dir, 10, 6666); err != nil {
+		t.Fatal(err)
+	}
+	twin, err := os.ReadFile(filepath.Join(dir, FileName(10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{"stored.json": stored, "twin.json": twin, "broken.json": []byte(`{"name":`)} {
+		if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reindent(t, filepath.Join(dir, "twin.json"))
+	f, err := os.Create(filepath.Join(dir, "big.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(9 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return Options{Dir: dir, Manifest: manifest, StoreDir: storeDir}
+}
+
+// corpusCounters returns every corpus.* counter an observer holds.
+func corpusCounters(o *obs.Observer) map[string]int64 {
+	out := map[string]int64{}
+	for name, v := range o.Snapshot().Counters {
+		if strings.HasPrefix(name, "corpus.") {
+			out[name] = v
+		}
+	}
+	return out
+}
+
+// TestMixedPassSameAtAnyJobs: one pass over a corpus holding every outcome
+// at once renders the same text and JSON and counts the same corpus.*
+// counters at Jobs 1, 2 and 8, whichever job reaches a shared fingerprint
+// first.
+func TestMixedPassSameAtAnyJobs(t *testing.T) {
+	want := map[string]int64{
+		"corpus.files":            11,
+		"corpus.manifest.entries": 6,
+		"corpus.decoded":          5, // p00002 (re-indented), p00010, twin, stored, broken
+		"corpus.skipped":          6,
+		"corpus.duplicates":       1,
+		"corpus.units":            2,
+		"corpus.analyzed":         1,
+		"corpus.store.hits":       1,
+		"corpus.store.writes":     1,
+		"corpus.cached":           2,
+		"corpus.failed":           2,
+	}
+	var baseText, baseJSON string
+	for _, jobs := range []int{1, 2, 8} {
+		opts := mixedPass(t)
+		opts.Jobs = jobs
+		rep, o := runCorpus(t, opts)
+		if got := corpusCounters(o); !reflect.DeepEqual(got, want) {
+			t.Fatalf("jobs=%d: counters\n got %v\nwant %v", jobs, got, want)
+		}
+		outcomes := map[string]Outcome{}
+		for _, pr := range rep.Results {
+			outcomes[pr.Path] = pr.Outcome
+		}
+		for path, o := range map[string]Outcome{
+			FileName(2): OutcomeSkipped, FileName(10): OutcomeAnalyzed, "twin.json": OutcomeCached,
+			"stored.json": OutcomeCached, "broken.json": OutcomeFailed, "big.json": OutcomeFailed,
+		} {
+			if outcomes[path] != o {
+				t.Fatalf("jobs=%d: %s outcome %q, want %q", jobs, path, outcomes[path], o)
+			}
+		}
+		js, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if baseText == "" {
+			baseText, baseJSON = rep.Text(), string(js)
+			continue
+		}
+		if rep.Text() != baseText {
+			t.Fatalf("jobs=%d: text report differs from jobs=1:\n%s\n----\n%s", jobs, rep.Text(), baseText)
+		}
+		if string(js) != baseJSON {
+			t.Fatalf("jobs=%d: JSON report differs from jobs=1", jobs)
+		}
+	}
+}
+
+// A store directory that cannot be opened fails the pass with a named
+// error instead of analysing without the tier.
+func TestUnopenableStoreFailsRun(t *testing.T) {
+	dir := genCorpus(t, 3, 1400)
+	storeDir := filepath.Join(t.TempDir(), "store")
+	if err := os.WriteFile(storeDir, []byte("a file where the store should be"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, jobs := range []int{1, 8} {
+		_, err := Run(Options{Dir: dir, StoreDir: storeDir, Jobs: jobs})
+		if err == nil || !strings.Contains(err.Error(), "corpus: opening result store") {
+			t.Fatalf("jobs=%d: Run = %v, want an opening result store error", jobs, err)
+		}
+	}
+}
+
+// A fully warm pass has nothing to analyse and never opens the store, so it
+// never creates the store directory.
+func TestWarmPassNeverOpensStore(t *testing.T) {
+	dir := genCorpus(t, 4, 1500)
+	runCorpus(t, Options{Dir: dir}) // cold, no store
+	storeDir := filepath.Join(t.TempDir(), "store")
+	rep, _ := runCorpus(t, Options{Dir: dir, StoreDir: storeDir})
+	if rep.Skipped != 4 {
+		t.Fatalf("warm pass: %+v, want all 4 skipped", rep)
+	}
+	if _, err := os.Stat(storeDir); !os.IsNotExist(err) {
+		t.Fatalf("warm pass created the store directory: %v", err)
+	}
+}

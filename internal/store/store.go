@@ -29,6 +29,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"sort"
@@ -90,15 +91,17 @@ const (
 )
 
 // Store is a disk-backed content-addressed entry store. All methods are
-// safe for concurrent use; I/O runs under one mutex, which is fine for a
-// tier that sits below an in-memory cache absorbing the hot keys.
+// safe for concurrent use. One mutex guards the index, the stamps and the
+// set of keys with a Put in flight; file I/O runs outside it, so writers of
+// different keys and readers never wait on each other's disk time.
 type Store struct {
 	dir string
 	max int
 
-	mu   sync.Mutex
-	idx  map[string]int64 // key → saved stamp (ns); recency for eviction/warming
-	last int64            // newest stamp ever indexed; floors self-stamped Puts
+	mu      sync.Mutex
+	idx     map[string]int64 // key → saved stamp (ns); recency for eviction/warming
+	last    int64            // newest stamp ever indexed; floors self-stamped Puts
+	writing map[string]int   // keys with a Put between stamp and index update
 }
 
 // Open creates the root directory if needed, sweeps stale .tmp files left
@@ -111,7 +114,7 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: opts.Dir, max: opts.MaxEntries, idx: make(map[string]int64)}
+	s := &Store{dir: opts.Dir, max: opts.MaxEntries, idx: make(map[string]int64), writing: make(map[string]int)}
 	// Two fixed levels of fan-out directories, entries at the leaves. Any
 	// unreadable corner of the tree is skipped, not fatal: the store must
 	// open on a half-destroyed directory.
@@ -179,31 +182,59 @@ func (s *Store) Get(key string) (*Entry, GetResult) {
 	if !validKey(key) {
 		return nil, Miss
 	}
+	e, err := s.load(key)
+	if err == nil {
+		return e, Hit
+	}
+	return s.settle(key, err)
+}
+
+// errBadRecord marks a record that parsed but does not belong under its key.
+var errBadRecord = errors.New("store: invalid record")
+
+// load reads and validates key's record. It runs without the lock.
+func (s *Store) load(key string) (*Entry, error) {
+	data, err := os.ReadFile(s.path(key))
+	if err != nil {
+		return nil, err
+	}
+	var e Entry
+	if err := json.Unmarshal(data, &e); err != nil {
+		return nil, err
+	}
+	if e.Schema != Schema || e.Key != key || e.Body == nil {
+		return nil, errBadRecord
+	}
+	return &e, nil
+}
+
+// settle resolves a load that failed with err. Under the lock no Put of a
+// key outside the in-flight set can rename, so the re-check here sees the
+// file as it stays until the lock is released. A key with a Put in flight is
+// left alone: that Put replaces the file and refreshes the index. Otherwise
+// a record that a Put renamed in after the failed load is served, a missing
+// file drops its index entry, and anything else is unreadable or corrupt
+// and is deleted.
+func (s *Store) settle(key string, err error) (*Entry, GetResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	path := s.path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			// Unreadable is indistinguishable from corrupt: drop it.
-			return nil, s.dropLocked(key, path)
-		}
+	if s.writing[key] > 0 {
+		return nil, Miss
+	}
+	if _, indexed := s.idx[key]; !indexed && os.IsNotExist(err) {
+		return nil, Miss
+	}
+	e, err := s.load(key)
+	switch {
+	case err == nil:
+		return e, Hit
+	case os.IsNotExist(err):
 		delete(s.idx, key) // heal an index entry whose file vanished
 		return nil, Miss
 	}
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil ||
-		e.Schema != Schema || e.Key != key || e.Body == nil {
-		return nil, s.dropLocked(key, path)
-	}
-	return &e, Hit
-}
-
-// dropLocked deletes a bad entry and reports it as Corrupt.
-func (s *Store) dropLocked(key, path string) GetResult {
-	os.Remove(path)
+	os.Remove(s.path(key))
 	delete(s.idx, key)
-	return Corrupt
+	return nil, Corrupt
 }
 
 // Put writes the entry atomically (temp file + rename in the destination
@@ -213,57 +244,91 @@ func (s *Store) Put(e *Entry) (evicted int, err error) {
 	if e == nil || !validKey(e.Key) {
 		return 0, os.ErrInvalid
 	}
-	rec := *e
+	rec, self := s.begin(e)
+	return s.finish(&rec, self, s.write(&rec))
+}
+
+// begin stamps the record and marks its key in flight. Self-stamps are
+// floored to stay monotonic; caller-provided stamps are respected (recency
+// is their contract) but still raise the floor.
+func (s *Store) begin(e *Entry) (rec Entry, self bool) {
+	rec = *e
 	rec.Schema = Schema
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Stamp under the lock, floored to stay monotonic: a writer that read
-	// the clock and then stalled on the lock behind faster writers must not
-	// index its entry as "the oldest" — eviction would remove the entry it
-	// just wrote, and a Get right after a successful Put would miss.
-	// Caller-provided stamps are respected (recency is their contract) but
-	// still raise the floor.
-	if rec.SavedUnixNS == 0 {
-		rec.SavedUnixNS = time.Now().UnixNano()
-		if rec.SavedUnixNS <= s.last {
-			rec.SavedUnixNS = s.last + 1
-		}
+	if self = rec.SavedUnixNS == 0; self {
+		rec.SavedUnixNS = max(time.Now().UnixNano(), s.last+1)
 	}
-	if rec.SavedUnixNS > s.last {
-		s.last = rec.SavedUnixNS
-	}
-	data, err := json.Marshal(&rec)
+	s.last = max(s.last, rec.SavedUnixNS)
+	s.writing[rec.Key]++
+	return rec, self
+}
+
+// write puts the record on disk under its final name. It runs without the
+// lock.
+func (s *Store) write(rec *Entry) error {
+	data, err := json.Marshal(rec)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	dir := filepath.Dir(s.path(rec.Key))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, err
+		return err
 	}
 	tmp, err := os.CreateTemp(dir, rec.Key+"-*.tmp")
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return 0, err
+		return err
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return 0, err
+		return err
 	}
 	if err := os.Rename(tmp.Name(), s.path(rec.Key)); err != nil {
 		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
+}
+
+// finish ends the Put that begin started: it clears the key's in-flight
+// mark and, when the write landed, indexes the key and evicts down to the
+// budget. A self-stamped entry is indexed as the newest at this moment, not
+// at begin: a writer overtaken by faster ones while its file was written
+// must not index its entry as "the oldest", or its own eviction would remove
+// it and a Get right after the Put would miss. Eviction goes oldest first,
+// ties broken by key, and skips keys with a Put in flight.
+func (s *Store) finish(rec *Entry, self bool, err error) (evicted int, _ error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.writing[rec.Key]--; s.writing[rec.Key] == 0 {
+		delete(s.writing, rec.Key)
+	}
+	if err != nil {
 		return 0, err
 	}
-	s.idx[rec.Key] = rec.SavedUnixNS
+	stamp := rec.SavedUnixNS
+	if self && stamp < s.last {
+		stamp = s.last + 1
+		s.last = stamp
+	}
+	s.idx[rec.Key] = stamp
 	for len(s.idx) > s.max {
 		oldKey, oldStamp := "", int64(0)
 		for k, st := range s.idx {
+			if s.writing[k] > 0 {
+				continue
+			}
 			if oldKey == "" || st < oldStamp || (st == oldStamp && k < oldKey) {
 				oldKey, oldStamp = k, st
 			}
+		}
+		if oldKey == "" {
+			break // every indexed key is being rewritten; a later Put evicts
 		}
 		os.Remove(s.path(oldKey))
 		delete(s.idx, oldKey)

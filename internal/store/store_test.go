@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -334,5 +335,216 @@ func TestConcurrentEviction(t *testing.T) {
 		if _, res := s.Get(key); res != Hit {
 			t.Fatalf("recent key %s = %v after writers stopped, want Hit", key, res)
 		}
+	}
+}
+
+// putEntry is a self-stamped entry for key i.
+func putEntry(i int) *Entry {
+	return &Entry{Key: testKey(i), Program: "p", Fingerprint: "f", Body: []byte("b")}
+}
+
+// corrupt overwrites key's file behind the store's back.
+func corrupt(t *testing.T, s *Store, key string) {
+	t.Helper()
+	if err := os.WriteFile(s.path(key), []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGetAfterPutHitsUnderEviction: writers re-Put their own keys and read
+// each back at once while a churner overflows MaxEntries 4 with entries
+// stamped older than anything the writers index, so every churn Put evicts
+// and no writer's key is ever the oldest. A miss is a lost or wrongly
+// evicted write.
+func TestGetAfterPutHitsUnderEviction(t *testing.T) {
+	s := open(t, t.TempDir(), 4)
+	var wg, churn sync.WaitGroup
+	stop := make(chan struct{})
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e := putEntry(100 + i)
+			e.SavedUnixNS = 1
+			if _, err := s.Put(e); err != nil {
+				t.Errorf("churn Put: %v", err)
+				return
+			}
+		}
+	}()
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if _, err := s.Put(putEntry(w)); err != nil {
+					t.Errorf("Put: %v", err)
+					return
+				}
+				if _, res := s.Get(testKey(w)); res != Hit {
+					t.Errorf("Get(%s) = %v just after Put", testKey(w), res)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	churn.Wait()
+	if n := s.Len(); n > 4 {
+		t.Fatalf("Len = %d exceeds MaxEntries 4", n)
+	}
+}
+
+// TestCorruptReadRacesPut: a Get that read a corrupt file races a Put of the
+// same key. Whatever the interleaving, the record the returned Put renamed
+// into place must survive the Get's cleanup.
+func TestCorruptReadRacesPut(t *testing.T) {
+	s := open(t, t.TempDir(), 0)
+	key := testKey(1)
+	if _, err := s.Put(putEntry(1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		corrupt(t, s, key)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); s.Get(key) }()
+		go func() {
+			defer wg.Done()
+			if _, err := s.Put(putEntry(1)); err != nil {
+				t.Errorf("Put: %v", err)
+			}
+		}()
+		wg.Wait()
+		if _, res := s.Get(key); res != Hit {
+			t.Fatalf("round %d: Get after the racing Put returned = %v, want Hit", i, res)
+		}
+	}
+}
+
+// TestOvertakenPutKeepsItsEntry: a Put whose write is overtaken by MaxEntries
+// faster Puts must still index its key as the newest, so its own eviction
+// removes an older entry and not the one it just wrote.
+func TestOvertakenPutKeepsItsEntry(t *testing.T) {
+	s := open(t, t.TempDir(), 4)
+	rec, self := s.begin(putEntry(0))
+	for i := 1; i <= 4; i++ {
+		if _, err := s.Put(putEntry(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ev, err := s.finish(&rec, self, s.write(&rec)); err != nil || ev != 1 {
+		t.Fatalf("overtaken Put: evicted %d, err %v; want 1, nil", ev, err)
+	}
+	if _, res := s.Get(testKey(0)); res != Hit {
+		t.Fatalf("overtaken Put's own entry = %v, want Hit", res)
+	}
+	if _, res := s.Get(testKey(1)); res != Miss {
+		t.Fatalf("oldest finished entry = %v, want evicted", res)
+	}
+}
+
+// TestEvictionSkipsInFlightPut: an entry that is the oldest in the index but
+// is being rewritten is not evicted, even after its new file is in place;
+// the next-oldest goes instead, and the rewrite is visible once it returns.
+func TestEvictionSkipsInFlightPut(t *testing.T) {
+	s := open(t, t.TempDir(), 2)
+	for i := 0; i < 2; i++ {
+		if _, err := s.Put(putEntry(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, self := s.begin(putEntry(0))
+	werr := s.write(&rec)
+	if ev, err := s.Put(putEntry(2)); err != nil || ev != 1 {
+		t.Fatalf("Put during the rewrite: evicted %d, err %v; want 1, nil", ev, err)
+	}
+	if _, res := s.Get(testKey(1)); res != Miss {
+		t.Fatalf("next-oldest entry = %v, want evicted in place of the in-flight one", res)
+	}
+	if _, err := s.finish(&rec, self, werr); err != nil {
+		t.Fatal(err)
+	}
+	if _, res := s.Get(testKey(0)); res != Hit {
+		t.Fatalf("rewritten entry = %v after its Put returned, want Hit", res)
+	}
+}
+
+// breakers damage a stored key's file behind the store's back: the two
+// ways a Get's read can fail.
+var breakers = []struct {
+	name      string
+	breakFile func(t *testing.T, s *Store, key string)
+}{
+	{"missing", func(t *testing.T, s *Store, key string) {
+		if err := os.Remove(s.path(key)); err != nil {
+			t.Fatal(err)
+		}
+	}},
+	{"corrupt", corrupt},
+}
+
+// TestFailedReadSparesRenamedRecord: a Get whose read failed re-checks under
+// the lock before it deletes a file or drops an index entry, so the record
+// a Put renamed in after the read survives, indexed.
+func TestFailedReadSparesRenamedRecord(t *testing.T) {
+	for _, tc := range breakers {
+		t.Run(tc.name, func(t *testing.T) {
+			s := open(t, t.TempDir(), 0)
+			key := testKey(1)
+			if _, err := s.Put(putEntry(1)); err != nil {
+				t.Fatal(err)
+			}
+			tc.breakFile(t, s, key)
+			_, loadErr := s.load(key)
+			if loadErr == nil {
+				t.Fatal("damaged file loaded")
+			}
+			if _, err := s.Put(putEntry(1)); err != nil {
+				t.Fatal(err)
+			}
+			if _, res := s.settle(key, loadErr); res == Corrupt {
+				t.Fatal("Get deleted the record a Put renamed in after its read")
+			}
+			if _, res := s.Get(key); res != Hit || s.Len() != 1 {
+				t.Fatalf("after the Put returned: Get = %v, Len = %d; want Hit, 1", res, s.Len())
+			}
+		})
+	}
+}
+
+// TestGetLeavesInFlightKeyAlone: while a Put of a key is in flight, a Get
+// that finds the key's file missing or corrupt neither drops the index
+// entry nor reports corruption; the Put replaces the file and its result is
+// visible once it returns.
+func TestGetLeavesInFlightKeyAlone(t *testing.T) {
+	for _, tc := range breakers {
+		t.Run(tc.name, func(t *testing.T) {
+			s := open(t, t.TempDir(), 0)
+			key := testKey(1)
+			if _, err := s.Put(putEntry(1)); err != nil {
+				t.Fatal(err)
+			}
+			tc.breakFile(t, s, key)
+			rec, self := s.begin(putEntry(1))
+			if _, res := s.Get(key); res != Miss {
+				t.Fatalf("Get during the Put = %v, want Miss", res)
+			}
+			if n := s.Len(); n != 1 {
+				t.Fatalf("Len during the Put = %d, want 1 (the index entry kept)", n)
+			}
+			if _, err := s.finish(&rec, self, s.write(&rec)); err != nil {
+				t.Fatal(err)
+			}
+			if _, res := s.Get(key); res != Hit || s.Len() != 1 {
+				t.Fatalf("after the Put: Get = %v, Len = %d; want Hit, 1", res, s.Len())
+			}
+		})
 	}
 }

@@ -12,7 +12,8 @@
 #   - a race-detector pass over the concurrency-sensitive packages: the
 #     parallel schedulers, the telemetry observer, the analysis farm (its
 #     tests run all 19 app analyses concurrently), the fuzzer, the
-#     pardetectd service, the router, corpus mode, the profilers (their
+#     pardetectd service, the router, corpus mode, the result store (its
+#     file I/O runs outside its lock), the profilers (their
 #     shadow pages are recycled across concurrent analyses), the PET
 #     builder (fed from that consumer goroutine), the interpreter (both
 #     engines hand event buffers to a consumer goroutine) and the analysis
@@ -78,8 +79,8 @@ go test ./...
 echo "==> go test -shuffle=on -count=1 ./...  (order-independence)"
 go test -shuffle=on -count=1 ./...
 
-echo "==> go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/... ./internal/trace/... ./internal/pet/... ./internal/interp/... ./internal/core/..."
-go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/... ./internal/trace/... ./internal/pet/... ./internal/interp/... ./internal/core/...
+echo "==> go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/... ./internal/store/... ./internal/trace/... ./internal/pet/... ./internal/interp/... ./internal/core/..."
+go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/... ./internal/store/... ./internal/trace/... ./internal/pet/... ./internal/interp/... ./internal/core/...
 
 echo "==> benchmark module smoke (cd bench && go test ./...)"
 (cd bench && go test ./...)

@@ -1,5 +1,6 @@
 #!/bin/sh
-# hygiene.sh — repo-hygiene gate: the tree must not track build products.
+# hygiene.sh — repo-hygiene gate: the tree must not track build products,
+# and the docs must not name tools that do not exist.
 #
 # Fails when `git ls-files` contains:
 #   - scratch benchmark artifacts (*.fresh.json) — those are per-run
@@ -9,6 +10,13 @@
 #     accidentally `git add`ed from the repo root;
 #   - files with binary content (grep's binary-files classification — a
 #     tracked file the tools would refuse to diff is a build product).
+#
+# Also fails when code in README.md, DESIGN.md or EXPERIMENTS.md (an
+# inline `span` or a fenced block) names a `make <target>` the Makefile
+# does not define, or a scripts/<name>.go|.sh, cmd/<name> or BENCH_*.json
+# that is not in the tree — so deleting a tool cannot leave docs that tell
+# readers to run it. A historical mention goes in plain text instead.
+# bench/README.md is not checked yet.
 #
 # Usage: sh scripts/hygiene.sh   (ci.sh runs it first; the GitHub workflow
 # runs it as its own named step so a violation is visible at a glance)
@@ -33,6 +41,50 @@ if [ -n "$violations" ]; then
     echo "tracked files violating repo hygiene:" >&2
     echo "$violations" >&2
     echo "(binaries and *.fresh.json are build products: git rm --cached them; .gitignore covers the usual ones)" >&2
+    exit 1
+fi
+# doc_code prints every code span of the named markdown files, one per
+# line as file:line: text. An inline span may wrap lines; an empty line
+# ends it, so a stray backtick cannot swallow the rest of the file.
+doc_code() {
+    awk '
+    FNR == 1 { open = 0; fence = 0; span = "" }
+    /^[ \t]*```/ { fence = !fence; next }
+    fence { print FILENAME ":" FNR ": " $0; next }
+    $0 == "" { open = 0; span = ""; next }
+    {
+        n = split($0, seg, "`")
+        for (k = 1; k <= n; k++) {
+            if (k > 1) {
+                if (open) { print FILENAME ":" start ":" span; span = "" }
+                else start = FNR
+                open = !open
+            }
+            if (open) span = span " " seg[k]
+        }
+    }' "$@"
+}
+
+stale=$(
+    doc_code README.md DESIGN.md EXPERIMENTS.md | while IFS= read -r line; do
+        where=${line%%: *}
+        code=${line#*: }
+        for target in $(printf '%s\n' "$code" | grep -oE '(^|[^A-Za-z0-9_.-])make [a-z][a-z0-9_-]*' | sed 's/.*make //'); do
+            grep -q "^$target:" Makefile || echo "$where: make $target (no such Makefile target)"
+        done
+        for path in $(printf '%s\n' "$code" | grep -oE '(^|[^A-Za-z0-9_/.-])(\./)?(scripts/[A-Za-z0-9_-]+\.(go|sh)|cmd/[A-Za-z0-9_-]+)' | sed 's/^[^sc.]*//; s/^\.\///'); do
+            [ -e "$path" ] || echo "$where: $path (not in the tree)"
+        done
+        for name in $(printf '%s\n' "$code" | grep -oE 'BENCH_[A-Za-z0-9_*.-]*\.json'); do
+            set -- $name
+            [ -e "$1" ] || echo "$where: $name (not in the tree)"
+        done
+    done
+)
+if [ -n "$stale" ]; then
+    echo "docs name tools that do not exist:" >&2
+    echo "$stale" >&2
+    echo "(fix the name, or reword a historical mention as plain text)" >&2
     exit 1
 fi
 echo "hygiene: clean ($(git ls-files | wc -l | tr -d ' ') tracked files)"
