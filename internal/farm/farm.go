@@ -13,16 +13,15 @@
 //     batch is byte-identical to the sequential path;
 //   - per-run panic recovery: a panicking analysis becomes an error Result,
 //     never a dead batch;
-//   - a per-run wall-clock deadline (core.Options.Timeout) alongside the
-//     interpreter's step limit, so a wedged run cannot stall its worker
-//     forever;
 //   - per-run obs.Observer telemetry, merged into one batch report
-//     (an obs.RunSet headed by the farm's own counters).
+//     (an obs.RunSet headed by the farm's own counters, which count the
+//     runs that failed on their own core.Options.Timeout deadline).
 //
 // cmd/benchtab (-jobs) and cmd/pardetect (-all) are the batch front-ends;
 // the pardetectd service (internal/server) reuses the same execution path —
-// panic recovery, deadline, telemetry — through the long-lived Pool, which
-// serves one-off jobs over time behind a bounded admission queue.
+// panic recovery, telemetry — through the long-lived Pool, which serves
+// one-off jobs over time behind a bounded admission queue, each job
+// carrying its own request's deadline.
 package farm
 
 import (
@@ -43,11 +42,6 @@ import (
 type Options struct {
 	// Jobs is the worker-pool size; values < 1 select GOMAXPROCS.
 	Jobs int
-	// Timeout is the per-run wall-clock deadline (0 = none). It bounds each
-	// analysis through core.Options.Timeout, enforced inside the interpreter
-	// alongside MaxSteps; a run that exceeds it fails with an error wrapping
-	// interp.ErrDeadline and is counted in the farm.timeouts counter.
-	Timeout time.Duration
 	// Observe attaches a per-run obs.Observer to every analysis and merges
 	// the per-run reports into the batch RunSet.
 	Observe bool
@@ -67,9 +61,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.Jobs < 1 {
 		o.Jobs = runtime.GOMAXPROCS(0)
-	}
-	if o.Timeout < 0 {
-		o.Timeout = 0
 	}
 	if o.Queue < 0 {
 		o.Queue = 0
@@ -199,8 +190,9 @@ func runOne(job Job, opts Options) (res Result) {
 // Pool is the long-lived form of Run: a fixed worker pool serving one-off
 // jobs submitted over time, built for serving workloads (pardetectd). Each
 // job runs through the same runOne path as a batch job — panic recovery into
-// *PanicError, optional per-run telemetry, the Options.Timeout wall-clock
-// deadline — but results are delivered per job instead of per batch.
+// *PanicError, optional per-run telemetry — but results are delivered per
+// job instead of per batch. A job's deadline is its own: the pool imposes
+// none.
 //
 // Admission is bounded: the pool holds at most Options.Queue jobs waiting
 // beyond the Options.Jobs running ones. TrySubmit never blocks; when every
@@ -311,7 +303,7 @@ func RunApps(names []string, opts Options) *Batch {
 	for i, name := range names {
 		name := name
 		jobs[i] = Job{Name: name, Run: func(o *obs.Observer) (*report.AppRun, error) {
-			return report.RunAppEngine(name, o, opts.Timeout, opts.Engine)
+			return report.RunAppEngine(name, o, 0, opts.Engine)
 		}}
 	}
 	return Run(jobs, opts)

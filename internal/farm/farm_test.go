@@ -155,11 +155,13 @@ func TestFarmTracerPanicKeepsTracerStack(t *testing.T) {
 	}
 }
 
-// TestFarmDeadline pins the per-run wall-clock deadline: with a timeout
-// that has effectively already expired, every analysis must fail with an
-// error wrapping interp.ErrDeadline instead of running to completion.
+// TestFarmDeadline pins deadline accounting: a job whose analysis runs
+// under a timeout that has effectively already expired must fail with an
+// error wrapping interp.ErrDeadline, counted in farm.timeouts.
 func TestFarmDeadline(t *testing.T) {
-	batch := RunApps([]string{"2mm"}, Options{Jobs: 1, Timeout: time.Nanosecond})
+	batch := Run([]Job{{Name: "2mm", Run: func(o *obs.Observer) (*report.AppRun, error) {
+		return report.RunAppEngine("2mm", o, time.Nanosecond, "")
+	}}}, Options{Jobs: 1})
 	err := batch.Results[0].Err
 	if err == nil {
 		t.Fatal("analysis with 1ns timeout succeeded")
@@ -346,7 +348,7 @@ func TestPoolAdmitsRightAfterResult(t *testing.T) {
 // Pool jobs keep Run's guarantees: panics become *PanicError results and the
 // wall-clock deadline surfaces as interp.ErrDeadline.
 func TestPoolPanicAndDeadline(t *testing.T) {
-	p := NewPool(Options{Jobs: 1, Queue: 2, Timeout: time.Nanosecond})
+	p := NewPool(Options{Jobs: 1, Queue: 2})
 	defer p.Close()
 	ch, ok := p.TrySubmit(Job{Name: "panicky", Run: func(o *obs.Observer) (*report.AppRun, error) {
 		panic("pool-panic")
@@ -360,7 +362,7 @@ func TestPoolPanicAndDeadline(t *testing.T) {
 		t.Fatalf("err = %v, want PanicError(pool-panic)", r.Err)
 	}
 	ch, ok = p.TrySubmit(Job{Name: "slow", Run: func(o *obs.Observer) (*report.AppRun, error) {
-		return report.RunAppEngine("correlation", o, p.opts.Timeout, "")
+		return report.RunAppEngine("correlation", o, time.Nanosecond, "")
 	}})
 	if !ok {
 		t.Fatal("slow rejected")

@@ -69,32 +69,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a value that can go up and down. Set-style gauges are stored;
-// callback gauges (RegisterGauge with a func) are read at exposition time.
-type Gauge struct {
-	v  atomic.Int64
-	fn func() int64
-}
-
-// Set stores the gauge value (no-op on a callback gauge).
-func (g *Gauge) Set(v int64) {
-	if g == nil || g.fn != nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Value returns the gauge's current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	if g.fn != nil {
-		return g.fn()
-	}
-	return g.v.Load()
-}
-
 // Histogram is a fixed-allocation base-2 log-bucketed distribution with an
 // exact observation count and sum. All methods are safe for concurrent use;
 // Observe is lock-free.
@@ -233,10 +207,11 @@ type Label struct {
 }
 
 // series is one labeled instance of a family; exactly one of c/g/h is set.
+// A gauge is a callback read at exposition time (see GaugeFunc).
 type series struct {
 	labels string // pre-rendered `{a="b",c="d"}` or ""
 	c      *Counter
-	g      *Gauge
+	g      func() int64
 	h      *Histogram
 }
 
@@ -311,22 +286,13 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return c
 }
 
-// Gauge registers a stored gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := &Gauge{}
-	f := r.fam(name, help, "gauge")
-	f.ser = append(f.ser, &series{labels: renderLabels(labels), g: g})
-	return g
-}
-
-// GaugeFunc registers a callback gauge series, read at exposition time.
+// GaugeFunc registers a gauge series: a value that can go up and down,
+// read by calling fn at exposition time.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.fam(name, help, "gauge")
-	f.ser = append(f.ser, &series{labels: renderLabels(labels), g: &Gauge{fn: fn}})
+	f.ser = append(f.ser, &series{labels: renderLabels(labels), g: fn})
 }
 
 // Histogram registers a histogram series. Call once at setup and keep the
@@ -368,7 +334,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			case s.c != nil:
 				fmt.Fprintf(&sb, "%s%s %d\n", f.name, s.labels, s.c.Value())
 			case s.g != nil:
-				fmt.Fprintf(&sb, "%s%s %d\n", f.name, s.labels, s.g.Value())
+				fmt.Fprintf(&sb, "%s%s %d\n", f.name, s.labels, s.g())
 			case s.h != nil:
 				writePromHistogram(&sb, f.name, s.labels, s.h)
 			}
@@ -452,7 +418,7 @@ func (r *Registry) Snapshot() Snapshot {
 				v := s.c.Value()
 				ss.Value = &v
 			case s.g != nil:
-				v := s.g.Value()
+				v := s.g()
 				ss.Value = &v
 			case s.h != nil:
 				b, total := s.h.snapshot()

@@ -90,13 +90,11 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var h *Histogram
 	var c *Counter
-	var g *Gauge
 	h.Observe(1)
 	c.Add(1)
 	c.Inc()
-	g.Set(1)
 	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 ||
-		c.Value() != 0 || g.Value() != 0 {
+		c.Value() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
 }
@@ -117,8 +115,6 @@ func TestPromExposition(t *testing.T) {
 	c := r.Counter("pardetect_requests_total", "total requests",
 		Label{"endpoint", "analyze"}, Label{"outcome", "hit"})
 	c.Add(7)
-	g := r.Gauge("pardetect_queue_depth", "queued jobs")
-	g.Set(3)
 	r.GaugeFunc("pardetect_workers", "pool size", func() int64 { return 4 })
 	h := r.Histogram("pardetect_latency_ns", "request latency",
 		Label{"endpoint", "analyze"}, Label{"outcome", `quo"te`})
@@ -135,8 +131,7 @@ func TestPromExposition(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE pardetect_requests_total counter",
 		`pardetect_requests_total{endpoint="analyze",outcome="hit"} 7`,
-		"# TYPE pardetect_queue_depth gauge",
-		"pardetect_queue_depth 3",
+		"# TYPE pardetect_workers gauge",
 		"pardetect_workers 4",
 		"# TYPE pardetect_latency_ns histogram",
 		`outcome="quo\"te"`,
@@ -215,7 +210,7 @@ func TestMixedTypeRegistrationPanics(t *testing.T) {
 			t.Fatal("registering x as both counter and gauge must panic")
 		}
 	}()
-	r.Gauge("x", "")
+	r.GaugeFunc("x", "", func() int64 { return 0 })
 }
 
 // TestConcurrentObserveAndScrape drives observations from many goroutines

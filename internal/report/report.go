@@ -37,9 +37,9 @@ func RunApp(name string) (*AppRun, error) { return RunAppEngine(name, nil, 0, ""
 // interpreter engine. When o is non-nil it receives the analysis phase
 // spans, counters and decision log, plus a sched.sweep span covering the
 // speedup simulation. timeout is a per-run wall-clock deadline on the
-// analysis (core.Options.Timeout); 0 means no deadline. Batch drivers
-// (internal/farm) use the deadline so one wedged analysis cannot stall a
-// whole batch. engine selects the interpreter for the profiled executions
+// analysis (core.Options.Timeout); 0 means no deadline. The service
+// (internal/server) passes each request's deadline so one wedged analysis
+// cannot hold a worker past it. engine selects the interpreter for the profiled executions
 // ("" or interp.EngineBytecode for the compiled engine, the default, with
 // interp.EngineRegVM as its alias; interp.EngineTree for the reference tree
 // walker). Both engines produce identical profiles and results; see

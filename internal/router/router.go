@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -45,18 +44,9 @@ type Options struct {
 	// apply only to idempotent failures (transport errors, 502/503) — an
 	// analysis answer, even an error one, is never retried elsewhere.
 	Retries int
-	// MaxBodyBytes bounds a routed POST /analyze body; < 1 selects
-	// wire.MaxProgramBytes (8 MiB, the pardetectd default).
-	MaxBodyBytes int64
-	// MaxBatchBytes bounds a routed POST /analyze/batch body; < 1 selects
-	// 64 MiB (the pardetectd default).
-	MaxBatchBytes int64
 	// Client issues backend requests and health probes; nil selects a
 	// pooled default. Tests inject failing transports here.
 	Client *http.Client
-	// Observer receives the router.* counters; nil creates one labelled
-	// "pardetectrouter".
-	Observer *obs.Observer
 }
 
 func (o *Options) fill() error {
@@ -90,20 +80,11 @@ func (o *Options) fill() error {
 	} else if o.Retries < 0 {
 		o.Retries = 0
 	}
-	if o.MaxBodyBytes < 1 {
-		o.MaxBodyBytes = wire.MaxProgramBytes
-	}
-	if o.MaxBatchBytes < 1 {
-		o.MaxBatchBytes = 64 << 20
-	}
 	if o.Client == nil {
 		o.Client = &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        64,
 			MaxIdleConnsPerHost: 16,
 		}}
-	}
-	if o.Observer == nil {
-		o.Observer = obs.New("pardetectrouter")
 	}
 	return nil
 }
@@ -140,7 +121,7 @@ func New(opts Options) (*Router, error) {
 	}
 	rt := &Router{
 		opts:   opts,
-		obs:    opts.Observer,
+		obs:    obs.New("pardetectrouter"),
 		ring:   ring,
 		byName: make(map[string]*backend, len(opts.Backends)),
 		client: opts.Client,
@@ -256,10 +237,16 @@ func (rt *Router) analyzeKey(r *http.Request, body []byte) string {
 		rt.appFP.Store(name, fp)
 		return fp
 	}
+	return wireKey(body)
+}
+
+// wireKey is the routing key of a wire-IR program: its content fingerprint,
+// or for an undecodable body a deterministic hash of its bytes (the backend
+// owns the 400 and its message).
+func wireKey(body []byte) string {
 	if fp, err := server.FingerprintWire(body); err == nil {
 		return fp
 	}
-	// Undecodable body: the backend owns the 400 and its message.
 	return fmt.Sprintf("raw:%016x", hashKey(string(body)))
 }
 
@@ -328,14 +315,12 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 		return
 	}
 	rt.obs.Add("router.unroutable", 1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadGateway)
-	json.NewEncoder(w).Encode(map[string]string{
-		"error": fmt.Sprintf("no backend could serve the request (last: %v)", lastErr),
-	})
+	server.WriteError(w, http.StatusBadGateway, "no backend could serve the request (last: %v)", lastErr)
 }
 
-// roundTrip issues one forwarded request to one backend.
+// roundTrip issues one forwarded request to one backend, recording its
+// latency and, once the backend answers, counting the forward. It is the
+// one path every /analyze, passthrough and batch sub-request takes.
 func (rt *Router) roundTrip(r *http.Request, b *backend, body []byte) (*http.Response, error) {
 	outURL := b.name + r.URL.RequestURI()
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, outURL, bytes.NewReader(body))
@@ -373,14 +358,12 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 	case http.MethodPost:
 		var err error
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes))
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxProgramBytes))
 		if err != nil {
-			rt.obs.Add("router.bad_requests", 1)
 			rt.clientError(w, http.StatusBadRequest, "read body: %v", err)
 			return
 		}
 	default:
-		rt.obs.Add("router.bad_requests", 1)
 		rt.clientError(w, http.StatusMethodNotAllowed, "use GET ?app=... or POST an IR program")
 		return
 	}
@@ -395,10 +378,11 @@ func (rt *Router) handlePassthrough(w http.ResponseWriter, r *http.Request) {
 	rt.forward(w, r, key, nil)
 }
 
+// clientError counts a request the router refuses on its own and answers it
+// with the {"error":…} body pardetectd uses for the same refusal.
 func (rt *Router) clientError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	rt.obs.Add("router.bad_requests", 1)
+	server.WriteError(w, status, format, args...)
 }
 
 // handleHealthz reports the router's own liveness and the ring membership:
@@ -456,27 +440,10 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the router's Prometheus text surface: the registry
 // (per-backend latency histograms, forward/ejection counters, aliveness
-// gauges) followed by the flat router.* observer counters, the same shape
-// pardetectd's /metrics uses.
+// gauges) followed by the flat router.* observer counters, through the same
+// renderer pardetectd's /metrics uses.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var sb strings.Builder
-	if err := rt.reg.WriteProm(&sb); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	counters := rt.obs.Snapshot().Counters
-	keys := make([]string, 0, len(counters))
-	for k := range counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	sb.WriteString("# HELP pardetect_obs_counter Flat router counters.\n")
-	sb.WriteString("# TYPE pardetect_obs_counter untyped\n")
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "pardetect_obs_counter{name=%q} %d\n", k, counters[k])
-	}
-	io.WriteString(w, sb.String())
+	server.WriteMetrics(w, rt.reg, rt.obs, "Flat router counters.")
 }
 
 // --- batch fan-out ---------------------------------------------------------
@@ -491,19 +458,16 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rt.obs.Add("router.requests", 1)
 	if r.Method != http.MethodPost {
-		rt.obs.Add("router.bad_requests", 1)
 		rt.clientError(w, http.StatusMethodNotAllowed, "use POST with one wire-IR program per line (NDJSON)")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.opts.MaxBatchBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBatchBytes))
 	if err != nil {
-		rt.obs.Add("router.bad_requests", 1)
 		rt.clientError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
 	lines := server.SplitBatchLines(body)
 	if len(lines) == 0 {
-		rt.obs.Add("router.bad_requests", 1)
 		rt.clientError(w, http.StatusBadRequest, "empty batch: send one wire-IR program per line")
 		return
 	}
@@ -512,19 +476,13 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	pending := make([]*bline, len(lines))
 	for i, raw := range lines {
-		key := ""
-		if fp, err := server.FingerprintWire(raw); err == nil {
-			key = fp
-		} else {
-			key = fmt.Sprintf("raw:%016x", hashKey(string(raw)))
-		}
-		pending[i] = &bline{idx: i, raw: raw, key: key, tried: make(map[string]bool, 2)}
+		pending[i] = &bline{idx: i, raw: raw, key: wireKey(raw), tried: make(map[string]bool, 2)}
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Pardetect-Programs", strconv.Itoa(len(lines)))
 	w.WriteHeader(http.StatusOK)
-	out := &mergeWriter{w: w}
+	out := server.NewLineWriter(w)
 
 	for round := 0; round <= rt.opts.Retries && len(pending) > 0; round++ {
 		// Group the pending lines by their current home replica: the first
@@ -567,7 +525,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Lines that survived every round have no route left.
 	for _, l := range pending {
 		rt.obs.Add("router.batch.unroutable", 1)
-		out.write(map[string]any{
+		out.Write(map[string]any{
 			"index":   l.idx,
 			"outcome": "error",
 			"error":   "no backend could serve the program",
@@ -589,22 +547,12 @@ type bline struct {
 // when the replica fails before answering (transport error or retryable
 // status); once lines have started streaming the successfully received ones
 // are final and only the tail is re-routed.
-func (rt *Router) forwardSubBatch(r *http.Request, b *backend, group []*bline, out *mergeWriter) []*bline {
+func (rt *Router) forwardSubBatch(r *http.Request, b *backend, group []*bline, out *server.LineWriter) []*bline {
 	sub := make([][]byte, len(group))
 	for i, l := range group {
 		sub[i] = l.raw
 	}
-	body := bytes.Join(sub, []byte("\n"))
-	outURL := b.name + r.URL.RequestURI()
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, outURL, bytes.NewReader(body))
-	if err != nil {
-		rt.strike(b)
-		return group
-	}
-	copyHeaders(req.Header, r.Header)
-	t0 := time.Now()
-	resp, err := rt.client.Do(req)
-	b.latency.Observe(time.Since(t0).Nanoseconds())
+	resp, err := rt.roundTrip(r, b, bytes.Join(sub, []byte("\n")))
 	if err != nil {
 		rt.strike(b)
 		rt.obs.Add("router.retries", 1)
@@ -617,8 +565,6 @@ func (rt *Router) forwardSubBatch(r *http.Request, b *backend, group []*bline, o
 		rt.obs.Add("router.retries", 1)
 		return group
 	}
-	b.forwards.Inc()
-	rt.obs.Add("router.forwards", 1)
 	if resp.StatusCode != http.StatusOK {
 		// The whole sub-batch was refused with an answer (e.g. a tenant 429):
 		// surface it per line, mirroring the backend's own per-line contract.
@@ -628,7 +574,7 @@ func (rt *Router) forwardSubBatch(r *http.Request, b *backend, group []*bline, o
 		}
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
 		for _, l := range group {
-			out.write(map[string]any{
+			out.Write(map[string]any{
 				"index":   l.idx,
 				"outcome": outcome,
 				"error":   fmt.Sprintf("backend answered %d: %s", resp.StatusCode, bytes.TrimSpace(msg)),
@@ -658,7 +604,7 @@ func (rt *Router) forwardSubBatch(r *http.Request, b *backend, group []*bline, o
 		answered[subIdx] = true
 		fields["index"], _ = json.Marshal(group[subIdx].idx)
 		fields["backend"], _ = json.Marshal(b.name)
-		out.writeRaw(fields)
+		out.Write(fields)
 	}
 	// A replica that died mid-stream answered a prefix; re-route the rest.
 	var failed []*bline
@@ -672,36 +618,4 @@ func (rt *Router) forwardSubBatch(r *http.Request, b *backend, group []*bline, o
 		rt.obs.Add("router.retries", 1)
 	}
 	return failed
-}
-
-// mergeWriter serialises the re-merged NDJSON stream: one line per result,
-// flushed as it completes, whatever replica it came from.
-type mergeWriter struct {
-	mu sync.Mutex
-	w  http.ResponseWriter
-}
-
-func (m *mergeWriter) write(v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	m.emit(data)
-}
-
-func (m *mergeWriter) writeRaw(fields map[string]json.RawMessage) {
-	data, err := json.Marshal(fields)
-	if err != nil {
-		return
-	}
-	m.emit(data)
-}
-
-func (m *mergeWriter) emit(data []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.w.Write(append(data, '\n'))
-	if f, ok := m.w.(http.Flusher); ok {
-		f.Flush()
-	}
 }

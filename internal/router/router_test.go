@@ -3,6 +3,7 @@ package router
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,6 +23,7 @@ import (
 type cluster struct {
 	router   *Router
 	front    *httptest.Server
+	servers  []*server.Server // backends[i] serves servers[i]
 	backends []*httptest.Server
 }
 
@@ -45,6 +47,7 @@ func startCluster(t *testing.T, n int, srvOpts server.Options, mutate func(*Opti
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv.Handler())
+		c.servers = append(c.servers, srv)
 		c.backends = append(c.backends, ts)
 		urls = append(urls, ts.URL)
 	}
@@ -405,6 +408,65 @@ func TestRouterBatchFailover(t *testing.T) {
 	}
 }
 
+// TestRouterBatchFailoverOnDrain: a sub-batch a draining backend answers
+// with 503 goes through the same roundTrip as a single /analyze (the answer
+// is a counted forward that strikes the backend), and each of its lines is
+// re-routed to that line's next replica on the ring; no line is lost.
+func TestRouterBatchFailoverOnDrain(t *testing.T) {
+	// A prober that never ticks: the 503 itself must eject the backend.
+	c := startCluster(t, 3, server.Options{}, func(o *Options) { o.ProbeInterval = time.Hour })
+	pool := wirePool(t, 550, 8)
+	body := bytes.Join(pool, []byte("\n"))
+
+	victim := batchLines(t, c.front.URL, body)[0]["backend"].(string)
+	for i, b := range c.backends {
+		if b.URL == victim {
+			if err := c.servers[i].Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	vb := c.router.byName[victim]
+	forwardsBefore := vb.forwards.Value()
+
+	lines := batchLines(t, c.front.URL, body)
+	if len(lines) != len(pool) {
+		t.Fatalf("batch through a draining backend returned %d lines, want %d", len(lines), len(pool))
+	}
+	moved := 0
+	for _, line := range lines {
+		idx := int(line["index"].(float64))
+		if oc := line["outcome"]; oc != "hit" && oc != "miss" && oc != "join" {
+			t.Fatalf("line %d outcome = %v after draining %s, want a success", idx, oc, victim)
+		}
+		key, err := server.FingerprintWire(pool[idx])
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := c.router.ring.Sequence(key, len(c.backends))
+		want := seq[0]
+		if want == victim {
+			want = seq[1]
+			moved++
+		}
+		if got := line["backend"]; got != want {
+			t.Fatalf("line %d served by %v, want %s (its first replica other than the draining %s)", idx, got, want, victim)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no line had the draining backend as its home")
+	}
+	if got := vb.forwards.Value() - forwardsBefore; got != 1 {
+		t.Fatalf("draining backend forwards moved by %d, want 1 (the answered 503)", got)
+	}
+	if vb.alive.Load() {
+		t.Fatal("backend still alive after answering 503 with FailAfter=1")
+	}
+	if n := c.router.Observer().Counter("router.retries"); n < 1 {
+		t.Fatalf("router.retries = %d, want >= 1", n)
+	}
+}
+
 // TestRouterPassthroughHeaders: Request-Id and tenant headers pass through
 // untouched — the tenant limiter on the backend sees the router's clients,
 // and a tenant 429 is an answer, never retried onto another replica.
@@ -468,6 +530,79 @@ func TestRouterAllBackendsDown(t *testing.T) {
 	if !bytes.Contains(data, []byte("error")) {
 		t.Fatalf("502 body %q carries no error field", data)
 	}
+}
+
+// TestRouterErrorBodies: the errors the router answers itself carry exactly
+// pardetectd's {"error":…} body and Content-Type — byte-identical to the
+// backend's own answer where the backend refuses the same request, and the
+// same one-field shape for the router-only 502.
+func TestRouterErrorBodies(t *testing.T) {
+	c := startCluster(t, 1, server.Options{}, nil)
+	call := func(base, method, path string, body []byte) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, data
+	}
+	// oneField checks a body is exactly the encoding of {"error": msg}.
+	oneField := func(resp *http.Response, data []byte) {
+		t.Helper()
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("Content-Type %q, want application/json", ct)
+		}
+		var e struct{ Error string }
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&e); err != nil || e.Error == "" {
+			t.Fatalf("body %q is not an {\"error\":…} object: %v", data, err)
+		}
+		var want bytes.Buffer
+		json.NewEncoder(&want).Encode(map[string]string{"error": e.Error})
+		if !bytes.Equal(data, want.Bytes()) {
+			t.Fatalf("body %q, want exactly %q", data, want.Bytes())
+		}
+	}
+	for _, tc := range []struct {
+		name, method, path string
+		body               []byte
+		status             int
+	}{
+		{"analyze 405", "PUT", "/analyze", nil, http.StatusMethodNotAllowed},
+		{"batch 405", "GET", "/analyze/batch", nil, http.StatusMethodNotAllowed},
+		{"batch 400", "POST", "/analyze/batch", []byte("\n\n"), http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, data := call(c.front.URL, tc.method, tc.path, tc.body)
+			if resp.StatusCode != tc.status {
+				t.Fatalf("router status %d, want %d: %s", resp.StatusCode, tc.status, data)
+			}
+			if resp.Header.Get(BackendHeader) != "" {
+				t.Fatal("the router forwarded a request it should refuse itself")
+			}
+			oneField(resp, data)
+			bresp, bdata := call(c.backends[0].URL, tc.method, tc.path, tc.body)
+			if bresp.StatusCode != tc.status || !bytes.Equal(data, bdata) {
+				t.Fatalf("router answered %d %q, backend %d %q", resp.StatusCode, data, bresp.StatusCode, bdata)
+			}
+		})
+	}
+	c.backends[0].Close()
+	resp, data := postAnalyze(t, c.front.URL, wirePool(t, 750, 1)[0])
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("status %d with the backend down, want 502: %s", resp.StatusCode, data)
+	}
+	oneField(resp, data)
 }
 
 // TestRouterMetricsSurface: after traffic, /metrics carries per-backend

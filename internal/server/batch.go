@@ -1,8 +1,6 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,8 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"pardetect/internal/farm"
-	"pardetect/internal/interp"
 	"pardetect/internal/obs"
 	"pardetect/internal/wire"
 )
@@ -24,7 +20,7 @@ import (
 // Contract:
 //
 //   - the request body is NDJSON: one wire-IR program per non-empty line
-//     (the same encoding POST /analyze accepts), at most MaxBatchPrograms
+//     (the same encoding POST /analyze accepts), at most maxBatchPrograms
 //     lines and MaxBatchBytes bytes;
 //   - the response is NDJSON (application/x-ndjson), one batchLine object
 //     per input line, streamed in completion order as each program finishes
@@ -78,7 +74,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBatchBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBatchBytes))
 	if err != nil {
 		s.clientError(w, http.StatusBadRequest, "read body: %v", err)
 		return
@@ -88,9 +84,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, http.StatusBadRequest, "empty batch: send one wire-IR program per line")
 		return
 	}
-	if len(lines) > s.opts.MaxBatchPrograms {
+	if len(lines) > maxBatchPrograms {
 		s.clientError(w, http.StatusBadRequest, "batch of %d programs exceeds the limit of %d",
-			len(lines), s.opts.MaxBatchPrograms)
+			len(lines), maxBatchPrograms)
 		return
 	}
 	s.obs.Add("server.batch.requests", 1)
@@ -107,7 +103,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(outcomeHeader, "ok")
 	w.Header().Set("X-Pardetect-Programs", strconv.Itoa(len(lines)))
 	w.WriteHeader(http.StatusOK)
-	out := &batchWriter{w: w}
+	out := NewLineWriter(w)
 
 	idxCh := make(chan int)
 	var wg sync.WaitGroup
@@ -116,7 +112,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				out.write(s.runBatchLine(i, lines[i], params, deadline, r.Context()))
+				out.Write(s.runBatchLine(i, lines[i], params, deadline, r.Context()))
 			}
 		}()
 	}
@@ -171,7 +167,7 @@ func (s *Server) runBatchLine(i int, raw []byte, params analyzeParams, deadline 
 	ro := obs.New(fmt.Sprintf("batch[%d]", i))
 	entry, verdict, err := s.lookupOrAnalyze(prog, "", lineParams, ro)
 	if err != nil {
-		line.Outcome, line.Error = batchErrOutcome(err), err.Error()
+		line.Outcome, line.Error = errOutcome(err), err.Error()
 		return line
 	}
 	line.Outcome = verdict
@@ -181,40 +177,4 @@ func (s *Server) runBatchLine(i int, raw []byte, params analyzeParams, deadline 
 	line.BestSpeedup = entry.BestSpeedup
 	line.Summary = string(entry.Text)
 	return line
-}
-
-// batchErrOutcome maps an analysis failure to the per-line outcome
-// vocabulary, mirroring analysisError's status mapping.
-func batchErrOutcome(err error) string {
-	var pe *farm.PanicError
-	switch {
-	case errors.Is(err, errBusy):
-		return "reject"
-	case errors.Is(err, interp.ErrDeadline):
-		return "timeout"
-	case errors.As(err, &pe), errors.Is(err, errFlightPanic):
-		return "panic"
-	default:
-		return "error"
-	}
-}
-
-// batchWriter serialises streamed NDJSON lines: one encoder, one flush per
-// line so a slow batch delivers results as they complete.
-type batchWriter struct {
-	mu sync.Mutex
-	w  http.ResponseWriter
-}
-
-func (b *batchWriter) write(line batchLine) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	data, err := json.Marshal(line)
-	if err != nil {
-		return
-	}
-	b.w.Write(append(data, '\n'))
-	if f, ok := b.w.(http.Flusher); ok {
-		f.Flush()
-	}
 }

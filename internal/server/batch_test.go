@@ -115,12 +115,12 @@ func TestBatchNDJSON(t *testing.T) {
 }
 
 func TestBatchClientErrors(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, MaxBatchPrograms: 2})
+	_, ts := newTestServer(t, Options{Workers: 1})
 	doc, err := wire.EncodeProgram(slowProgram("limits", 8))
 	if err != nil {
 		t.Fatalf("EncodeProgram: %v", err)
 	}
-	three := bytes.Repeat(append(doc, '\n'), 3)
+	tooMany := bytes.Repeat(append(doc, '\n'), maxBatchPrograms+1)
 
 	tests := []struct {
 		name   string
@@ -132,7 +132,7 @@ func TestBatchClientErrors(t *testing.T) {
 	}{
 		{"method", "GET", "/analyze/batch", nil, 405, "use POST"},
 		{"empty", "POST", "/analyze/batch", []byte("\n\n"), 400, "empty batch"},
-		{"too many", "POST", "/analyze/batch", three, 400, "exceeds the limit"},
+		{"too many", "POST", "/analyze/batch", tooMany, 400, "batch of 1025 programs exceeds the limit of 1024"},
 		{"bad parallel", "POST", "/analyze/batch?parallel=0", doc, 400, "bad parallel"},
 		{"negative parallel", "POST", "/analyze/batch?parallel=-3", doc, 400, "bad parallel"},
 		{"overflow parallel", "POST", "/analyze/batch?parallel=99999999999999999999999", doc, 400, "bad parallel"},

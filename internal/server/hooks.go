@@ -3,18 +3,35 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"sort"
+	"strings"
+	"sync"
 
 	"pardetect/internal/apps"
 	"pardetect/internal/core"
+	"pardetect/internal/obs"
+	"pardetect/internal/obs/metrics"
 	"pardetect/internal/wire"
 )
 
-// The routing hooks: internal/router computes a request's content address
-// with the same codec and fingerprint the server caches under, so a routed
-// request can never hit a replica that would re-analyse a program another
-// replica already holds, and splits a batch body into the same lines the
-// server's batch handler does. Kept here (not in the router) so the two
-// tiers cannot drift: one decode, one fingerprint, one key, one split.
+// The front-door hooks shared by both serving tiers. internal/router
+// computes a request's content address with the same codec and fingerprint
+// the server caches under, so a routed request can never hit a replica that
+// would re-analyse a program another replica already holds, and splits a
+// batch body into the same lines the server's batch handler does. It also
+// answers its own errors, streams its merged batch results and renders its
+// /metrics page through the code here, under the same body limits. Kept
+// here (not in the router) so the two tiers cannot drift: one decode, one
+// fingerprint, one key, one split, one error body, one NDJSON writer, one
+// /metrics renderer, one batch limit.
+
+// MaxBatchBytes bounds an /analyze/batch request body at both tiers (a
+// single POST /analyze body is bounded by wire.MaxProgramBytes).
+const MaxBatchBytes = 64 << 20
 
 // FingerprintWire decodes a wire-IR program (the POST /analyze body
 // encoding) and returns its content address — the key the server's LRU,
@@ -59,3 +76,60 @@ func SplitBatchLines(body []byte) [][]byte {
 // TenantHeader is the header naming the client for per-tenant fairness, and
 // is forwarded untouched by the routing tier.
 const TenantHeader = tenantHeader
+
+// WriteError answers a request with status and the JSON error body
+// {"error":"<message>"}, the one error shape both tiers emit.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// LineWriter streams an NDJSON response body: each Write marshals one value
+// onto its own line and flushes it, so a slow batch delivers results as they
+// complete. Safe for concurrent use.
+type LineWriter struct {
+	mu sync.Mutex
+	w  http.ResponseWriter
+}
+
+// NewLineWriter returns a LineWriter over w.
+func NewLineWriter(w http.ResponseWriter) *LineWriter { return &LineWriter{w: w} }
+
+// Write emits v as one JSON line; a value that does not marshal is dropped.
+func (l *LineWriter) Write(v any) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.w.Write(append(data, '\n'))
+	if f, ok := l.w.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// WriteMetrics serves the Prometheus text exposition: every family of reg,
+// followed by o's flat counters as the pardetect_obs_counter family, sorted
+// by name, under the given HELP text.
+func WriteMetrics(w http.ResponseWriter, reg *metrics.Registry, o *obs.Observer, help string) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	var sb strings.Builder
+	if err := reg.WriteProm(&sb); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	counters := o.Snapshot().Counters
+	keys := make([]string, 0, len(counters))
+	for k := range counters {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	fmt.Fprintf(&sb, "# HELP pardetect_obs_counter %s\n", help)
+	sb.WriteString("# TYPE pardetect_obs_counter untyped\n")
+	for _, k := range keys {
+		fmt.Fprintf(&sb, "pardetect_obs_counter{name=%q} %d\n", k, counters[k])
+	}
+	io.WriteString(w, sb.String())
+}

@@ -2,11 +2,9 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -353,24 +351,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 // followed by the flat obs counters as one labeled family, so everything
 // /debug/obs counts is also scrapeable.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var sb strings.Builder
-	if err := s.m.reg.WriteProm(&sb); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	counters := s.obs.Snapshot().Counters
-	keys := make([]string, 0, len(counters))
-	for k := range counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	sb.WriteString("# HELP pardetect_obs_counter Flat service counters (see /debug/obs).\n")
-	sb.WriteString("# TYPE pardetect_obs_counter untyped\n")
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "pardetect_obs_counter{name=%q} %d\n", k, counters[k])
-	}
-	w.Write([]byte(sb.String()))
+	WriteMetrics(w, s.m.reg, s.obs, "Flat service counters (see /debug/obs).")
 }
 
 // handleDebugMetrics serves the registry as JSON (histograms with exact

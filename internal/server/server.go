@@ -67,19 +67,10 @@ type Options struct {
 	// DefaultTimeout is the per-request analysis deadline applied when the
 	// request carries no timeout parameter; 0 means no deadline.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps the timeout a request may ask for; values <= 0 select
-	// the default of 10 minutes.
-	MaxTimeout time.Duration
 	// DefaultEngine is the interpreter engine used when the request carries
 	// no engine parameter ("" selects bytecode, the library default; tree is
 	// the reference walker). New canonicalises it with interp.ParseEngine.
 	DefaultEngine string
-	// MaxBodyBytes bounds a POSTed IR program; values < 1 select
-	// wire.MaxProgramBytes (8 MiB).
-	MaxBodyBytes int64
-	// Observer receives the service counters; nil creates a fresh observer
-	// labelled "pardetectd" (exposed via Server.Observer).
-	Observer *obs.Observer
 	// AccessLog, when non-nil, receives one structured JSON line per request
 	// (request ID, endpoint, outcome, status, duration, bytes).
 	AccessLog io.Writer
@@ -105,13 +96,17 @@ type Options struct {
 	// TenantMaxInflight caps each tenant's concurrently-served /analyze and
 	// /analyze/batch requests. <= 0 disables.
 	TenantMaxInflight int
-	// MaxBatchPrograms bounds the programs one /analyze/batch request may
-	// carry; values < 1 select 1024.
-	MaxBatchPrograms int
-	// MaxBatchBytes bounds an /analyze/batch request body; values < 1
-	// select 64 MiB.
-	MaxBatchBytes int64
 }
+
+// The request limits. A POSTed program is bounded by wire.MaxProgramBytes
+// and a batch body by MaxBatchBytes, both enforced while the body is read.
+const (
+	// maxTimeout caps the timeout a request may ask for.
+	maxTimeout = 10 * time.Minute
+	// maxBatchPrograms bounds the programs one /analyze/batch request may
+	// carry.
+	maxBatchPrograms = 1024
+)
 
 func (o *Options) fill() error {
 	if o.Workers < 1 {
@@ -126,32 +121,17 @@ func (o *Options) fill() error {
 	if o.DefaultTimeout < 0 {
 		o.DefaultTimeout = 0
 	}
-	if o.MaxTimeout <= 0 {
-		o.MaxTimeout = 10 * time.Minute
-	}
-	if o.MaxBodyBytes < 1 {
-		o.MaxBodyBytes = wire.MaxProgramBytes
-	}
 	if o.SlowSamples == 0 {
 		o.SlowSamples = 8
 	}
 	if o.SlowSamples < 0 {
 		o.SlowSamples = 0
 	}
-	if o.MaxBatchPrograms < 1 {
-		o.MaxBatchPrograms = 1024
-	}
-	if o.MaxBatchBytes < 1 {
-		o.MaxBatchBytes = 64 << 20
-	}
 	eng, err := interp.ParseEngine(o.DefaultEngine)
 	if err != nil {
 		return err
 	}
 	o.DefaultEngine = eng
-	if o.Observer == nil {
-		o.Observer = obs.New("pardetectd")
-	}
 	return nil
 }
 
@@ -194,7 +174,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		opts:  opts,
-		obs:   opts.Observer,
+		obs:   obs.New("pardetectd"),
 		pool:  farm.NewPool(farm.Options{Jobs: opts.Workers, Queue: opts.Queue}),
 		cache: newCache(opts.CacheEntries),
 		mux:   http.NewServeMux(),
@@ -432,8 +412,8 @@ func (s *Server) parseParams(r *http.Request) (analyzeParams, error) {
 		}
 		p.timeout = d
 	}
-	if p.timeout > s.opts.MaxTimeout {
-		p.timeout = s.opts.MaxTimeout
+	if p.timeout > maxTimeout {
+		p.timeout = maxTimeout
 	}
 	switch v := q.Get("format"); v {
 	case "", "text":
@@ -452,17 +432,10 @@ func (s *Server) parseParams(r *http.Request) (analyzeParams, error) {
 	return p, nil
 }
 
-// jsonError writes a JSON error body with the given status.
-func (s *Server) jsonError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 func (s *Server) clientError(w http.ResponseWriter, status int, format string, args ...any) {
 	s.obs.Add("server.bad_requests", 1)
 	w.Header().Set(outcomeHeader, "bad_request")
-	s.jsonError(w, status, format, args...)
+	WriteError(w, status, format, args...)
 }
 
 // --- endpoints -------------------------------------------------------------
@@ -528,7 +501,7 @@ func (s *Server) handleIR(w http.ResponseWriter, r *http.Request) {
 	data, err := wire.EncodeProgram(app.Build())
 	if err != nil {
 		s.obs.Add("server.errors", 1)
-		s.jsonError(w, http.StatusInternalServerError, "encode: %v", err)
+		WriteError(w, http.StatusInternalServerError, "encode: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -602,7 +575,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		sp.End()
 	case http.MethodPost:
 		sp := ro.Start("decode_ir")
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxProgramBytes))
 		if err != nil {
 			sp.End()
 			s.clientError(w, http.StatusBadRequest, "read body: %v", err)
@@ -634,7 +607,7 @@ func (s *Server) rejectDraining(w http.ResponseWriter) {
 	s.obs.Add("server.rejects", 1)
 	w.Header().Set(outcomeHeader, "drain")
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
-	s.jsonError(w, http.StatusServiceUnavailable, "server is draining")
+	WriteError(w, http.StatusServiceUnavailable, "server is draining")
 }
 
 // admitTenant applies per-tenant fairness ahead of everything else the
@@ -655,7 +628,7 @@ func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request) (func(), bo
 	s.m.tenantReject(tenant, reason).Inc()
 	w.Header().Set(outcomeHeader, "reject")
 	w.Header().Set("Retry-After", strconv.FormatInt(retryAfter, 10))
-	s.jsonError(w, http.StatusTooManyRequests, "tenant %q over its %s limit", tenant, reason)
+	WriteError(w, http.StatusTooManyRequests, "tenant %q over its %s limit", tenant, reason)
 	return nil, false
 }
 
@@ -766,37 +739,54 @@ func (s *Server) analyze(prog *ir.Program, appName string, params analyzeParams,
 	return e, nil
 }
 
-// analysisError maps an analysis failure onto the HTTP surface: a full
-// queue is 429 with a Retry-After estimate, an exceeded deadline is 504, a
-// recovered panic is 500, and a runtime failure of a valid program (step
-// limit, out-of-bounds access) is 422.
-func (s *Server) analysisError(w http.ResponseWriter, err error) {
+// errOutcome classifies an analysis failure in the outcome vocabulary both
+// /analyze and /analyze/batch report: "reject" for a full admission queue,
+// "timeout" for an exceeded deadline, "panic" for a recovered panic (the
+// analysis's own, or a flight leader's seen by a joiner) and "error" for a
+// runtime failure of a valid program (step limit, out-of-bounds access).
+func errOutcome(err error) string {
 	var pe *farm.PanicError
 	switch {
 	case errors.Is(err, errBusy):
-		s.obs.Add("server.rejects", 1)
-		w.Header().Set(outcomeHeader, "reject")
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
-		s.jsonError(w, http.StatusTooManyRequests, "analysis queue full (%d running, %d queued)",
-			s.pool.Running(), s.pool.Queued())
+		return "reject"
 	case errors.Is(err, interp.ErrDeadline):
+		return "timeout"
+	case errors.As(err, &pe), errors.Is(err, errFlightPanic):
+		return "panic"
+	default:
+		return "error"
+	}
+}
+
+// analysisError maps an analysis failure onto the HTTP surface: a full
+// queue is 429 with a Retry-After estimate, an exceeded deadline is 504, a
+// recovered panic is 500, and a runtime failure of a valid program is 422.
+func (s *Server) analysisError(w http.ResponseWriter, err error) {
+	outcome := errOutcome(err)
+	w.Header().Set(outcomeHeader, outcome)
+	switch outcome {
+	case "reject":
+		s.obs.Add("server.rejects", 1)
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
+		WriteError(w, http.StatusTooManyRequests, "analysis queue full (%d running, %d queued)",
+			s.pool.Running(), s.pool.Queued())
+	case "timeout":
 		s.obs.Add("server.timeouts", 1)
-		w.Header().Set(outcomeHeader, "timeout")
-		s.jsonError(w, http.StatusGatewayTimeout, "%v", err)
-	case errors.As(err, &pe):
+		WriteError(w, http.StatusGatewayTimeout, "%v", err)
+	case "panic":
+		// A joiner whose flight leader panicked gets the same verdict as the
+		// leader's own request, and it is not sticky: the flight is gone, a
+		// retry is fresh.
 		s.obs.Add("server.panics", 1)
-		w.Header().Set(outcomeHeader, "panic")
-		s.jsonError(w, http.StatusInternalServerError, "analysis panicked: %v", pe.Value)
-	case errors.Is(err, errFlightPanic):
-		// A joiner whose flight leader panicked: same verdict as the leader's
-		// own request, and not sticky — the flight is gone, a retry is fresh.
-		s.obs.Add("server.panics", 1)
-		w.Header().Set(outcomeHeader, "panic")
-		s.jsonError(w, http.StatusInternalServerError, "%v", err)
+		var pe *farm.PanicError
+		if errors.As(err, &pe) {
+			WriteError(w, http.StatusInternalServerError, "analysis panicked: %v", pe.Value)
+		} else {
+			WriteError(w, http.StatusInternalServerError, "%v", err)
+		}
 	default:
 		s.obs.Add("server.errors", 1)
-		w.Header().Set(outcomeHeader, "error")
-		s.jsonError(w, http.StatusUnprocessableEntity, "%v", err)
+		WriteError(w, http.StatusUnprocessableEntity, "%v", err)
 	}
 }
 

@@ -13,10 +13,11 @@
 #
 # Also fails when code in README.md, DESIGN.md or EXPERIMENTS.md (an
 # inline `span` or a fenced block) names a `make <target>` the Makefile
-# does not define, or a scripts/<name>.go|.sh, cmd/<name> or BENCH_*.json
-# that is not in the tree — so deleting a tool cannot leave docs that tell
-# readers to run it. A historical mention goes in plain text instead.
-# bench/README.md is not checked yet.
+# does not define, a scripts/<name>.go|.sh, cmd/<name> or BENCH_*.json
+# that is not in the tree, or an option <pkg>.Options.<Field> that the
+# Options struct of internal/<pkg> does not declare — so deleting a tool or
+# a knob cannot leave docs that tell readers to use it. A historical
+# mention goes in plain text instead. bench/README.md is not checked yet.
 #
 # Usage: sh scripts/hygiene.sh   (ci.sh runs it first; the GitHub workflow
 # runs it as its own named step so a violation is visible at a glance)
@@ -65,6 +66,25 @@ doc_code() {
     }' "$@"
 }
 
+# options_fields prints the field names the Options struct of the Go
+# package in directory $1 declares, one per line (test files excluded).
+options_fields() {
+    for f in "$1"/*.go; do
+        case "$f" in *_test.go) continue ;; esac
+        [ -f "$f" ] && cat "$f"
+    done | awk '
+    /^type Options struct/ { in_s = 1; next }
+    in_s && /^}/ { in_s = 0 }
+    in_s {
+        sub(/\/\/.*/, "")
+        gsub(/,[ \t]*/, ",")
+        if ($1 ~ /^[A-Z]/) {
+            n = split($1, names, ",")
+            for (k = 1; k <= n; k++) print names[k]
+        }
+    }'
+}
+
 stale=$(
     doc_code README.md DESIGN.md EXPERIMENTS.md | while IFS= read -r line; do
         where=${line%%: *}
@@ -78,6 +98,12 @@ stale=$(
         for name in $(printf '%s\n' "$code" | grep -oE 'BENCH_[A-Za-z0-9_*.-]*\.json'); do
             set -- $name
             [ -e "$1" ] || echo "$where: $name (not in the tree)"
+        done
+        for opt in $(printf '%s\n' "$code" | grep -oE '(^|[^A-Za-z0-9_.])[a-z][a-z0-9]*\.Options\.[A-Z][A-Za-z0-9_]*' | sed 's/^[^a-z]*//'); do
+            pkg=${opt%%.*}
+            field=${opt##*.}
+            options_fields "internal/$pkg" | grep -qx "$field" ||
+                echo "$where: $opt (internal/$pkg declares no such option)"
         done
     done
 )
