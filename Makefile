@@ -60,14 +60,17 @@ hygiene:
 # fuzz hunts for new divergences: each native target runs for FUZZTIME
 # (default 10 minutes) from the committed corpus in
 # internal/fuzzer/testdata/fuzz and internal/wire/testdata/fuzz. Reproduce
-# a fuzzer find with `pardetect -fuzz-seed <seed>`; a FuzzDecode find is a
-# wire document, replayed by `go test ./internal/wire/`.
+# a fuzzer find with `pardetect -fuzz-seed <seed>`; a FuzzDecode or
+# FuzzDecodeParity find is a wire document, replayed by
+# `go test ./internal/wire/`.
 FUZZTIME ?= 10m
 fuzz:
 	for t in FuzzGenerate FuzzDifferential FuzzEngine FuzzMetamorphic; do \
 		$(GO) test ./internal/fuzzer/ -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
-	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
+	for t in FuzzDecode FuzzDecodeParity; do \
+		$(GO) test ./internal/wire/ -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 # fuzz-smoke is the bounded CI variant: 10 seconds per target, enough to
 # replay the corpus and prove the harness still executes.

@@ -578,9 +578,13 @@ func readProgram(path string) ([]byte, error) {
 // default manifest lives inside the corpus), as is the configured manifest
 // path wherever it points.
 func scan(dir, manifestPath string) ([]string, error) {
+	absDir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
 	absManifest, _ := filepath.Abs(manifestPath)
 	var out []string
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -594,12 +598,12 @@ func scan(dir, manifestPath string) ([]string, error) {
 		if strings.HasPrefix(name, ".") || !strings.HasSuffix(name, ".json") {
 			return nil
 		}
-		if abs, err := filepath.Abs(path); err == nil && abs == absManifest {
-			return nil
-		}
 		rel, err := filepath.Rel(dir, path)
 		if err != nil {
 			return err
+		}
+		if filepath.Join(absDir, rel) == absManifest {
+			return nil
 		}
 		out = append(out, filepath.ToSlash(rel))
 		return nil

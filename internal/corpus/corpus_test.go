@@ -719,3 +719,37 @@ func TestWarmPassNeverOpensStore(t *testing.T) {
 		t.Fatalf("warm pass created the store directory: %v", err)
 	}
 }
+
+// TestScanRelativeDirSkipsManifest: scan resolves the corpus directory once
+// and joins each file's relative path to it, so a relative Dir still leaves a
+// manifest stored inside it (named by a relative or an absolute path) out of
+// the program list.
+func TestScanRelativeDirSkipsManifest(t *testing.T) {
+	abs := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := filepath.Rel(wd, abs)
+	if err != nil {
+		t.Skipf("no relative path to the temp dir: %v", err)
+	}
+	if err := os.Mkdir(filepath.Join(abs, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a.json", "m.json", "sub/b.json"} {
+		if err := os.WriteFile(filepath.Join(abs, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"a.json", "sub/b.json"}
+	for _, manifest := range []string{filepath.Join(dir, "m.json"), filepath.Join(abs, "m.json")} {
+		got, err := scan(dir, manifest)
+		if err != nil {
+			t.Fatalf("scan(%s, %s): %v", dir, manifest, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scan(%s, %s) = %v, want %v", dir, manifest, got, want)
+		}
+	}
+}

@@ -466,9 +466,9 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rt.clientError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	lines := server.SplitBatchLines(body)
-	if len(lines) == 0 {
-		rt.clientError(w, http.StatusBadRequest, "empty batch: send one wire-IR program per line")
+	lines, err := server.BatchLines(body)
+	if err != nil {
+		rt.clientError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rt.obs.Add("router.batch.requests", 1)

@@ -377,6 +377,27 @@ func TestRouterBatch(t *testing.T) {
 	}
 }
 
+// TestRouterBatchLongLine is the router-tier regression test for batch
+// lines over 1 MiB, which the shared line splitter used to drop silently,
+// with every line after them: a program padded with interior white space to
+// 2 MiB, between two small lines, is routed and analysed, and so are its
+// neighbours.
+func TestRouterBatchLongLine(t *testing.T) {
+	c := startCluster(t, 3, server.Options{}, nil)
+	pool := wirePool(t, 900, 3)
+	pool[1] = append(append([]byte("{"), bytes.Repeat([]byte(" "), 2<<20)...), pool[1][1:]...)
+
+	lines := batchLines(t, c.front.URL, bytes.Join(pool, []byte("\n")))
+	if len(lines) != 3 {
+		t.Fatalf("batch returned %d lines, want 3", len(lines))
+	}
+	for _, line := range lines {
+		if oc := line["outcome"]; oc != "miss" && oc != "hit" && oc != "join" {
+			t.Fatalf("line %v: outcome %v (%v), want an analysed program", line["index"], oc, line["error"])
+		}
+	}
+}
+
 // TestRouterBatchFailover: killing a replica mid-batch re-routes its share;
 // every line still comes back successfully.
 func TestRouterBatchFailover(t *testing.T) {
@@ -581,6 +602,8 @@ func TestRouterErrorBodies(t *testing.T) {
 		{"analyze 405", "PUT", "/analyze", nil, http.StatusMethodNotAllowed},
 		{"batch 405", "GET", "/analyze/batch", nil, http.StatusMethodNotAllowed},
 		{"batch 400", "POST", "/analyze/batch", []byte("\n\n"), http.StatusBadRequest},
+		{"batch over the program limit", "POST", "/analyze/batch",
+			bytes.Repeat([]byte("{}\n"), server.MaxBatchPrograms+1), http.StatusBadRequest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, data := call(c.front.URL, tc.method, tc.path, tc.body)

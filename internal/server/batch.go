@@ -20,7 +20,7 @@ import (
 // Contract:
 //
 //   - the request body is NDJSON: one wire-IR program per non-empty line
-//     (the same encoding POST /analyze accepts), at most maxBatchPrograms
+//     (the same encoding POST /analyze accepts), at most MaxBatchPrograms
 //     lines and MaxBatchBytes bytes;
 //   - the response is NDJSON (application/x-ndjson), one batchLine object
 //     per input line, streamed in completion order as each program finishes
@@ -79,14 +79,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	lines := SplitBatchLines(body)
-	if len(lines) == 0 {
-		s.clientError(w, http.StatusBadRequest, "empty batch: send one wire-IR program per line")
-		return
-	}
-	if len(lines) > maxBatchPrograms {
-		s.clientError(w, http.StatusBadRequest, "batch of %d programs exceeds the limit of %d",
-			len(lines), maxBatchPrograms)
+	lines, err := BatchLines(body)
+	if err != nil {
+		s.clientError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.obs.Add("server.batch.requests", 1)

@@ -114,13 +114,51 @@ func TestBatchNDJSON(t *testing.T) {
 	}
 }
 
+// TestBatchLongLine is the regression test for batch lines over 1 MiB, which
+// the line splitter used to drop silently, together with every line after
+// them, under a 200: a program padded with interior white space to 2 MiB,
+// between two small lines, is analysed, and so are its neighbours.
+func TestBatchLongLine(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	names := []string{"long-a", "long-b", "long-c"}
+	var docs [][]byte
+	for _, name := range names {
+		doc, err := wire.EncodeProgram(slowProgram(name, 8))
+		if err != nil {
+			t.Fatalf("EncodeProgram: %v", err)
+		}
+		docs = append(docs, doc)
+	}
+	docs[1] = padWire(docs[1], 2<<20)
+
+	resp, lines := postBatch(t, ts.URL+"/analyze/batch", bytes.Join(docs, []byte("\n")))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	if len(lines) != 3 {
+		t.Fatalf("got %d result lines, want 3", len(lines))
+	}
+	for _, l := range lines {
+		if l.Outcome != "miss" || l.Program != names[l.Index] {
+			t.Fatalf("line %d: outcome %q program %q error %q, want an analysed %s",
+				l.Index, l.Outcome, l.Program, l.Error, names[l.Index])
+		}
+	}
+}
+
+// padWire returns the wire document doc padded to n bytes with white space
+// after its opening brace.
+func padWire(doc []byte, n int) []byte {
+	return append(append([]byte("{"), bytes.Repeat([]byte(" "), n-len(doc))...), doc[1:]...)
+}
+
 func TestBatchClientErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	doc, err := wire.EncodeProgram(slowProgram("limits", 8))
 	if err != nil {
 		t.Fatalf("EncodeProgram: %v", err)
 	}
-	tooMany := bytes.Repeat(append(doc, '\n'), maxBatchPrograms+1)
+	tooMany := bytes.Repeat(append(doc, '\n'), MaxBatchPrograms+1)
 
 	tests := []struct {
 		name   string

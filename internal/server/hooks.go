@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -29,9 +28,13 @@ import (
 // fingerprint, one key, one split, one error body, one NDJSON writer, one
 // /metrics renderer, one batch limit.
 
-// MaxBatchBytes bounds an /analyze/batch request body at both tiers (a
-// single POST /analyze body is bounded by wire.MaxProgramBytes).
-const MaxBatchBytes = 64 << 20
+// The /analyze/batch limits, enforced at both tiers: MaxBatchBytes bounds a
+// request body (a single POST /analyze body is bounded by
+// wire.MaxProgramBytes), MaxBatchPrograms the programs in it.
+const (
+	MaxBatchBytes    = 64 << 20
+	MaxBatchPrograms = 1024
+)
 
 // FingerprintWire decodes a wire-IR program (the POST /analyze body
 // encoding) and returns its content address — the key the server's LRU,
@@ -57,20 +60,31 @@ func AppFingerprint(name string) string {
 	return core.ProgramFingerprint(app.Build())
 }
 
-// SplitBatchLines splits an NDJSON batch body (POST /analyze/batch) into
-// its non-empty lines, each trimmed of surrounding white space.
-func SplitBatchLines(body []byte) [][]byte {
+// BatchLines splits an NDJSON batch body (POST /analyze/batch) into its
+// non-empty lines, each trimmed of surrounding white space, and checks them
+// against the batch limits: an error is the 400 both tiers answer. A line
+// has no length cap of its own (the body is bounded by MaxBatchBytes and a
+// program by wire.DecodeProgram); the lines alias body.
+func BatchLines(body []byte) ([][]byte, error) {
 	var out [][]byte
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+	for len(body) > 0 {
+		line := body
+		if i := bytes.IndexByte(body, '\n'); i >= 0 {
+			line, body = body[:i], body[i+1:]
+		} else {
+			body = nil
 		}
-		out = append(out, append([]byte(nil), line...))
+		if line = bytes.TrimSpace(line); len(line) > 0 {
+			out = append(out, line)
+		}
 	}
-	return out
+	switch {
+	case len(out) == 0:
+		return nil, fmt.Errorf("empty batch: send one wire-IR program per line")
+	case len(out) > MaxBatchPrograms:
+		return nil, fmt.Errorf("batch of %d programs exceeds the limit of %d", len(out), MaxBatchPrograms)
+	}
+	return out, nil
 }
 
 // TenantHeader is the header naming the client for per-tenant fairness, and

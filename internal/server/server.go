@@ -98,15 +98,10 @@ type Options struct {
 	TenantMaxInflight int
 }
 
-// The request limits. A POSTed program is bounded by wire.MaxProgramBytes
-// and a batch body by MaxBatchBytes, both enforced while the body is read.
-const (
-	// maxTimeout caps the timeout a request may ask for.
-	maxTimeout = 10 * time.Minute
-	// maxBatchPrograms bounds the programs one /analyze/batch request may
-	// carry.
-	maxBatchPrograms = 1024
-)
+// maxTimeout caps the timeout a request may ask for. A POSTed program is
+// bounded by wire.MaxProgramBytes and a batch by MaxBatchBytes and
+// MaxBatchPrograms.
+const maxTimeout = 10 * time.Minute
 
 func (o *Options) fill() error {
 	if o.Workers < 1 {

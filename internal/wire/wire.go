@@ -17,14 +17,14 @@
 // Decoding is strict: unknown fields are rejected, and so is any non-space
 // byte after the program document (a concatenated second document, trailing
 // garbage) — a program is exactly one JSON value. The HTTP layer maps every
-// decode error to a 400.
+// decode error to a 400. Encoding goes through encoding/json; decoding is a
+// hand-written single-pass parser (parse.go) that accepts exactly what
+// encoding/json accepted into the same mirror structs.
 package wire
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
 	"pardetect/internal/ir"
@@ -216,24 +216,23 @@ func encodeExpr(x ir.Expr) *jsonExpr {
 }
 
 // DecodeProgram parses the wire JSON and validates the result. Every error —
-// malformed JSON, trailing data after the document, an unknown kind or
-// operator, a program failing static validation — is a client error (the
-// server answers 400).
+// a document over MaxProgramBytes, malformed JSON, trailing data after the
+// document, an unknown kind or operator, a program failing static
+// validation — is a client error (the server answers 400).
 func DecodeProgram(data []byte) (*ir.Program, error) {
+	if len(data) > MaxProgramBytes {
+		return nil, fmt.Errorf("wire: decode program: %d bytes exceeds the limit of %d", len(data), MaxProgramBytes)
+	}
 	var jp jsonProgram
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jp); err != nil {
+	if err := parseProgram(data, &jp); err != nil {
 		return nil, fmt.Errorf("wire: decode program: %w", err)
 	}
-	// A program is exactly one JSON document. json.Decoder stops at the end
-	// of the first value, so without this check `{...}garbage` or two
-	// concatenated documents would decode silently — and two byte-distinct
-	// bodies could alias one fingerprint. Only trailing whitespace is legal:
-	// the next token must be a clean EOF.
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("wire: decode program: trailing data after program document")
-	}
+	return fromJSON(&jp)
+}
+
+// fromJSON converts a parsed document to the program it describes, and
+// validates it.
+func fromJSON(jp *jsonProgram) (*ir.Program, error) {
 	p := &ir.Program{Name: jp.Name, Entry: jp.Entry}
 	for _, a := range jp.Arrays {
 		p.Arrays = append(p.Arrays, &ir.ArrayDecl{Name: a.Name, Dims: a.Dims})

@@ -18,6 +18,10 @@
 #     builder (fed from that consumer goroutine), the interpreter (both
 #     engines hand event buffers to a consumer goroutine) and the analysis
 #     core that drives it;
+#   - a bounded fuzz (20 s) of the hand-written wire-IR decoder against
+#     the reflective encoding/json decoder it replaced (FuzzDecodeParity in
+#     internal/wire: both reject, or both accept with equal fingerprints
+#     and re-encoded bytes);
 #   - a build-and-smoke run of the benchmark module (bench/, its own Go
 #     module, which the root `go test ./...` never compiles: every workload
 #     once, untraced and traced);
@@ -81,6 +85,9 @@ go test -shuffle=on -count=1 ./...
 
 echo "==> go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/... ./internal/store/... ./internal/trace/... ./internal/pet/... ./internal/interp/... ./internal/core/..."
 go test -race ./internal/parallel/... ./internal/obs/... ./internal/farm/... ./internal/fuzzer/... ./internal/server/... ./internal/router/... ./internal/corpus/... ./internal/store/... ./internal/trace/... ./internal/pet/... ./internal/interp/... ./internal/core/...
+
+echo "==> wire decoder parity fuzz (FuzzDecodeParity, 20s)"
+go test -run '^$' -fuzz '^FuzzDecodeParity$' -fuzztime 20s ./internal/wire
 
 echo "==> benchmark module smoke (cd bench && go test ./...)"
 (cd bench && go test ./...)
