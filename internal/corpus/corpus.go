@@ -84,7 +84,7 @@ type Options struct {
 	// StoreDir enables the persistent result store tier; empty disables it
 	// (every non-skipped program is analysed).
 	StoreDir string
-	// StoreMax bounds the store entries kept on disk. Values < 1 select
+	// StoreMax bounds the entries the store serves. Values < 1 select
 	// twice the corpus size or the store default, whichever is larger, so a
 	// default-configured run never evicts its own working set mid-run.
 	StoreMax int
@@ -293,6 +293,9 @@ func Run(opts Options) (*Report, error) {
 		}}
 	}
 	batch := farm.Run(jobs, farm.Options{Jobs: opts.Jobs})
+	if p.st != nil {
+		p.st.Close()
+	}
 	sp.End()
 	if p.stErr != nil {
 		return nil, fmt.Errorf("corpus: opening result store: %w", p.stErr)

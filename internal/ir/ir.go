@@ -55,8 +55,8 @@ type ArrayDecl struct {
 }
 
 // Size returns the total number of elements of the array. It does not check
-// for overflow; Program.Validate rejects arrays whose size overflows
-// (ErrArrayTooLarge).
+// for overflow; Program.Validate rejects programs whose arrays total more
+// than MaxArrayElems (ErrArrayTooLarge).
 func (a *ArrayDecl) Size() int {
 	n := 1
 	for _, d := range a.Dims {

@@ -136,8 +136,9 @@ func TestArraySize(t *testing.T) {
 }
 
 // TestValidateRejectsArraySizeOverflow: a dims product or an all-arrays
-// total that overflows int is rejected with ErrArrayTooLarge instead of
-// wrapping to a small size the interpreter would then allocate.
+// total that overflows int, or merely exceeds MaxArrayElems, is rejected
+// with ErrArrayTooLarge instead of wrapping to a small size or reaching the
+// interpreter's allocation.
 func TestValidateRejectsArraySizeOverflow(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -148,6 +149,10 @@ func TestValidateRejectsArraySizeOverflow(t *testing.T) {
 		{"wraps to small positive", []*ArrayDecl{{Name: "a", Dims: []int{3, 6148914691236517206}}}},
 		{"wraps negative", []*ArrayDecl{{Name: "a", Dims: []int{1 << 62, 2}}}},
 		{"sum of two arrays", []*ArrayDecl{{Name: "a", Dims: []int{1 << 62}}, {Name: "b", Dims: []int{1 << 62}}}},
+		// 8 TiB of float64s from a ~200-byte document: fits an int, but an
+		// analysis would die allocating it.
+		{"over the element cap", []*ArrayDecl{{Name: "a", Dims: []int{1 << 20, 1 << 20}}}},
+		{"cap plus one over two arrays", []*ArrayDecl{{Name: "a", Dims: []int{MaxArrayElems / 2, 2}}, {Name: "b", Dims: []int{1}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := &Program{Name: "big", Entry: "main", Arrays: tc.arrays, Funcs: []*Function{{Name: "main"}}}
@@ -156,12 +161,11 @@ func TestValidateRejectsArraySizeOverflow(t *testing.T) {
 			}
 		})
 	}
-	// The largest sizes that do fit are still accepted: the bound is
-	// overflow, not a memory budget.
+	// A total of exactly MaxArrayElems is still accepted.
 	p := &Program{Name: "max", Entry: "main", Funcs: []*Function{{Name: "main"}},
-		Arrays: []*ArrayDecl{{Name: "a", Dims: []int{1 << 61, 2}}, {Name: "b", Dims: []int{1<<62 - 1}}}}
+		Arrays: []*ArrayDecl{{Name: "a", Dims: []int{MaxArrayElems / 4, 2}}, {Name: "b", Dims: []int{MaxArrayElems / 2}}}}
 	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate() = %v, want nil for a total of MaxInt elements", err)
+		t.Fatalf("Validate() = %v, want nil for a total of MaxArrayElems elements", err)
 	}
 }
 

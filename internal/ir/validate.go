@@ -8,16 +8,23 @@ import (
 	"sort"
 )
 
-// ErrArrayTooLarge reports an array whose element count — the product of its
-// dimensions — or a program whose total element count over all arrays does
-// not fit in an int. ArrayDecl.Size and the interpreter's array memory would
-// otherwise wrap silently, e.g. dims [4294967296, 4294967296] to 0.
-var ErrArrayTooLarge = errors.New("array size overflows int")
+// MaxArrayElems caps the total element count of all arrays a program
+// declares. The interpreter allocates every array before the first
+// statement runs, so a small document claiming huge dims would otherwise
+// ask for terabytes and kill the process with an unrecoverable out-of-memory
+// error. The largest registered app, kmeans, declares 28,255 elements.
+const MaxArrayElems = 1 << 22
+
+// ErrArrayTooLarge reports a program whose arrays together declare more
+// than MaxArrayElems elements — including any dims product that does not
+// fit in an int, which ArrayDecl.Size would otherwise wrap silently, e.g.
+// dims [4294967296, 4294967296] to 0.
+var ErrArrayTooLarge = errors.New("array size overflows the element cap")
 
 // Validate checks static well-formedness of the program: unique names,
 // resolvable array and function references, matching call arities, a valid
 // entry point, unique loop IDs, unique statement lines and array sizes that
-// fit in an int. It returns the first problem found.
+// total at most MaxArrayElems. It returns the first problem found.
 func (p *Program) Validate() error {
 	if p.funcsByName == nil {
 		p.index()
@@ -94,12 +101,9 @@ func (p *Program) checkDecls() error {
 			}
 		}
 		n, ok := checkedSize(a.Dims)
-		if !ok {
-			return fmt.Errorf("array %s: %w: dims %v", a.Name, ErrArrayTooLarge, a.Dims)
-		}
-		if total > math.MaxInt-n {
-			return fmt.Errorf("program %s: %w: arrays up to %s total more than %d elements",
-				p.Name, ErrArrayTooLarge, a.Name, math.MaxInt)
+		if !ok || n > MaxArrayElems-total {
+			return fmt.Errorf("program %s: %w: array %s (dims %v) takes the total past %d elements (ir.MaxArrayElems)",
+				p.Name, ErrArrayTooLarge, a.Name, a.Dims, MaxArrayElems)
 		}
 		total += n
 	}

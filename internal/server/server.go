@@ -85,8 +85,9 @@ type Options struct {
 	// written behind; startup warms the LRU with the most recent entries.
 	// Empty disables the store.
 	StoreDir string
-	// StoreMaxEntries bounds the entries kept on disk (oldest evicted
-	// beyond it); values < 1 select the store default of 4096.
+	// StoreMaxEntries bounds the entries the store serves (oldest evicted
+	// beyond it, their bytes compacted away later); values < 1 select the
+	// store default of 4096.
 	StoreMaxEntries int
 	// TenantRPS rate-limits each tenant (X-Pardetect-Tenant header;
 	// unlabelled requests share "default") with a token bucket: TenantRPS
@@ -249,8 +250,9 @@ func (s *Server) Metrics() *metrics.Registry { return s.m.reg }
 func (s *Server) Serve(ln net.Listener) error { return s.httpSrv.Serve(ln) }
 
 // Shutdown drains the service: new work is rejected with 503, in-flight
-// requests (including their queued analyses) run to completion, and the
-// worker pool is closed. It honors ctx the way net/http.Server.Shutdown
+// requests (including their queued analyses) run to completion, the
+// worker pool is closed, and the store's write-behind queue is flushed
+// before the store is closed. It honors ctx the way net/http.Server.Shutdown
 // does. Safe to call whether or not Serve was used.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closing.Store(true)
@@ -267,6 +269,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.storeCh != nil {
 		s.storeOnce.Do(func() { close(s.storeCh) })
 		s.storeWG.Wait()
+		s.store.Close()
 	}
 	return err
 }

@@ -395,6 +395,7 @@ func TestClientErrors(t *testing.T) {
 		{"trailing garbage", "POST", "/analyze", `{"name":"x","entry":"main","funcs":[{"name":"main","line":1,"body":[{"kind":"return","line":2,"val":{"kind":"const","v":1}}]}]}garbage`, 400, "trailing data"},
 		{"concatenated documents", "POST", "/analyze", `{"name":"x","entry":"main","funcs":[{"name":"main","line":1,"body":[{"kind":"return","line":2,"val":{"kind":"const","v":1}}]}]}` + "\n" + `{"name":"y","entry":"main","funcs":[{"name":"main","line":1,"body":[{"kind":"return","line":2,"val":{"kind":"const","v":1}}]}]}`, 400, "trailing data"},
 		{"overflowing array dims", "POST", "/analyze", `{"name":"x","entry":"main","arrays":[{"name":"a","dims":[4294967296,4294967296]}],"funcs":[{"name":"main","line":1,"body":[{"kind":"return","line":2,"val":{"kind":"const","v":1}}]}]}`, 400, "array size overflows"},
+		{"array dims over the element cap", "POST", "/analyze", `{"name":"x","entry":"main","arrays":[{"name":"a","dims":[1048576,1048576]}],"funcs":[{"name":"main","line":1,"body":[{"kind":"return","line":2,"val":{"kind":"const","v":1}}]}]}`, 400, "ir.MaxArrayElems"},
 		{"unknown ir app", "GET", "/ir?app=nope", "", 404, "unknown app"},
 	}
 	for _, tc := range tests {

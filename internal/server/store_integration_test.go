@@ -5,9 +5,12 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"pardetect/internal/corpus"
 	"pardetect/internal/fuzzer"
 	"pardetect/internal/wire"
 )
@@ -182,5 +185,73 @@ func TestStoreHealthzAndMetricsSurfaces(t *testing.T) {
 	_, mBody2 := get(t, ts2.URL+"/metrics")
 	if bytes.Contains(mBody2, []byte("pardetect_store_ops_total")) {
 		t.Fatalf("/metrics advertises store series without a store")
+	}
+}
+
+// TestStoreSharedWithCorpus: one store directory serves both tiers. Results
+// a corpus pass wrote answer pardetectd requests as store hits whose bodies
+// match a fresh analysis byte for byte, and results pardetectd wrote make a
+// later corpus pass, with a fresh manifest, report those programs cached.
+func TestStoreSharedWithCorpus(t *testing.T) {
+	storeDir := t.TempDir()
+	const n = 4
+
+	// Corpus → server. An LRU of one entry leaves the corpus results on
+	// disk, so requests are answered by store probes.
+	dir := t.TempDir()
+	if err := corpus.GenerateFiles(dir, n, 9100); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := corpus.Run(corpus.Options{Dir: dir, StoreDir: storeDir})
+	if err != nil || rep.Analyzed != n {
+		t.Fatalf("cold corpus pass: %+v, %v; want %d analysed", rep, err, n)
+	}
+	s, ts, stop := startStoreServer(t, Options{Workers: 2, StoreDir: storeDir, CacheEntries: 1})
+	docs := make([][]byte, n)
+	hits := make([][]byte, n)
+	for i := range docs {
+		if docs[i], err = os.ReadFile(filepath.Join(dir, corpus.FileName(i))); err != nil {
+			t.Fatal(err)
+		}
+		r, body := post(t, ts.URL+"/analyze", docs[i])
+		if r.StatusCode != http.StatusOK || r.Header.Get("X-Pardetect-Cache") != "hit" {
+			t.Fatalf("corpus program %d: status %d, verdict %q; want a hit", i, r.StatusCode, r.Header.Get("X-Pardetect-Cache"))
+		}
+		if got := r.Header.Get("X-Pardetect-Fingerprint"); got != rep.Results[i].Fingerprint {
+			t.Fatalf("corpus program %d: fingerprint %q, corpus reported %q", i, got, rep.Results[i].Fingerprint)
+		}
+		hits[i] = body
+	}
+	o := s.Observer()
+	if h, a := o.Counter("server.store.hits"), o.Counter("server.analyses"); h < n-1 || a != 0 {
+		t.Fatalf("server.store.hits = %d, server.analyses = %d; want at least %d store hits and no analysis", h, a, n-1)
+	}
+	for i, doc := range docs {
+		if _, fresh := post(t, ts.URL+"/analyze?cache=skip", doc); !bytes.Equal(hits[i], fresh) {
+			t.Fatalf("corpus program %d: store hit body differs from a fresh analysis", i)
+		}
+	}
+	stop()
+
+	// Server → corpus. Programs only the server analysed are cached for a
+	// corpus pass that has never seen them.
+	_, ts, stop = startStoreServer(t, Options{Workers: 2, StoreDir: storeDir})
+	dir2 := t.TempDir()
+	for i := 0; i < n; i++ {
+		doc, err := wire.EncodeProgram(fuzzer.Generate(uint64(9200 + i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, body := post(t, ts.URL+"/analyze", doc); r.StatusCode != http.StatusOK || r.Header.Get("X-Pardetect-Cache") != "miss" {
+			t.Fatalf("server program %d: status %d, verdict %q, body %s", i, r.StatusCode, r.Header.Get("X-Pardetect-Cache"), body)
+		}
+		if err := os.WriteFile(filepath.Join(dir2, corpus.FileName(i)), doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop() // flushes the write-behind queue
+	rep, err = corpus.Run(corpus.Options{Dir: dir2, StoreDir: storeDir, Manifest: filepath.Join(t.TempDir(), "fresh.json")})
+	if err != nil || rep.Cached != n || rep.Analyzed != 0 {
+		t.Fatalf("corpus pass over server-analysed programs: %+v, %v; want %d cached, 0 analysed", rep, err, n)
 	}
 }

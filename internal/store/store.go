@@ -7,40 +7,63 @@
 // amortise expensive dynamic analyses across thousands of programs and
 // many runs.
 //
-// Layout: one file per entry under a two-level fan-out directory keyed by
-// the fingerprint's leading hex digits,
+// Layout: append-only segment files in the store root, named by their
+// creation time (<16 hex digits>.seg). Each record is one frame,
 //
-//	<dir>/<key[0:2]>/<key[2:4]>/<key>.json
+//	magic "pds1" | CRC-32C | payload length | stamp | key length | key | payload
 //
-// so a store of tens of thousands of entries never puts more than a few
-// hundred files in one directory. Each file is a versioned JSON record
-// (schema pardetect.store/v1) carrying the rendered response body, the
-// result fingerprint and the response-envelope fields.
+// where the payload is the versioned JSON record (schema pardetect.store/v1)
+// carrying the rendered response body, the result fingerprint and the
+// response-envelope fields, and the CRC covers everything after itself.
+// Open streams the segments' frame headers into an in-memory index
+// (key → segment, offset, length, stamp); Put appends a frame under the
+// store's mutex; Get reads the frame with ReadAt outside it and checks the
+// CRC, schema and key. Files of the older one-file-per-entry layout
+// (<dir>/ab/cd/<key>.json) are ignored: the store is a cache, so such a
+// directory reads as empty.
 //
-// Durability discipline: writes are atomic — the record is written to a
-// .tmp file in the destination directory and renamed into place, so a
-// reader never sees a half-written entry under its final name. Corruption
-// (a crash mid-rename on a non-atomic filesystem, a truncated file, bit
-// rot, a schema from the future) is never an error: a record that fails to
-// load is treated as a miss and deleted, and leftover .tmp files are swept
-// at Open. The cache above re-analyses and re-writes; the store never
-// wedges the serving path.
+// Sharing: several processes (pardetectd, parcorpus) and several handles
+// may use one directory. A handle appends only to a segment it holds an
+// exclusive flock on; at Open it takes every segment no live handle holds
+// and appends to the newest of them, or creates one. A lock dies with its
+// process, so a crashed writer's segment is adopted by the next Open. On an
+// index miss, Get catches up on segments and bytes other handles have
+// appended since, so their records serve as hits without a reopen.
+//
+// Crashes and corruption are never errors. A record is durable once Put
+// returns (written, not fsynced: a process crash loses nothing, a host
+// crash may lose the tail). A torn tail — a frame cut short by a crash — is
+// not indexed, reads as a miss, and is truncated away by the next handle
+// that locks the segment. A whole frame that fails its CRC, JSON, schema or
+// key check reads Corrupt once and is dropped from the index.
+//
+// Space: eviction beyond MaxEntries (oldest stamp first) removes entries
+// from the index only. Once the dead bytes in a handle's segments exceed
+// both their live bytes and compactMinBytes, the handle copies the live
+// records into a new segment and deletes the old ones, so the segments a
+// handle owns hold at most 2 × live + compactMinBytes bytes plus one frame.
 package store
 
 import (
+	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 )
 
 // Schema identifies the on-disk record layout. A record carrying any other
-// schema string — including a future v2 — is treated as corrupt (miss and
-// delete), so a downgraded binary never misreads a newer record.
+// schema string — including a future v2 — is treated as corrupt, so a
+// downgraded binary never misreads a newer record.
 const Schema = "pardetect.store/v1"
 
 // Entry is one stored analysis result: the rendered body plus the envelope
@@ -49,8 +72,8 @@ type Entry struct {
 	// Schema is always the package Schema constant on disk.
 	Schema string `json:"schema"`
 	// Key is the program's content fingerprint — repeated inside the record
-	// so a file that was renamed or copied to the wrong address is detected
-	// as corrupt rather than served under a wrong key.
+	// so a record filed under the wrong key is detected as corrupt rather
+	// than served under it.
 	Key string `json:"key"`
 	// Program and Headline feed the JSON response envelope.
 	Program  string `json:"program"`
@@ -72,7 +95,7 @@ type Entry struct {
 type Options struct {
 	// Dir is the store root; created if missing.
 	Dir string
-	// MaxEntries bounds the entries kept on disk — beyond it the oldest
+	// MaxEntries bounds the entries kept in the index — beyond it the oldest
 	// entries are evicted on write. Values < 1 select the default of 4096.
 	MaxEntries int
 }
@@ -85,28 +108,63 @@ const (
 	Miss GetResult = iota
 	// Hit: the entry loaded and validated.
 	Hit
-	// Corrupt: a file existed but failed to load or validate; it has been
-	// deleted and the probe counts as a miss to the caller.
+	// Corrupt: a record existed but failed to load or validate; it has been
+	// dropped from the index and the probe counts as a miss to the caller.
 	Corrupt
 )
 
-// Store is a disk-backed content-addressed entry store. All methods are
-// safe for concurrent use. One mutex guards the index, the stamps and the
-// set of keys with a Put in flight; file I/O runs outside it, so writers of
-// different keys and readers never wait on each other's disk time.
-type Store struct {
-	dir string
-	max int
+const (
+	frameMagic = "pds1"
+	// headerLen covers magic, CRC, payload length, stamp and key length.
+	headerLen = 4 + 4 + 4 + 8 + 1
+	// maxPayload bounds one record's JSON; a header claiming more is
+	// garbage, not a record.
+	maxPayload = 256 << 20
+	// compactMinBytes is the dead space a handle tolerates regardless of
+	// the live/dead ratio, so a small store is not rewritten on every few
+	// Puts.
+	compactMinBytes = 1 << 20
+	segSuffix       = ".seg"
+)
 
-	mu      sync.Mutex
-	idx     map[string]int64 // key → saved stamp (ns); recency for eviction/warming
-	last    int64            // newest stamp ever indexed; floors self-stamped Puts
-	writing map[string]int   // keys with a Put between stamp and index update
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// segment is one segment file this handle has open.
+type segment struct {
+	name  string
+	f     *os.File
+	owned bool  // this handle holds the segment's flock
+	size  int64 // end of the last whole frame indexed
+	live  int64 // bytes of the frames the index points at
 }
 
-// Open creates the root directory if needed, sweeps stale .tmp files left
-// by a crashed writer, and indexes the existing entries by recency without
-// reading their contents (validation happens lazily, at Get).
+// loc is where a key's record sits.
+type loc struct {
+	seg   *segment
+	off   int64
+	n     int64 // frame length
+	stamp int64
+}
+
+// Store is a disk-backed content-addressed entry store. All methods are
+// safe for concurrent use. One mutex guards the index and the segment set;
+// Get reads records outside it.
+type Store struct {
+	dir  string
+	max  int
+	root *os.File // the store directory, kept open for catch-up listings
+
+	mu   sync.Mutex
+	idx  map[string]loc
+	segs map[string]*segment // by file name
+	w    *segment            // the segment Puts append to; nil once closed
+	last int64               // newest stamp ever indexed; floors self-stamped Puts
+}
+
+// Open creates the root directory if needed, locks every segment no other
+// handle holds, indexes all segments by streaming their frame headers, and
+// picks the segment to append to: the newest one it locked, with any torn
+// tail truncated away, or a new one.
 func Open(opts Options) (*Store, error) {
 	if opts.MaxEntries < 1 {
 		opts.MaxEntries = 4096
@@ -114,48 +172,177 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: opts.Dir, max: opts.MaxEntries, idx: make(map[string]int64), writing: make(map[string]int)}
-	// Two fixed levels of fan-out directories, entries at the leaves. Any
-	// unreadable corner of the tree is skipped, not fatal: the store must
-	// open on a half-destroyed directory.
-	l1, _ := os.ReadDir(opts.Dir)
-	for _, d1 := range l1 {
-		if !d1.IsDir() {
-			continue
+	root, err := os.Open(opts.Dir)
+	if err != nil {
+		return nil, err
+	}
+	s := &Store{dir: opts.Dir, max: opts.MaxEntries, root: root,
+		idx: make(map[string]loc), segs: make(map[string]*segment)}
+	names, err := s.list()
+	if err != nil {
+		root.Close()
+		return nil, err
+	}
+	// Ascending name order is creation order, so for a key stamped equally
+	// in two segments the newer segment's record wins.
+	for _, name := range names {
+		f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_RDWR, 0)
+		if err != nil {
+			continue // an unreadable segment is skipped, not fatal
 		}
-		l2, _ := os.ReadDir(filepath.Join(opts.Dir, d1.Name()))
-		for _, d2 := range l2 {
-			if !d2.IsDir() {
-				continue
-			}
-			leaf := filepath.Join(opts.Dir, d1.Name(), d2.Name())
-			files, _ := os.ReadDir(leaf)
-			for _, f := range files {
-				if f.IsDir() {
-					continue
-				}
-				name := f.Name()
-				if strings.HasSuffix(name, ".tmp") {
-					os.Remove(filepath.Join(leaf, name)) // crashed writer's leavings
-					continue
-				}
-				key, ok := strings.CutSuffix(name, ".json")
-				if !ok || !validKey(key) {
-					continue
-				}
-				stamp := int64(0)
-				if info, err := f.Info(); err == nil {
-					stamp = info.ModTime().UnixNano()
-				}
-				s.idx[key] = stamp
-			}
+		seg := &segment{name: name, f: f, owned: lock(f) == nil}
+		s.segs[name] = seg
+		s.scan(seg)
+		if seg.owned {
+			s.w = seg
 		}
 	}
+	if s.w != nil {
+		// Only the lock holder may cut a torn tail: anyone else could be
+		// cutting a frame its writer is still appending.
+		if err := s.w.f.Truncate(s.w.size); err != nil {
+			s.Close()
+			return nil, err
+		}
+	} else if s.w, err = s.create(); err != nil {
+		s.Close()
+		return nil, err
+	}
+	s.evict()
 	return s, nil
 }
 
-// validKey requires enough leading hex for the fan-out path and rejects
-// anything that could escape the directory. Fingerprints are 16 lowercase
+// list returns the segment file names in the store root, sorted.
+func (s *Store) list() ([]string, error) {
+	if _, err := s.root.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	all, err := s.root.Readdirnames(-1)
+	if err != nil {
+		return nil, err
+	}
+	names := all[:0]
+	for _, name := range all {
+		if isSegmentName(name) {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names, nil
+}
+
+func isSegmentName(name string) bool {
+	id, ok := strings.CutSuffix(name, segSuffix)
+	return ok && len(id) == 16 && validKey(id)
+}
+
+// lock takes f's exclusive flock without waiting. syscall.EWOULDBLOCK means
+// another handle holds it.
+func lock(f *os.File) error {
+	return syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB)
+}
+
+// create makes and locks a new, empty segment named after the clock. The
+// caller holds s.mu or has the store to itself.
+func (s *Store) create() (*segment, error) {
+	for id := time.Now().UnixNano(); ; id++ {
+		name := fmt.Sprintf("%016x%s", uint64(id), segSuffix)
+		f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if os.IsExist(err) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := lock(f); err != nil {
+			f.Close()
+			if err == syscall.EWOULDBLOCK {
+				continue // another handle found and locked it first
+			}
+			os.Remove(f.Name()) // no locking on this filesystem
+			return nil, err
+		}
+		seg := &segment{name: name, f: f, owned: true}
+		s.segs[name] = seg
+		return seg, nil
+	}
+}
+
+// scan indexes seg's whole frames from seg.size on, streaming their headers
+// and skipping payloads, and advances seg.size past the last of them. It
+// stops at the first frame that is cut short or whose header is not a
+// frame's: a torn tail, or one still being appended. The caller holds s.mu
+// or has the store to itself.
+func (s *Store) scan(seg *segment) {
+	info, err := seg.f.Stat()
+	if err != nil || info.Size() <= seg.size {
+		return
+	}
+	r := bufio.NewReaderSize(io.NewSectionReader(seg.f, seg.size, info.Size()-seg.size), 64<<10)
+	var hdr [headerLen + 128]byte
+	for {
+		if _, err := io.ReadFull(r, hdr[:headerLen]); err != nil {
+			return
+		}
+		plen, stamp, klen, ok := parseHeader(hdr[:headerLen])
+		if !ok {
+			return
+		}
+		key := hdr[headerLen : headerLen+klen]
+		if _, err := io.ReadFull(r, key); err != nil || !validKey(string(key)) {
+			return
+		}
+		if n, err := r.Discard(plen); n < plen || err != nil {
+			return
+		}
+		n := int64(headerLen + klen + plen)
+		k := string(key)
+		if old, ok := s.idx[k]; !ok || old.seg == seg || stamp >= old.stamp {
+			s.index(k, loc{seg: seg, off: seg.size, n: n, stamp: stamp})
+		}
+		s.last = max(s.last, stamp)
+		seg.size += n
+	}
+}
+
+// parseHeader checks a frame header's magic and bounds and returns its
+// payload length, stamp and key length.
+func parseHeader(h []byte) (plen int, stamp int64, klen int, ok bool) {
+	plen = int(binary.LittleEndian.Uint32(h[8:]))
+	stamp = int64(binary.LittleEndian.Uint64(h[12:]))
+	klen = int(h[20])
+	ok = string(h[:4]) == frameMagic && plen <= maxPayload && klen >= 4 && klen <= 128
+	return plen, stamp, klen, ok
+}
+
+// frame encodes one record.
+func frame(key string, stamp int64, payload []byte) []byte {
+	b := make([]byte, headerLen, headerLen+len(key)+len(payload))
+	copy(b, frameMagic)
+	binary.LittleEndian.PutUint32(b[8:], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(b[12:], uint64(stamp))
+	b[20] = byte(len(key))
+	b = append(append(b, key...), payload...)
+	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(b[8:], crcTable))
+	return b
+}
+
+// index points key at l, moving the live-byte accounting with it.
+func (s *Store) index(key string, l loc) {
+	s.unindex(key)
+	s.idx[key] = l
+	l.seg.live += l.n
+}
+
+func (s *Store) unindex(key string) {
+	if old, ok := s.idx[key]; ok {
+		old.seg.live -= old.n
+		delete(s.idx, key)
+	}
+}
+
+// validKey requires hex and a bounded length, so a key fits a frame header
+// and cannot be mistaken for anything else. Fingerprints are 16 lowercase
 // hex characters; the check is deliberately a superset.
 func validKey(key string) bool {
 	if len(key) < 4 || len(key) > 128 {
@@ -170,36 +357,95 @@ func validKey(key string) bool {
 	return true
 }
 
-func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, key[0:2], key[2:4], key+".json")
-}
-
 // Get probes the store. A Hit returns the validated entry; Corrupt means a
-// file existed but failed to load — it has been deleted, and the caller
-// should treat the probe as a miss (the distinction exists only so the
-// serving layer can count corruption).
+// record existed but failed to load — it has been dropped from the index,
+// and the caller should treat the probe as a miss (the distinction exists
+// only so the serving layer can count corruption).
 func (s *Store) Get(key string) (*Entry, GetResult) {
 	if !validKey(key) {
 		return nil, Miss
 	}
-	e, err := s.load(key)
-	if err == nil {
-		return e, Hit
+	for {
+		l, ok := s.locate(key)
+		if !ok {
+			return nil, Miss
+		}
+		e, err := l.read(key)
+		if err == nil {
+			return e, Hit
+		}
+		if res, retry := s.settle(key, l); !retry {
+			return nil, res
+		}
 	}
-	return s.settle(key, err)
 }
 
-// errBadRecord marks a record that parsed but does not belong under its key.
+// locate returns key's record location, catching up on other handles'
+// appends when the index has none.
+func (s *Store) locate(key string) (loc, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.w == nil {
+		return loc{}, false
+	}
+	if l, ok := s.idx[key]; ok {
+		return l, true
+	}
+	s.catchUp()
+	l, ok := s.idx[key]
+	return l, ok
+}
+
+// catchUp indexes the frames other handles appended since this one last
+// looked: new bytes in segments it does not own and segments it has not
+// seen. A segment another handle compacted away stays open while the index
+// still points into it. Called with s.mu held.
+func (s *Store) catchUp() {
+	names, err := s.list()
+	if err != nil {
+		return
+	}
+	present := make(map[string]bool, len(names))
+	for _, name := range names {
+		present[name] = true
+		seg := s.segs[name]
+		if seg == nil {
+			f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_RDWR, 0)
+			if err != nil {
+				continue
+			}
+			seg = &segment{name: name, f: f}
+			s.segs[name] = seg
+		}
+		if !seg.owned {
+			s.scan(seg)
+		}
+	}
+	for name, seg := range s.segs {
+		if !present[name] && !seg.owned && seg.live == 0 {
+			seg.f.Close()
+			delete(s.segs, name)
+		}
+	}
+	s.evict()
+}
+
+// errBadRecord marks a frame or record that does not hold key's entry.
 var errBadRecord = errors.New("store: invalid record")
 
-// load reads and validates key's record. It runs without the lock.
-func (s *Store) load(key string) (*Entry, error) {
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
+// read loads and validates key's record at l. It runs without the lock.
+func (l loc) read(key string) (*Entry, error) {
+	b := make([]byte, l.n)
+	if _, err := l.seg.f.ReadAt(b, l.off); err != nil {
 		return nil, err
 	}
+	plen, _, klen, ok := parseHeader(b)
+	if !ok || int64(headerLen+klen+plen) != l.n || string(b[headerLen:headerLen+klen]) != key ||
+		binary.LittleEndian.Uint32(b[4:]) != crc32.Checksum(b[8:], crcTable) {
+		return nil, errBadRecord
+	}
 	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil {
+	if err := json.Unmarshal(b[headerLen+klen:], &e); err != nil {
 		return nil, err
 	}
 	if e.Schema != Schema || e.Key != key || e.Body == nil {
@@ -208,133 +454,153 @@ func (s *Store) load(key string) (*Entry, error) {
 	return &e, nil
 }
 
-// settle resolves a load that failed with err. Under the lock no Put of a
-// key outside the in-flight set can rename, so the re-check here sees the
-// file as it stays until the lock is released. A key with a Put in flight is
-// left alone: that Put replaces the file and refreshes the index. Otherwise
-// a record that a Put renamed in after the failed load is served, a missing
-// file drops its index entry, and anything else is unreadable or corrupt
-// and is deleted.
-func (s *Store) settle(key string, err error) (*Entry, GetResult) {
+// settle resolves a read of l that failed. If the index still points key at
+// l, the record is corrupt and is dropped; if the key has moved — rewritten
+// by a Put or copied by a compaction, which closes the segment the read
+// used — the caller retries at the new location.
+func (s *Store) settle(key string, l loc) (res GetResult, retry bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.writing[key] > 0 {
-		return nil, Miss
-	}
-	if _, indexed := s.idx[key]; !indexed && os.IsNotExist(err) {
-		return nil, Miss
-	}
-	e, err := s.load(key)
+	cur, ok := s.idx[key]
 	switch {
-	case err == nil:
-		return e, Hit
-	case os.IsNotExist(err):
-		delete(s.idx, key) // heal an index entry whose file vanished
-		return nil, Miss
+	case !ok:
+		return Miss, false
+	case cur != l:
+		return Miss, true
 	}
-	os.Remove(s.path(key))
-	delete(s.idx, key)
-	return nil, Corrupt
+	s.unindex(key)
+	return Corrupt, false
 }
 
-// Put writes the entry atomically (temp file + rename in the destination
-// directory) and evicts the oldest entries beyond the MaxEntries budget.
-// It returns how many entries were evicted.
+// Put appends the entry to the handle's segment, indexes it and evicts the
+// oldest entries beyond the MaxEntries budget, then compacts if dead bytes
+// have come to dominate. It returns how many entries were evicted.
+// Self-stamps are floored to stay monotonic; caller-provided stamps are
+// respected (recency is their contract) but still raise the floor.
 func (s *Store) Put(e *Entry) (evicted int, err error) {
 	if e == nil || !validKey(e.Key) {
 		return 0, os.ErrInvalid
 	}
-	rec, self := s.begin(e)
-	return s.finish(&rec, self, s.write(&rec))
-}
-
-// begin stamps the record and marks its key in flight. Self-stamps are
-// floored to stay monotonic; caller-provided stamps are respected (recency
-// is their contract) but still raise the floor.
-func (s *Store) begin(e *Entry) (rec Entry, self bool) {
-	rec = *e
+	rec := *e
 	rec.Schema = Schema
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if self = rec.SavedUnixNS == 0; self {
+	if s.w == nil {
+		return 0, os.ErrClosed
+	}
+	if rec.SavedUnixNS == 0 {
 		rec.SavedUnixNS = max(time.Now().UnixNano(), s.last+1)
 	}
 	s.last = max(s.last, rec.SavedUnixNS)
-	s.writing[rec.Key]++
-	return rec, self
-}
-
-// write puts the record on disk under its final name. It runs without the
-// lock.
-func (s *Store) write(rec *Entry) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(s.path(rec.Key))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, rec.Key+"-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), s.path(rec.Key)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-// finish ends the Put that begin started: it clears the key's in-flight
-// mark and, when the write landed, indexes the key and evicts down to the
-// budget. A self-stamped entry is indexed as the newest at this moment, not
-// at begin: a writer overtaken by faster ones while its file was written
-// must not index its entry as "the oldest", or its own eviction would remove
-// it and a Get right after the Put would miss. Eviction goes oldest first,
-// ties broken by key, and skips keys with a Put in flight.
-func (s *Store) finish(rec *Entry, self bool, err error) (evicted int, _ error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.writing[rec.Key]--; s.writing[rec.Key] == 0 {
-		delete(s.writing, rec.Key)
-	}
+	payload, err := json.Marshal(&rec)
 	if err != nil {
 		return 0, err
 	}
-	stamp := rec.SavedUnixNS
-	if self && stamp < s.last {
-		stamp = s.last + 1
-		s.last = stamp
+	if len(payload) > maxPayload {
+		return 0, errors.New("store: record too large")
 	}
-	s.idx[rec.Key] = stamp
-	for len(s.idx) > s.max {
-		oldKey, oldStamp := "", int64(0)
-		for k, st := range s.idx {
-			if s.writing[k] > 0 {
-				continue
-			}
-			if oldKey == "" || st < oldStamp || (st == oldStamp && k < oldKey) {
-				oldKey, oldStamp = k, st
-			}
+	b := frame(rec.Key, rec.SavedUnixNS, payload)
+	w := s.w
+	if _, err := w.f.WriteAt(b, w.size); err != nil {
+		w.f.Truncate(w.size) // drop a partial frame so the next append lines up
+		return 0, err
+	}
+	s.index(rec.Key, loc{seg: w, off: w.size, n: int64(len(b)), stamp: rec.SavedUnixNS})
+	w.size += int64(len(b))
+	evicted = s.evict()
+	var size, live int64
+	for _, seg := range s.segs {
+		if seg.owned {
+			size, live = size+seg.size, live+seg.live
 		}
-		if oldKey == "" {
-			break // every indexed key is being rewritten; a later Put evicts
-		}
-		os.Remove(s.path(oldKey))
-		delete(s.idx, oldKey)
-		evicted++
+	}
+	if dead := size - live; dead > live && dead >= compactMinBytes {
+		s.compact() // a failed compaction leaves the segments as they were
 	}
 	return evicted, nil
+}
+
+// evict drops the oldest index entries beyond the budget, ties broken by
+// key. A self-stamped Put is the newest entry, so it never evicts itself.
+// Called with s.mu held.
+func (s *Store) evict() (evicted int) {
+	for len(s.idx) > s.max {
+		oldKey, oldStamp := "", int64(0)
+		for k, l := range s.idx {
+			if oldKey == "" || l.stamp < oldStamp || l.stamp == oldStamp && k < oldKey {
+				oldKey, oldStamp = k, l.stamp
+			}
+		}
+		s.unindex(oldKey)
+		evicted++
+	}
+	return evicted
+}
+
+// compact copies the live records of every owned segment into a new
+// segment, repoints the index there and deletes the old segments. A Get
+// reading an old segment meanwhile fails on its closed file and retries at
+// the new location. Called with s.mu held.
+func (s *Store) compact() error {
+	n, err := s.create()
+	if err != nil {
+		return err
+	}
+	moved := make(map[string]loc)
+	bw := bufio.NewWriterSize(n.f, 64<<10)
+	for k, l := range s.idx {
+		if !l.seg.owned {
+			continue
+		}
+		var c int64
+		if c, err = io.Copy(bw, io.NewSectionReader(l.seg.f, l.off, l.n)); err == nil && c != l.n {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			break
+		}
+		moved[k] = loc{seg: n, off: n.size, n: l.n, stamp: l.stamp}
+		n.size += l.n
+	}
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
+		n.f.Close()
+		os.Remove(filepath.Join(s.dir, n.name))
+		delete(s.segs, n.name)
+		return err
+	}
+	for k, l := range moved {
+		s.index(k, l)
+	}
+	for name, seg := range s.segs {
+		if seg.owned && seg != n {
+			os.Remove(filepath.Join(s.dir, name))
+			seg.f.Close()
+			delete(s.segs, name)
+		}
+	}
+	s.w = n
+	return nil
+}
+
+// Close releases the handle's files and segment locks. Later Gets miss and
+// later Puts fail with os.ErrClosed.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.segs == nil {
+		return nil
+	}
+	err := s.root.Close()
+	for _, seg := range s.segs {
+		if cerr := seg.f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	s.idx, s.segs, s.w = nil, nil, nil
+	return err
 }
 
 // Len returns the number of indexed entries.
@@ -360,8 +626,8 @@ func (s *Store) RecentKeys(k int) []string {
 		stamp int64
 	}
 	all := make([]ks, 0, len(s.idx))
-	for key, stamp := range s.idx {
-		all = append(all, ks{key, stamp})
+	for key, l := range s.idx {
+		all = append(all, ks{key, l.stamp})
 	}
 	s.mu.Unlock()
 	sort.Slice(all, func(i, j int) bool {

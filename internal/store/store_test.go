@@ -1,13 +1,18 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 )
 
 func testKey(i int) string {
@@ -65,118 +70,172 @@ func TestSurvivesReopen(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 
+	// A rewrite carrying an older caller stamp still replaces the record,
+	// before and after a reopen: within a segment the later frame wins.
+	for i, stamp := range []int64{2000, 1000} {
+		e := &Entry{Key: testKey(2), Program: "p", Fingerprint: "f", Body: []byte{byte('a' + i)}, SavedUnixNS: stamp}
+		if _, err := s.Put(e); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+
 	s2 := open(t, dir, 0)
-	if s2.Len() != 1 {
-		t.Fatalf("reopened Len = %d, want 1", s2.Len())
+	if s2.Len() != 2 {
+		t.Fatalf("reopened Len = %d, want 2", s2.Len())
 	}
 	e, res := s2.Get(testKey(1))
 	if res != Hit || !bytes.Equal(e.Body, body) {
 		t.Fatalf("reopened Get = %v, entry %+v", res, e)
 	}
+	if e, res := s2.Get(testKey(2)); res != Hit || string(e.Body) != "b" {
+		t.Fatalf("reopened Get of the rewritten key = %v %+v, want the later record", res, e)
+	}
 }
 
-// TestCrashSafety is the mid-write kill scenario: a leftover .tmp from a
-// writer that died before rename, and an entry truncated mid-write (as if
-// the filesystem lost the tail). Both must read as misses, the .tmp must be
-// swept at Open, and the truncated file must be deleted on first probe with
-// the probe classified Corrupt (the serving layer's store.corrupt counter).
-func TestCrashSafety(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, 0)
-	good, bad := testKey(1), testKey(2)
-	if _, err := s.Put(&Entry{Key: good, Program: "ok", Fingerprint: "f", Body: []byte("good")}); err != nil {
-		t.Fatalf("Put good: %v", err)
-	}
-	if _, err := s.Put(&Entry{Key: bad, Program: "will-truncate", Fingerprint: "f", Body: []byte("whole body")}); err != nil {
-		t.Fatalf("Put bad: %v", err)
-	}
-
-	// Simulate the crash: truncate the second entry mid-record and drop a
-	// stale .tmp next to it.
-	badPath := s.path(bad)
-	data, err := os.ReadFile(badPath)
+// segBytes returns the total size of the segment files in dir.
+func segBytes(t *testing.T, dir string) (total int64, files int) {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*"+segSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(badPath, data[:len(data)/2], 0o644); err != nil {
+	for _, name := range names {
+		info, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += info.Size()
+	}
+	return total, len(names)
+}
+
+// onlySegment returns the path of dir's single segment file.
+func onlySegment(t *testing.T, dir string) string {
+	t.Helper()
+	names, _ := filepath.Glob(filepath.Join(dir, "*"+segSuffix))
+	if len(names) != 1 {
+		t.Fatalf("segments in %s: %v, want exactly one", dir, names)
+	}
+	return names[0]
+}
+
+// locOf returns where s indexes key.
+func locOf(s *Store, key string) (loc, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l, ok := s.idx[key]
+	return l, ok
+}
+
+// TestCrashSafety is the mid-write kill scenario: a segment whose last
+// frame was cut short, as if the writer died inside its write. The torn
+// record reads as a plain miss (never an error, never Corrupt), the record
+// before it still serves, the next handle to lock the segment truncates
+// the tail, and its own appends line up after the last whole frame.
+func TestCrashSafety(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, 0)
+	good, torn := testKey(1), testKey(2)
+	if _, err := s.Put(&Entry{Key: good, Program: "ok", Fingerprint: "f", Body: []byte("good")}); err != nil {
+		t.Fatalf("Put good: %v", err)
+	}
+	goodEnd := s.w.size
+	if _, err := s.Put(&Entry{Key: torn, Program: "will-tear", Fingerprint: "f", Body: []byte("whole body")}); err != nil {
+		t.Fatalf("Put torn: %v", err)
+	}
+	tornEnd := s.w.size
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tmpPath := filepath.Join(filepath.Dir(badPath), bad+"-crashed.tmp")
-	if err := os.WriteFile(tmpPath, []byte("{half a reco"), 0o644); err != nil {
+	seg := onlySegment(t, dir)
+	if err := os.Truncate(seg, goodEnd+(tornEnd-goodEnd)/2); err != nil {
 		t.Fatal(err)
 	}
 
 	// Restart.
 	s2 := open(t, dir, 0)
-	if _, err := os.Stat(tmpPath); !os.IsNotExist(err) {
-		t.Fatalf(".tmp survived Open: %v", err)
+	if _, res := s2.Get(torn); res != Miss {
+		t.Fatalf("torn record Get = %v, want Miss", res)
 	}
-
-	// The truncated entry is a miss, reported Corrupt once, and deleted.
-	if _, res := s2.Get(bad); res != Corrupt {
-		t.Fatalf("truncated entry Get = %v, want Corrupt", res)
-	}
-	if _, err := os.Stat(badPath); !os.IsNotExist(err) {
-		t.Fatalf("truncated entry not deleted: %v", err)
-	}
-	if _, res := s2.Get(bad); res != Miss {
-		t.Fatalf("second probe of deleted entry = %v, want Miss", res)
+	if info, err := os.Stat(seg); err != nil || info.Size() != goodEnd {
+		t.Fatalf("torn tail not truncated by the lock holder: %v %v, want size %d", info.Size(), err, goodEnd)
 	}
 	if s2.Len() != 1 {
-		t.Fatalf("Len after corruption cleanup = %d, want 1", s2.Len())
+		t.Fatalf("Len after restart = %d, want 1", s2.Len())
 	}
-
-	// The good entry still serves.
 	e, res := s2.Get(good)
 	if res != Hit || string(e.Body) != "good" {
 		t.Fatalf("good entry after restart: %v %v", res, e)
 	}
+
+	// The adopter appends after the last whole frame: both records survive
+	// another restart.
+	if _, err := s2.Put(&Entry{Key: torn, Program: "rewritten", Fingerprint: "f", Body: []byte("again")}); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	s3 := open(t, dir, 0)
+	for key, body := range map[string]string{good: "good", torn: "again"} {
+		if e, res := s3.Get(key); res != Hit || string(e.Body) != body {
+			t.Fatalf("after the second restart Get(%s) = %v %v, want Hit %q", key, res, e, body)
+		}
+	}
 }
 
-// TestCorruptVariants: every way a record can be wrong reads as Corrupt
-// exactly once, then Miss.
+// writeSegment writes frames as a segment file of dir, the way a handle
+// would have appended them.
+func writeSegment(t *testing.T, dir string, frames ...[]byte) {
+	t.Helper()
+	var all []byte
+	for _, f := range frames {
+		all = append(all, f...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "0000000000000001"+segSuffix), all, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCorruptVariants: every way a whole frame can be wrong reads as
+// Corrupt exactly once, then Miss.
 func TestCorruptVariants(t *testing.T) {
-	writeRaw := func(s *Store, key string, raw []byte) {
-		t.Helper()
-		path := s.path(key)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	futureRecord := func(key string) []byte {
-		data, _ := json.Marshal(&Entry{Schema: "pardetect.store/v99", Key: key, Body: []byte("x")})
+	record := func(e Entry) []byte {
+		data, _ := json.Marshal(&e)
 		return data
 	}
-	wrongKeyRecord := func(key string) []byte {
-		data, _ := json.Marshal(&Entry{Schema: Schema, Key: testKey(99), Body: []byte("x")})
-		return data
-	}
-	noBodyRecord := func(key string) []byte {
-		data, _ := json.Marshal(&Entry{Schema: Schema, Key: key})
-		return data
+	badCRC := func(key string) []byte {
+		b := frame(key, 1, record(Entry{Schema: Schema, Key: key, Body: []byte("x")}))
+		b[4] ^= 1 // the stored CRC, leaving a valid record behind it
+		return b
 	}
 	cases := []struct {
-		name string
-		raw  func(key string) []byte
+		name  string
+		frame func(key string) []byte
 	}{
-		{"not json", func(string) []byte { return []byte("not json at all") }},
-		{"future schema", futureRecord},
-		{"wrong key inside", wrongKeyRecord},
-		{"missing body", noBodyRecord},
+		{"bad crc", badCRC},
+		{"not json", func(key string) []byte { return frame(key, 1, []byte("not json at all")) }},
+		{"future schema", func(key string) []byte {
+			return frame(key, 1, record(Entry{Schema: "pardetect.store/v99", Key: key, Body: []byte("x")}))
+		}},
+		{"wrong key inside", func(key string) []byte {
+			return frame(key, 1, record(Entry{Schema: Schema, Key: testKey(99), Body: []byte("x")}))
+		}},
+		{"missing body", func(key string) []byte { return frame(key, 1, record(Entry{Schema: Schema, Key: key})) }},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := open(t, t.TempDir(), 0)
-			key := testKey(10 + i)
-			writeRaw(s, key, tc.raw(key))
+			dir := t.TempDir()
+			key, good := testKey(10+i), testKey(50)
+			writeSegment(t, dir, tc.frame(key),
+				frame(good, 2, record(Entry{Schema: Schema, Key: good, Body: []byte("ok")})))
+			s := open(t, dir, 0)
 			if _, res := s.Get(key); res != Corrupt {
 				t.Fatalf("Get = %v, want Corrupt", res)
 			}
 			if _, res := s.Get(key); res != Miss {
 				t.Fatalf("second Get = %v, want Miss", res)
+			}
+			if _, res := s.Get(good); res != Hit {
+				t.Fatalf("the whole frame after a corrupt one = %v, want Hit", res)
 			}
 		})
 	}
@@ -343,10 +402,25 @@ func putEntry(i int) *Entry {
 	return &Entry{Key: testKey(i), Program: "p", Fingerprint: "f", Body: []byte("b")}
 }
 
-// corrupt overwrites key's file behind the store's back.
+// corrupt flips a byte of key's current frame behind the store's back.
 func corrupt(t *testing.T, s *Store, key string) {
 	t.Helper()
-	if err := os.WriteFile(s.path(key), []byte("{torn"), 0o644); err != nil {
+	l, ok := locOf(s, key)
+	if !ok {
+		t.Fatalf("corrupt: %s not indexed", key)
+	}
+	f, err := os.OpenFile(filepath.Join(s.dir, l.seg.name), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	at := l.off + l.n - 2
+	if _, err := f.ReadAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 1
+	if _, err := f.WriteAt(b, at); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -428,71 +502,51 @@ func TestCorruptReadRacesPut(t *testing.T) {
 	}
 }
 
-// TestOvertakenPutKeepsItsEntry: a Put whose write is overtaken by MaxEntries
-// faster Puts must still index its key as the newest, so its own eviction
-// removes an older entry and not the one it just wrote.
+// TestOvertakenPutKeepsItsEntry: a self-stamped Put that follows entries
+// stamped ahead of the clock is still indexed as the newest, so its own
+// eviction removes an older entry and not the one it just wrote.
 func TestOvertakenPutKeepsItsEntry(t *testing.T) {
 	s := open(t, t.TempDir(), 4)
-	rec, self := s.begin(putEntry(0))
+	ahead := time.Now().Add(time.Hour).UnixNano()
 	for i := 1; i <= 4; i++ {
-		if _, err := s.Put(putEntry(i)); err != nil {
+		e := putEntry(i)
+		e.SavedUnixNS = ahead + int64(i)
+		if _, err := s.Put(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ev, err := s.finish(&rec, self, s.write(&rec)); err != nil || ev != 1 {
+	if ev, err := s.Put(putEntry(0)); err != nil || ev != 1 {
 		t.Fatalf("overtaken Put: evicted %d, err %v; want 1, nil", ev, err)
 	}
 	if _, res := s.Get(testKey(0)); res != Hit {
 		t.Fatalf("overtaken Put's own entry = %v, want Hit", res)
 	}
 	if _, res := s.Get(testKey(1)); res != Miss {
-		t.Fatalf("oldest finished entry = %v, want evicted", res)
+		t.Fatalf("oldest entry = %v, want evicted", res)
 	}
 }
 
-// TestEvictionSkipsInFlightPut: an entry that is the oldest in the index but
-// is being rewritten is not evicted, even after its new file is in place;
-// the next-oldest goes instead, and the rewrite is visible once it returns.
-func TestEvictionSkipsInFlightPut(t *testing.T) {
-	s := open(t, t.TempDir(), 2)
-	for i := 0; i < 2; i++ {
-		if _, err := s.Put(putEntry(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rec, self := s.begin(putEntry(0))
-	werr := s.write(&rec)
-	if ev, err := s.Put(putEntry(2)); err != nil || ev != 1 {
-		t.Fatalf("Put during the rewrite: evicted %d, err %v; want 1, nil", ev, err)
-	}
-	if _, res := s.Get(testKey(1)); res != Miss {
-		t.Fatalf("next-oldest entry = %v, want evicted in place of the in-flight one", res)
-	}
-	if _, err := s.finish(&rec, self, werr); err != nil {
-		t.Fatal(err)
-	}
-	if _, res := s.Get(testKey(0)); res != Hit {
-		t.Fatalf("rewritten entry = %v after its Put returned, want Hit", res)
-	}
-}
-
-// breakers damage a stored key's file behind the store's back: the two
-// ways a Get's read can fail.
+// breakers make a Get's read of a stored key fail behind its back: the
+// record's segment closed by a compaction that moved it, or its bytes
+// damaged.
 var breakers = []struct {
 	name      string
 	breakFile func(t *testing.T, s *Store, key string)
 }{
 	{"missing", func(t *testing.T, s *Store, key string) {
-		if err := os.Remove(s.path(key)); err != nil {
+		s.mu.Lock()
+		err := s.compact()
+		s.mu.Unlock()
+		if err != nil {
 			t.Fatal(err)
 		}
 	}},
 	{"corrupt", corrupt},
 }
 
-// TestFailedReadSparesRenamedRecord: a Get whose read failed re-checks under
-// the lock before it deletes a file or drops an index entry, so the record
-// a Put renamed in after the read survives, indexed.
+// TestFailedReadSparesRenamedRecord: a Get whose read failed re-checks the
+// index under the lock before it drops the entry, so the record a Put (or a
+// compaction) put in place after the read survives, indexed.
 func TestFailedReadSparesRenamedRecord(t *testing.T) {
 	for _, tc := range breakers {
 		t.Run(tc.name, func(t *testing.T) {
@@ -501,16 +555,16 @@ func TestFailedReadSparesRenamedRecord(t *testing.T) {
 			if _, err := s.Put(putEntry(1)); err != nil {
 				t.Fatal(err)
 			}
+			l, _ := locOf(s, key)
 			tc.breakFile(t, s, key)
-			_, loadErr := s.load(key)
-			if loadErr == nil {
-				t.Fatal("damaged file loaded")
+			if _, err := l.read(key); err == nil {
+				t.Fatal("damaged record loaded")
 			}
 			if _, err := s.Put(putEntry(1)); err != nil {
 				t.Fatal(err)
 			}
-			if _, res := s.settle(key, loadErr); res == Corrupt {
-				t.Fatal("Get deleted the record a Put renamed in after its read")
+			if res, retry := s.settle(key, l); res == Corrupt || !retry {
+				t.Fatalf("settle = %v, retry %v: Get dropped the record a Put wrote after its read", res, retry)
 			}
 			if _, res := s.Get(key); res != Hit || s.Len() != 1 {
 				t.Fatalf("after the Put returned: Get = %v, Len = %d; want Hit, 1", res, s.Len())
@@ -519,32 +573,291 @@ func TestFailedReadSparesRenamedRecord(t *testing.T) {
 	}
 }
 
-// TestGetLeavesInFlightKeyAlone: while a Put of a key is in flight, a Get
-// that finds the key's file missing or corrupt neither drops the index
-// entry nor reports corruption; the Put replaces the file and its result is
-// visible once it returns.
-func TestGetLeavesInFlightKeyAlone(t *testing.T) {
-	for _, tc := range breakers {
-		t.Run(tc.name, func(t *testing.T) {
-			s := open(t, t.TempDir(), 0)
-			key := testKey(1)
-			if _, err := s.Put(putEntry(1)); err != nil {
-				t.Fatal(err)
+// TestSharedDirectory: two handles append to one directory at the same
+// time, each to a segment of its own. Each serves the other's records
+// without reopening, and a fresh Open sees all of them.
+func TestSharedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	handles := []*Store{open(t, dir, 0), open(t, dir, 0)}
+	const per = 100
+	var wg sync.WaitGroup
+	for h, s := range handles {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if _, err := s.Put(putEntry(h*per + i)); err != nil {
+					t.Errorf("handle %d Put: %v", h, err)
+					return
+				}
+				// Probe the other handle's keys while both write: a hit
+				// or a miss, never corruption.
+				if _, res := s.Get(testKey((1-h)*per + i)); res == Corrupt {
+					t.Errorf("handle %d read the other's record as Corrupt", h)
+				}
 			}
-			tc.breakFile(t, s, key)
-			rec, self := s.begin(putEntry(1))
-			if _, res := s.Get(key); res != Miss {
-				t.Fatalf("Get during the Put = %v, want Miss", res)
+		}()
+	}
+	wg.Wait()
+	if _, n := segBytes(t, dir); n != 2 {
+		t.Fatalf("%d segments, want one per handle", n)
+	}
+	for h, s := range handles {
+		for i := 0; i < per; i++ {
+			key := testKey((1-h)*per + i)
+			if _, res := s.Get(key); res != Hit {
+				t.Fatalf("handle %d Get(%s) of the other's record = %v, want Hit", h, key, res)
 			}
-			if n := s.Len(); n != 1 {
-				t.Fatalf("Len during the Put = %d, want 1 (the index entry kept)", n)
+		}
+	}
+	// A key rewritten through the handle with the older segment: a fresh
+	// Open, which scans segments oldest first, still serves the newer
+	// record.
+	key := testKey(0)
+	if _, err := handles[1].Put(&Entry{Key: key, Program: "p", Fingerprint: "f", Body: []byte("old")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := handles[0].Put(&Entry{Key: key, Program: "p", Fingerprint: "f", Body: []byte("new")}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := open(t, dir, 0)
+	if fresh.Len() != 2*per {
+		t.Fatalf("fresh Open Len = %d, want %d", fresh.Len(), 2*per)
+	}
+	if e, res := fresh.Get(key); res != Hit || string(e.Body) != "new" {
+		t.Fatalf("fresh Open Get of the rewritten key = %v %+v, want the newer record", res, e)
+	}
+	for i := 0; i < 2*per; i++ {
+		if _, res := fresh.Get(testKey(i)); res != Hit {
+			t.Fatalf("fresh Open Get(%s) = %v, want Hit", testKey(i), res)
+		}
+	}
+}
+
+// TestSpaceBound: 10×MaxEntries Puts of rewritten and evicted keys keep the
+// handle's segment bytes within 2 × live + compactMinBytes + one frame, and
+// Gets racing the compactions that keeps them there always hit a live
+// record, never reading it as Corrupt.
+func TestSpaceBound(t *testing.T) {
+	const max = 32
+	dir := t.TempDir()
+	s := open(t, dir, max)
+	body := bytes.Repeat([]byte("body"), 4<<10) // 16 KiB, about 22 KiB as a frame
+	stable := make([]string, 8)
+	for i := range stable {
+		// Stamped ahead of every churn entry, so eviction never takes them.
+		e := &Entry{Key: testKey(1000 + i), Program: "p", Fingerprint: "f", Body: body, SavedUnixNS: 1 << 62}
+		if _, err := s.Put(e); err != nil {
+			t.Fatal(err)
+		}
+		stable[i] = e.Key
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if e, res := s.Get(stable[i%len(stable)]); res != Hit || !bytes.Equal(e.Body, body) {
+					t.Errorf("Get of a live record during compaction = %v, want Hit", res)
+					return
+				}
 			}
-			if _, err := s.finish(&rec, self, s.write(&rec)); err != nil {
-				t.Fatal(err)
-			}
-			if _, res := s.Get(key); res != Hit || s.Len() != 1 {
-				t.Fatalf("after the Put: Get = %v, Len = %d; want Hit, 1", res, s.Len())
-			}
-		})
+		}()
+	}
+	var written, frameLen int64
+	for i := 0; i < 10*max; i++ {
+		e := &Entry{Key: testKey(i % (2 * max)), Program: "p", Fingerprint: "f", Body: body, SavedUnixNS: int64(i + 1)}
+		if _, err := s.Put(e); err != nil {
+			t.Fatal(err)
+		}
+		l, _ := locOf(s, e.Key)
+		written, frameLen = written+l.n, l.n
+	}
+	close(stop)
+	readers.Wait()
+
+	s.mu.Lock()
+	var live int64
+	for _, l := range s.idx {
+		live += l.n
+	}
+	s.mu.Unlock()
+	bound := 2*live + compactMinBytes + frameLen
+	if written <= bound {
+		t.Fatalf("test too small: wrote %d bytes, bound %d is never reached", written, bound)
+	}
+	if total, _ := segBytes(t, dir); total > bound {
+		t.Fatalf("segments hold %d bytes, want at most 2×%d live + %d + one %d-byte frame = %d",
+			total, live, compactMinBytes, frameLen, bound)
+	}
+	if s.Len() != max {
+		t.Fatalf("Len = %d, want %d", s.Len(), max)
+	}
+	fresh := open(t, dir, max)
+	for _, key := range s.RecentKeys(max) {
+		if _, res := fresh.Get(key); res != Hit {
+			t.Fatalf("after compaction a fresh Open Get(%s) = %v, want Hit", key, res)
+		}
+	}
+}
+
+// TestOldLayoutReadsEmpty: a directory of the one-file-per-entry layout
+// opens as an empty store and is left alone.
+func TestOldLayoutReadsEmpty(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(1)
+	old := filepath.Join(dir, key[0:2], key[2:4], key+".json")
+	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	data, _ := json.Marshal(&Entry{Schema: Schema, Key: key, Body: []byte("old")})
+	if err := os.WriteFile(old, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := open(t, dir, 0)
+	if _, res := s.Get(key); res != Miss || s.Len() != 0 {
+		t.Fatalf("old-layout entry: Get = %v, Len = %d; want Miss, 0", res, s.Len())
+	}
+	if _, err := os.Stat(old); err != nil {
+		t.Fatalf("old-layout file touched: %v", err)
+	}
+}
+
+// TestClosedStore: after Close, Gets miss, Puts fail and Close is a no-op;
+// the released segment is adopted, not duplicated, by the next Open.
+func TestClosedStore(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, 0)
+	if _, err := s.Put(putEntry(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, res := s.Get(testKey(1)); res != Miss {
+		t.Fatalf("Get after Close = %v, want Miss", res)
+	}
+	if _, err := s.Put(putEntry(2)); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Put after Close = %v, want os.ErrClosed", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close = %v", err)
+	}
+	s2 := open(t, dir, 0)
+	if _, res := s2.Get(testKey(1)); res != Hit {
+		t.Fatalf("reopened Get = %v, want Hit", res)
+	}
+	if _, n := segBytes(t, dir); n != 1 {
+		t.Fatalf("%d segments after reopen, want the released one reused", n)
+	}
+}
+
+// childEnv names the store directory a re-executed test binary writes to
+// (see TestMain and TestDurabilityAfterKill).
+const childEnv = "PARDETECT_STORE_CHILD_DIR"
+
+func TestMain(m *testing.M) {
+	if dir := os.Getenv(childEnv); dir != "" {
+		childPutLoop(dir)
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// childPutLoop Puts entries until it is killed, printing each key once its
+// Put has returned. It gives up after a minute so an orphan cannot linger.
+func childPutLoop(dir string) {
+	s, err := Open(Options{Dir: dir, MaxEntries: 1 << 20})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	body := bytes.Repeat([]byte("x"), 8<<10)
+	deadline := time.Now().Add(time.Minute)
+	for i := 0; time.Now().Before(deadline); i++ {
+		key := testKey(i)
+		if _, err := s.Put(&Entry{Key: key, Program: "child", Fingerprint: "f", Body: body}); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		fmt.Println(key)
+	}
+	os.Exit(3)
+}
+
+// TestDurabilityAfterKill: a child process Puts in a loop and is SIGKILLed.
+// While it runs, a handle of this process serves its records without
+// reopening; afterwards a fresh Open serves every key the child printed as
+// a Hit, and a frame torn off its segment's tail reads as a Miss.
+func TestDurabilityAfterKill(t *testing.T) {
+	dir := t.TempDir()
+	peer := open(t, dir, 1<<20)
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), childEnv+"="+dir)
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var printed []string
+	sc := bufio.NewScanner(out)
+	for len(printed) < 300 && sc.Scan() {
+		printed = append(printed, sc.Text())
+	}
+	for _, key := range printed[:50] {
+		if _, res := peer.Get(key); res != Hit {
+			cmd.Process.Kill()
+			t.Fatalf("peer handle Get(%s) of a live child's record = %v, want Hit", key, res)
+		}
+	}
+	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	for sc.Scan() {
+		printed = append(printed, sc.Text())
+	}
+	cmd.Wait()
+	if len(printed) < 300 {
+		t.Fatalf("child printed %d keys before dying, want at least 300", len(printed))
+	}
+	peer.Close()
+
+	// Tear a frame off the tail of the child's segment, as a kill inside
+	// its write would.
+	var childSeg string
+	names, _ := filepath.Glob(filepath.Join(dir, "*"+segSuffix))
+	for _, name := range names {
+		if info, err := os.Stat(name); err == nil && info.Size() > 0 {
+			childSeg = name
+		}
+	}
+	torn := testKey(1 << 40)
+	f, err := os.OpenFile(childSeg, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := frame(torn, 1, []byte(`{"schema":"pardetect.store/v1"}`))
+	if _, err := f.Write(whole[:len(whole)/2]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s := open(t, dir, 1<<20)
+	for _, key := range printed {
+		if _, res := s.Get(key); res != Hit {
+			t.Fatalf("after SIGKILL, Get(%s) = %v, want Hit (%d keys printed)", key, res, len(printed))
+		}
+	}
+	if _, res := s.Get(torn); res != Miss {
+		t.Fatalf("torn tail Get = %v, want Miss", res)
 	}
 }

@@ -3,9 +3,11 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -478,6 +480,27 @@ func TestDecodeRejectsOversizedInput(t *testing.T) {
 	}
 	if _, err := DecodeProgram(big[:MaxProgramBytes]); err != nil {
 		t.Fatalf("DecodeProgram at the size cap: %v", err)
+	}
+}
+
+// hostileDims is a ~200-byte program whose one array claims 2^40 elements:
+// it fits an int, and before ir.MaxArrayElems an analysis of it died with
+// an unrecoverable out-of-memory error.
+const hostileDims = `{"name":"huge","entry":"main","arrays":[{"name":"a","dims":[1048576,1048576]}],"funcs":[{"name":"main","line":1,"body":[{"kind":"return","line":2,"val":{"kind":"const","v":1}}]}]}`
+
+// TestDecodeRejectsHostileDims: the decoder refuses a program whose arrays
+// exceed ir.MaxArrayElems, and refusing it allocates nothing sized by the
+// claimed dims.
+func TestDecodeRejectsHostileDims(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeProgram([]byte(hostileDims))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ir.ErrArrayTooLarge) {
+		t.Fatalf("DecodeProgram = %v, want ir.ErrArrayTooLarge", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("rejecting the program allocated %d bytes", n)
 	}
 }
 

@@ -13,7 +13,9 @@
 #     parallel schedulers, the telemetry observer, the analysis farm (its
 #     tests run all 19 app analyses concurrently), the fuzzer, the
 #     pardetectd service, the router, corpus mode, the result store (its
-#     file I/O runs outside its lock), the profilers (their
+#     Gets read records outside its lock while Puts append and compact,
+#     and its tests share one directory across handles and processes),
+#     the profilers (their
 #     shadow pages are recycled across concurrent analyses), the PET
 #     builder (fed from that consumer goroutine), the interpreter (both
 #     engines hand event buffers to a consumer goroutine) and the analysis
@@ -28,14 +30,16 @@
 #   - the golden-table gate (scripts/goldens.sh: Tables III-V byte-diffed
 #     against testdata/goldens/ under both interpreter engines);
 #   - the pardetectd smoke (scripts/servesmoke.go: cached and uncached
-#     requests, batch NDJSON, backpressure, /healthz, SIGTERM drain and a
+#     requests, batch NDJSON, a hostile program refused with 400 and the
+#     daemon still healthy, backpressure, /healthz, SIGTERM drain and a
 #     warm restart against the real binary, plus a 3-backend
 #     pardetectrouter leg with affinity, batch fan-out and a backend
 #     SIGKILLed mid-run);
 #   - the corpus-mode smoke (scripts/corpussmoke.go: a CORPUS_N-program
 #     corpus, default 1000, through the real parcorpus binary: byte-identical
-#     cold reports across -jobs and -engine, a fully skipped warm rerun and
-#     exactly one re-analysis after touching one file);
+#     cold reports across -jobs and -engine, a fresh-manifest rerun served
+#     wholly from the store, a fully skipped warm rerun and exactly one
+#     re-analysis after touching one file);
 #   - a fuzzer campaign (CAMPAIGN_N programs, default 500) whose
 #     differential, engine-parity and metamorphic oracles must all agree;
 #   - the performance gate (scripts/perfgate.sh): three alternating pairs

@@ -9,6 +9,9 @@
 //     engine — must emit
 //     byte-identical reports: determinism across both the parallelism and
 //     the engine axis, asserted on the shipped binary;
+//   - a rerun with a NEW manifest on the populated store must report all N
+//     cached and analyse zero, each with the cold run's headline and
+//     fingerprint: the store, reopened by a new process, serves them all;
 //   - a WARM rerun (same corpus, same manifest, same store) must skip all
 //     N programs and analyse zero — the acceptance bar is >= 99% avoided
 //     work, the assertion here is 100%;
@@ -46,8 +49,10 @@ type report struct {
 	Skipped  int    `json:"skipped"`
 	Failed   int    `json:"failed"`
 	Results  []struct {
-		Path    string `json:"path"`
-		Outcome string `json:"outcome"`
+		Path        string `json:"path"`
+		Outcome     string `json:"outcome"`
+		Headline    string `json:"headline"`
+		Fingerprint string `json:"fingerprint"`
 	} `json:"results"`
 }
 
@@ -116,6 +121,26 @@ func run() error {
 		return fmt.Errorf("cold run counts: %+v, want %d analysed-or-cached", cold, n)
 	}
 	fmt.Printf("corpussmoke: cold run over %d programs, reports byte-identical across jobs and engines\n", n)
+
+	// A fresh manifest over the populated store: every program must come
+	// from the store (cached, nothing analysed), with the cold run's
+	// results. This is the store's segment scan at Open, in a new process.
+	stored, err := runAndParse(bin, scratch, "repS.json",
+		"-dir", corpusDir, "-manifest", filepath.Join(scratch, "manifestS.json"), "-store-dir", store, "-jobs", "4")
+	if err != nil {
+		return err
+	}
+	if stored.Cached != n || stored.Analyzed != 0 || stored.Failed != 0 || len(stored.Results) != len(cold.Results) {
+		return fmt.Errorf("fresh-manifest run on the populated store: %+v, want all %d cached", stored, n)
+	}
+	for i, r := range stored.Results {
+		c := cold.Results[i]
+		if r.Path != c.Path || r.Outcome != "cached" || r.Headline != c.Headline || r.Fingerprint != c.Fingerprint {
+			return fmt.Errorf("fresh-manifest run: %s is %s %q %s, cold run had %s %q %s",
+				r.Path, r.Outcome, r.Headline, r.Fingerprint, c.Path, c.Headline, c.Fingerprint)
+		}
+	}
+	fmt.Printf("corpussmoke: fresh manifest on the populated store served all %d from the store\n", n)
 
 	// Warm rerun: everything skipped, nothing analysed — at yet another
 	// -jobs/-engine combination, since skipping must not depend on either.

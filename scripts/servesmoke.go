@@ -5,7 +5,8 @@
 // port, and exercises the service behaviors end to end over HTTP —
 // liveness, an uncached and a cached analysis (counter-verified via the
 // X-Pardetect-Cache header and byte-compared bodies), a batch NDJSON
-// request, admission backpressure (429 + Retry-After while the single
+// request, a hostile program whose array dims would exhaust memory (refused
+// with 400, the daemon still healthy), admission backpressure (429 + Retry-After while the single
 // worker is occupied), and a clean SIGTERM drain. It then relaunches the
 // binary on the same -store-dir and requires the very first request of the
 // new process to be a cache hit with a byte-identical body: the persistent
@@ -45,6 +46,11 @@ import (
 // observe it occupying the worker. Kept as a literal so the smoke exercises
 // the POST surface exactly as an external client would.
 const slowWire = `{"name":"smoke-slow","entry":"main","arrays":[{"name":"a","dims":[64]}],"funcs":[{"name":"main","line":1,"body":[{"kind":"for","line":2,"loop_id":"main.L1","var":"i","start":{"kind":"const"},"end":{"kind":"const","v":1300},"step":{"kind":"const","v":1},"body":[{"kind":"for","line":3,"loop_id":"main.L2","var":"j","start":{"kind":"const"},"end":{"kind":"const","v":1300},"step":{"kind":"const","v":1},"body":[{"kind":"assign","line":4,"dst":{"kind":"elem","arr":"a","idx":[{"kind":"bin","op":"%","l":{"kind":"var","name":"j"},"r":{"kind":"const","v":64}}]},"src":{"kind":"bin","op":"+","l":{"kind":"elem","arr":"a","idx":[{"kind":"bin","op":"%","l":{"kind":"var","name":"j"},"r":{"kind":"const","v":64}}]},"r":{"kind":"const","v":1}}}]}]},{"kind":"return","line":5,"val":{"kind":"elem","arr":"a","idx":[{"kind":"const"}]}}]}]}`
+
+// hostileWire declares one array of 1048576 × 1048576 elements: it fits an
+// int, passed validation before ir.MaxArrayElems and killed the daemon with
+// an out-of-memory error when analysed.
+const hostileWire = `{"name":"smoke-hostile","entry":"main","arrays":[{"name":"a","dims":[1048576,1048576]}],"funcs":[{"name":"main","line":1,"body":[{"kind":"return","line":2,"val":{"kind":"const","v":1}}]}]}`
 
 func main() {
 	if err := run(); err != nil {
@@ -387,6 +393,23 @@ func probe(base string) ([]byte, error) {
 		return nil, fmt.Errorf("batch outcomes: %d hit + %d bad_line, want 1 + 1; body %s", hits, bad, bout)
 	}
 	fmt.Println("servesmoke: batch NDJSON served per-line outcomes")
+
+	// A hostile program: ~200 bytes claiming 2^40 array elements. It must
+	// be refused at decode — alone with 400, in a batch as a bad line — and
+	// the daemon must still be alive afterwards.
+	status, _, hb, err := post(base+"/analyze", []byte(hostileWire))
+	if err != nil || status != 400 || !strings.Contains(string(hb), "ir.MaxArrayElems") {
+		return nil, fmt.Errorf("hostile program: status %d err %v body %s, want 400 naming ir.MaxArrayElems", status, err, hb)
+	}
+	status, _, hb, err = post(base+"/analyze/batch", []byte(hostileWire+"\n"))
+	if err != nil || status != 200 || !strings.Contains(string(hb), `"outcome":"bad_line"`) {
+		return nil, fmt.Errorf("hostile batch line: status %d err %v body %s, want a bad_line", status, err, hb)
+	}
+	status, _, hb, err = get(base + "/healthz")
+	if err != nil || status != 200 {
+		return nil, fmt.Errorf("healthz after the hostile program: status %d err %v body %s", status, err, hb)
+	}
+	fmt.Println("servesmoke: hostile array dims refused at decode, daemon alive")
 
 	// Backpressure: occupy the single worker with a slow POSTed program,
 	// then a request that needs a worker must bounce with 429.
