@@ -13,6 +13,7 @@ import (
 	"pardetect/internal/apps"
 	"pardetect/internal/core"
 	"pardetect/internal/interp"
+	"pardetect/internal/obs"
 	"pardetect/internal/patterns"
 	"pardetect/internal/trace"
 )
@@ -29,12 +30,13 @@ var updateFingerprints = flag.Bool("update-fingerprints", false,
 
 // fingerprintLine analyses one app on one engine and renders its golden line:
 // name, Profile.Fingerprint, Result.Fingerprint, a SHA-256 prefix of
-// Tree.String, and the phase-2 PairPoints as pair count, sample count and a
-// SHA-256 prefix of the samples.
+// Tree.String, the phase-2 PairPoints as pair count, sample count and a
+// SHA-256 prefix of the samples, and a SHA-256 prefix of the decision log.
 func fingerprintLine(t *testing.T, name, engine string) string {
 	t.Helper()
 	p := apps.Get(name).Build()
-	res, err := core.Analyze(p, core.Options{InferReductionOperator: true, Engine: engine})
+	o := obs.New(name)
+	res, err := core.Analyze(p, core.Options{InferReductionOperator: true, Engine: engine, Observer: o})
 	if err != nil {
 		t.Fatalf("%s (%s): %v", name, engine, err)
 	}
@@ -56,8 +58,19 @@ func fingerprintLine(t *testing.T, name, engine string) string {
 		samples += len(s)
 	}
 	tree := sha256.Sum256([]byte(res.Tree.String()))
-	return fmt.Sprintf("%s profile=%s result=%s tree=%x pairs=%d samples=%d digest=%s",
-		name, res.Profile.Fingerprint(), res.Fingerprint(), tree[:8], len(pts.Points), samples, pairPointsDigest(pts))
+	return fmt.Sprintf("%s profile=%s result=%s tree=%x pairs=%d samples=%d digest=%s decisions=%s",
+		name, res.Profile.Fingerprint(), res.Fingerprint(), tree[:8], len(pts.Points), samples, pairPointsDigest(pts),
+		decisionsDigest(o.Decisions()))
+}
+
+// decisionsDigest hashes the decision log in log order, one
+// tab-separated line per decision with every field.
+func decisionsDigest(ds []obs.Decision) string {
+	h := sha256.New()
+	for _, d := range ds {
+		fmt.Fprintf(h, "%s\t%s\t%v\t%s\t%s\n", d.Stage, d.Candidate, d.Accepted, d.Code, d.Detail)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
 // pairPointsDigest hashes every pair's samples in observation order plus its
