@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -39,13 +40,6 @@ type Options struct {
 	// percentage" without fixing a number; 2% keeps small Polybench
 	// kernels' paired loops in scope while filtering initialisation code.
 	HotspotShare float64
-	// RelativeHotspotShare is the minimum share of a loop within its
-	// hotspot function for secondary-pattern reporting (default 1/3),
-	// mirroring the paper's footnote that non-hotspot reduction loops are
-	// not reported in Table III.
-	RelativeHotspotShare float64
-	// MinEstSpeedup gates task-parallelism reporting (default 1.3).
-	MinEstSpeedup float64
 	// MaxSteps bounds each profiled execution (see interp.Options).
 	MaxSteps int64
 	// Timeout, when positive, bounds the whole analysis in wall-clock time
@@ -78,20 +72,14 @@ type Options struct {
 	Observer *obs.Observer
 }
 
-// fill applies defaults and clamps out-of-range values: shares are
-// fractions in (0, 1], MinEstSpeedup must exceed zero and MaxSteps must be
-// non-negative. Out-of-range values silently passed through to the
-// detectors would disable every hotspot (share > 1) or accept every region
-// (share < 0), so they fall back to the documented defaults instead.
+// fill applies defaults and clamps out-of-range values: HotspotShare is a
+// fraction in (0, 1] and MaxSteps must be non-negative. An out-of-range
+// share silently passed through to the detectors would disable every
+// hotspot (share > 1) or accept every region (share < 0), so it falls back
+// to the documented default instead.
 func (o *Options) fill() {
 	if o.HotspotShare <= 0 || o.HotspotShare > 1 {
 		o.HotspotShare = 0.02
-	}
-	if o.RelativeHotspotShare <= 0 || o.RelativeHotspotShare > 1 {
-		o.RelativeHotspotShare = 1.0 / 3
-	}
-	if o.MinEstSpeedup <= 0 {
-		o.MinEstSpeedup = 1.3
 	}
 	if o.MaxSteps < 0 {
 		o.MaxSteps = 0 // interp applies its own default bound
@@ -299,10 +287,12 @@ func Analyze(p *ir.Program, opts Options) (*Result, error) {
 
 	sp = o.Start("headline")
 	res.HotspotFunc, res.HotspotSharePct = dominantFunc(res.Tree, p)
-	res.Headline = res.composeHeadline()
+	f := res.focus()
+	verdicts := res.judge(f)
+	res.Headline = res.composeHeadline(verdicts, f)
 	sp.End()
 
-	res.recordDecisions(o)
+	res.recordDecisions(o, verdicts)
 	return res, nil
 }
 
@@ -367,21 +357,167 @@ func dominantFunc(t *pet.Tree, p *ir.Program) (string, float64) {
 	return best, 100 * bestShare
 }
 
-// loopsOf returns the loop IDs lexically inside fn (including nested).
-func loopsOf(p *ir.Program, fn string) map[string]bool {
-	out := map[string]bool{}
-	f := p.Func(fn)
-	if f == nil {
-		return out
+// Reporting thresholds of the headline composition.
+const (
+	// minPipelineE is the efficiency-factor cutoff: a pipeline pair whose e
+	// (Equation 2) is below it is not reported.
+	minPipelineE = 0.5
+	// minEstSpeedup gates task-parallelism reporting on the estimated
+	// speedup of §III-B.
+	minEstSpeedup = 1.3
+	// minRelativeShare is the minimum share of a loop within the hotspot
+	// function for secondary-pattern reporting, mirroring the paper's
+	// footnote that non-hotspot reduction loops are not reported in
+	// Table III.
+	minRelativeShare = 1.0 / 3
+)
+
+// verdict is the judgement of one candidate of a stage: accepted with the
+// code of its pattern, or rejected with the code of the first gate it
+// failed (the obs.Code* constants). i indexes r.Pipelines or r.Reductions
+// and name keys r.TaskPar or r.GeoDecomp; share is a reduction loop's
+// share of the hotspot function F. inFunc reports whether the candidate
+// lies in F: a fusion pair is accepted wherever it lies, but only one
+// inside F sets the headline.
+type verdict struct {
+	stage, name, code string
+	i                 int
+	accepted, inFunc  bool
+	share             float64
+}
+
+// focus is what the headline's gates need to know of the hotspot function
+// F, gathered once per analysis: its loops (nested ones included), the
+// summed cost of its PET nodes, and whether any activation of F was
+// recursive and whether any was activated more than once.
+type focus struct {
+	loops               map[string]bool
+	total               int64
+	recursive, repeated bool
+}
+
+func (r *Result) focus() focus {
+	f := focus{loops: map[string]bool{}}
+	if fn := r.Program.Func(r.HotspotFunc); fn != nil {
+		ir.WalkStmts(fn.Body, func(s ir.Stmt) {
+			switch s := s.(type) {
+			case *ir.For:
+				f.loops[s.LoopID] = true
+			case *ir.While:
+				f.loops[s.LoopID] = true
+			}
+		})
 	}
-	for _, l := range ir.FuncLoops(f) {
-		out[l.ID] = true
+	r.Tree.Walk(func(n *pet.Node) {
+		if n.Kind == pet.Func && n.Name == r.HotspotFunc {
+			f.total += n.Total
+			f.recursive = f.recursive || n.Recursive
+			f.repeated = f.repeated || n.Activations > 1
+		}
+	})
+	return f
+}
+
+// loopShare is the loop's cost relative to the hotspot function.
+func (r *Result) loopShare(f focus, loopID string) float64 {
+	n := r.Tree.FindLoop(loopID)
+	if n == nil || f.total == 0 {
+		return 0
 	}
-	return out
+	return float64(n.Total) / float64(f.total)
+}
+
+// judge checks every pipeline pair, task-parallel region, geometric-
+// decomposition function and reduction candidate against the headline's
+// gates, once each, and returns the verdicts in decision-log order:
+// pipelines and reductions in result order, regions and functions by
+// name.
+func (r *Result) judge(f focus) []verdict {
+	vs := make([]verdict, 0, len(r.Pipelines)+len(r.TaskPar)+len(r.GeoDecomp)+len(r.Reductions))
+	byName := func(a, b verdict) int { return strings.Compare(a.name, b.name) }
+
+	for i, pr := range r.Pipelines {
+		v := verdict{stage: "pipeline", i: i, inFunc: f.loops[pr.Pair.Writer] && f.loops[pr.Pair.Reader]}
+		switch {
+		case pr.Pattern == patterns.Fusion:
+			v.accepted, v.code = true, obs.CodeFusion
+		case !v.inFunc:
+			v.code = obs.CodeOutsideHotspotFunc
+		case pr.ReaderClass != patterns.LoopSequential:
+			// The reader loop is already parallelisable alone.
+			v.code = obs.CodeReaderNotSequential
+		case pr.E < minPipelineE:
+			v.code = obs.CodeEBelowCutoff
+		default:
+			v.accepted, v.code = true, obs.CodePipeline
+		}
+		vs = append(vs, v)
+	}
+
+	// Task parallelism counts in F itself or in one of F's loop bodies,
+	// gated on independent substantial tasks (calls or whole loops).
+	start, fnRegion := len(vs), r.HotspotFunc+"()"
+	for name, tp := range r.TaskPar {
+		v := verdict{stage: "taskpar", name: name, inFunc: name == fnRegion || f.loops[tp.Graph.Region.LoopID]}
+		switch {
+		case !tp.IndependentWork():
+			v.code = obs.CodeNoIndependentWork
+		case tp.EstimatedSpeedup < minEstSpeedup:
+			v.code = obs.CodeSpeedupBelowGate
+		case !v.inFunc:
+			v.code = obs.CodeOutsideHotspotFunc
+		default:
+			v.accepted, v.code = true, obs.CodeTaskPar
+		}
+		vs = append(vs, v)
+	}
+	slices.SortFunc(vs[start:], byName)
+
+	// Algorithm 2 accepts any function whose loops are all do-all or
+	// reduction, but the label only applies to the hotspot function when
+	// it is invoked repeatedly over separable data (kmeans's cluster(),
+	// streamcluster's localSearch()): a single-shot kernel is already
+	// covered by its loop-level patterns, and a recursive solver
+	// decomposes by recursion, not by data chunking.
+	start = len(vs)
+	for fn, gd := range r.GeoDecomp {
+		v := verdict{stage: "geodecomp", name: fn, inFunc: fn == r.HotspotFunc}
+		switch {
+		case !gd.Candidate && gd.Blocking != "":
+			v.code = obs.CodeBlockingLoop
+		case !gd.Candidate:
+			v.code = obs.CodeNoLoops
+		case !v.inFunc:
+			v.code = obs.CodeOutsideHotspotFunc
+		case f.recursive:
+			v.code = obs.CodeRecursive
+		case !f.repeated:
+			v.code = obs.CodeNotRepeated
+		default:
+			v.accepted, v.code = true, obs.CodeGeoDecomp
+		}
+		vs = append(vs, v)
+	}
+	slices.SortFunc(vs[start:], byName)
+
+	for i, red := range r.Reductions {
+		v := verdict{stage: "reduction", i: i, inFunc: f.loops[red.LoopID], share: r.loopShare(f, red.LoopID)}
+		switch {
+		case !v.inFunc:
+			v.code = obs.CodeOutsideHotspotFunc
+		case v.share < minRelativeShare:
+			v.code = obs.CodeRelShareBelowThreshold
+		default:
+			v.accepted, v.code = true, obs.CodeReduction
+		}
+		vs = append(vs, v)
+	}
+	return vs
 }
 
 // composeHeadline mechanises the paper's Table III labelling for the
-// dominant hotspot function F, in priority order:
+// dominant hotspot function F from the accepted verdicts, in priority
+// order:
 //
 //  1. Fusion — a (refined) fusion pair among F's loops.
 //  2. Multi-loop pipeline — a pair among F's loops whose reader loop is
@@ -390,90 +526,44 @@ func loopsOf(p *ir.Program, fn string) map[string]bool {
 //     speedup above the threshold in F or one of F's loop bodies; when the
 //     parallel tasks of the function region are themselves do-all loops,
 //     the label is "Task parallelism + Do-all" (3mm, mvt).
-//  4. Geometric decomposition — Algorithm 2 accepted F; a hotspot-relative
-//     reduction loop inside appends " + Reduction" (kmeans).
+//  4. Geometric decomposition — Algorithm 2 accepted F; an accepted
+//     reduction appends " + Reduction" (kmeans).
 //  5. Reduction — a reduction candidate in a significant loop of F.
 //  6. Do-all — some significant loop of F is do-all.
-func (r *Result) composeHeadline() string {
-	fnLoops := loopsOf(r.Program, r.HotspotFunc)
-
-	// 1 & 2: pipelines whose two loops are F's.
-	bestPipe := -1
-	for i, pr := range r.Pipelines {
-		if !fnLoops[pr.Pair.Writer] || !fnLoops[pr.Pair.Reader] {
-			continue
-		}
-		if pr.Pattern == patterns.Fusion {
-			return patterns.Fusion.String()
-		}
-		if pr.ReaderClass == patterns.LoopSequential && pr.E >= 0.5 {
-			if bestPipe < 0 || pr.E > r.Pipelines[bestPipe].E {
-				bestPipe = i
+func (r *Result) composeHeadline(vs []verdict, f focus) string {
+	// in reports whether a candidate in F was accepted with code, and is
+	// the candidate named name when that is set.
+	in := func(code, name string) bool {
+		for _, v := range vs {
+			if v.accepted && v.inFunc && v.code == code && (name == "" || v.name == name) {
+				return true
 			}
 		}
+		return false
 	}
-	if bestPipe >= 0 {
+	fnRegion := r.HotspotFunc + "()"
+	switch {
+	case in(obs.CodeFusion, ""):
+		return patterns.Fusion.String()
+	case in(obs.CodePipeline, ""):
 		return patterns.MultiLoopPipeline.String()
-	}
-
-	// 3: task parallelism in F or F's loop bodies, gated on independent
-	// substantial tasks (calls or whole loops).
-	if tp, ok := r.TaskPar[r.HotspotFunc+"()"]; ok && tp.IndependentWork() && tp.EstimatedSpeedup >= r.opts.MinEstSpeedup {
-		if r.tasksAreDoAllLoops(tp) {
-			return patterns.TaskParallelism.String() + " + Do-all"
-		}
+	case in(obs.CodeTaskPar, fnRegion) && r.tasksAreDoAllLoops(r.TaskPar[fnRegion]):
+		return patterns.TaskParallelism.String() + " + Do-all"
+	case in(obs.CodeTaskPar, ""):
 		return patterns.TaskParallelism.String()
-	}
-	for _, name := range sortedKeys(r.TaskPar) {
-		tp := r.TaskPar[name]
-		if !fnLoops[tp.Graph.Region.LoopID] {
-			continue
-		}
-		if tp.IndependentWork() && tp.EstimatedSpeedup >= r.opts.MinEstSpeedup {
-			return patterns.TaskParallelism.String()
-		}
-	}
-
-	// 4: geometric decomposition. Algorithm 2 accepts any function whose
-	// loops are all do-all/reduction, but the label only applies to a
-	// function invoked repeatedly over separable data (kmeans's cluster(),
-	// streamcluster's localSearch()): a single-shot kernel is already
-	// covered by its loop-level patterns, and a recursive solver
-	// decomposes by recursion, not by data chunking.
-	if gd, ok := r.GeoDecomp[r.HotspotFunc]; ok && gd.Candidate && r.calledRepeatedlyNonRecursive() {
-		label := patterns.GeometricDecomposition.String()
-		if r.hasSignificantReduction(fnLoops) {
-			label += " + Reduction"
-		}
-		return label
-	}
-
-	// 5: reduction.
-	if r.hasSignificantReduction(fnLoops) {
+	case in(obs.CodeGeoDecomp, "") && in(obs.CodeReduction, ""):
+		return patterns.GeometricDecomposition.String() + " + Reduction"
+	case in(obs.CodeGeoDecomp, ""):
+		return patterns.GeometricDecomposition.String()
+	case in(obs.CodeReduction, ""):
 		return patterns.Reduction.String()
 	}
-
-	// 6: do-all.
-	for id := range fnLoops {
-		if r.Classes[id] == patterns.LoopDoAll && r.loopRelativeShare(id) >= r.opts.RelativeHotspotShare {
+	for id := range f.loops {
+		if r.Classes[id] == patterns.LoopDoAll && r.loopShare(f, id) >= minRelativeShare {
 			return patterns.DoAll.String()
 		}
 	}
 	return "None"
-}
-
-// calledRepeatedlyNonRecursive reports whether the hotspot function was
-// activated more than once without being recursive.
-func (r *Result) calledRepeatedlyNonRecursive() bool {
-	for _, n := range r.Tree.FindFunc(r.HotspotFunc) {
-		if n.Recursive {
-			return false
-		}
-		if n.Activations > 1 {
-			return true
-		}
-	}
-	return false
 }
 
 // tasksAreDoAllLoops reports whether the parallel tasks of a function-region
@@ -505,36 +595,8 @@ func (r *Result) tasksAreDoAllLoops(tp *patterns.TaskParallelismResult) bool {
 	return found
 }
 
-func (r *Result) hasSignificantReduction(fnLoops map[string]bool) bool {
-	for _, red := range r.Reductions {
-		if !fnLoops[red.LoopID] {
-			continue
-		}
-		if r.loopRelativeShare(red.LoopID) >= r.opts.RelativeHotspotShare {
-			return true
-		}
-	}
-	return false
-}
-
-// loopRelativeShare is the loop's cost relative to the hotspot function.
-func (r *Result) loopRelativeShare(loopID string) float64 {
-	n := r.Tree.FindLoop(loopID)
-	if n == nil {
-		return 0
-	}
-	var fnTotal int64
-	for _, f := range r.Tree.FindFunc(r.HotspotFunc) {
-		fnTotal += f.Total
-	}
-	if fnTotal == 0 {
-		return 0
-	}
-	return float64(n.Total) / float64(fnTotal)
-}
-
 // sortedKeys returns the map's keys sorted, for deterministic iteration.
-func sortedKeys(m map[string]*patterns.TaskParallelismResult) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -552,12 +614,7 @@ func (r *Result) Summary() string {
 	fmt.Fprintf(&sb, "detected pattern: %s\n", r.Headline)
 
 	fmt.Fprintf(&sb, "\nloop classes:\n")
-	ids := make([]string, 0, len(r.Classes))
-	for id := range r.Classes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sortedKeys(r.Classes) {
 		fmt.Fprintf(&sb, "  %-28s %s\n", id, r.Classes[id])
 	}
 
@@ -584,24 +641,14 @@ func (r *Result) Summary() string {
 		}
 	}
 
-	names := make([]string, 0, len(r.TaskPar))
-	for n := range r.TaskPar {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedKeys(r.TaskPar) {
 		tp := r.TaskPar[n]
 		if tp.HasParallelism() {
 			fmt.Fprintf(&sb, "\n%s", tp)
 		}
 	}
 
-	gds := make([]string, 0, len(r.GeoDecomp))
-	for n := range r.GeoDecomp {
-		gds = append(gds, n)
-	}
-	sort.Strings(gds)
-	for _, n := range gds {
+	for _, n := range sortedKeys(r.GeoDecomp) {
 		gd := r.GeoDecomp[n]
 		if gd.Candidate {
 			fmt.Fprintf(&sb, "\ngeometric decomposition candidate: %s (loops: %s)\n",

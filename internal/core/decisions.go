@@ -9,103 +9,75 @@ import (
 	"pardetect/internal/pet"
 )
 
-// recordDecisions replays the headline-composition gates over every
-// candidate the pipeline produced and logs, per candidate, either the
-// acceptance or the first gate that failed — turning detector behaviour
-// from folklore into data. The log order is deterministic: hotspot regions,
-// then pipelines, task-parallel regions, geometric decomposition and
-// reductions, each in their result order.
-func (r *Result) recordDecisions(o *obs.Observer) {
+// recordDecisions logs the hotspot-region entries and then the verdicts
+// the headline was composed from: per candidate, its acceptance or the
+// first gate that failed, turning detector behaviour from folklore into
+// data. Candidate names and details are formatted only here, so an
+// analysis without an observer formats none.
+func (r *Result) recordDecisions(o *obs.Observer, vs []verdict) {
 	if o == nil {
 		return
 	}
-	fnLoops := loopsOf(r.Program, r.HotspotFunc)
-
 	r.recordHotspotDecisions(o)
-
-	for _, pr := range r.Pipelines {
-		cand := pr.Pair.Writer + "->" + pr.Pair.Reader
-		switch {
-		case pr.Pattern == patterns.Fusion:
-			o.Accept("pipeline", cand, obs.CodeFusion,
-				fmt.Sprintf("a=%.3f b=%.3f e=%.3f", pr.A, pr.B, pr.E))
-		case !fnLoops[pr.Pair.Writer] || !fnLoops[pr.Pair.Reader]:
-			o.Reject("pipeline", cand, obs.CodeOutsideHotspotFunc,
-				"pair not inside hotspot function "+r.HotspotFunc)
-		case pr.ReaderClass != patterns.LoopSequential:
-			o.Reject("pipeline", cand, obs.CodeReaderNotSequential,
-				"reader loop is "+pr.ReaderClass.String()+", already parallelisable alone")
-		case pr.E < 0.5:
-			o.Reject("pipeline", cand, obs.CodeEBelowCutoff,
-				fmt.Sprintf("e=%.3f < 0.50", pr.E))
-		default:
-			o.Accept("pipeline", cand, obs.CodePipeline,
-				fmt.Sprintf("a=%.3f b=%.3f e=%.3f", pr.A, pr.B, pr.E))
+	for _, v := range vs {
+		cand, detail := r.explain(v)
+		if v.accepted {
+			o.Accept(v.stage, cand, v.code, detail)
+		} else {
+			o.Reject(v.stage, cand, v.code, detail)
 		}
 	}
+}
 
-	for _, name := range sortedKeys(r.TaskPar) {
-		tp := r.TaskPar[name]
-		inFn := name == r.HotspotFunc+"()" || fnLoops[tp.Graph.Region.LoopID]
-		switch {
-		case !tp.IndependentWork():
-			o.Reject("taskpar", name, obs.CodeNoIndependentWork,
-				"no two path-independent substantial CUs")
-		case tp.EstimatedSpeedup < r.opts.MinEstSpeedup:
-			o.Reject("taskpar", name, obs.CodeSpeedupBelowGate,
-				fmt.Sprintf("est. speedup %.2f < %.2f", tp.EstimatedSpeedup, r.opts.MinEstSpeedup))
-		case !inFn:
-			o.Reject("taskpar", name, obs.CodeOutsideHotspotFunc,
-				"region not inside hotspot function "+r.HotspotFunc)
-		default:
-			o.Accept("taskpar", name, obs.CodeTaskPar,
-				fmt.Sprintf("est. speedup %.2f", tp.EstimatedSpeedup))
-		}
+// explain renders a verdict's candidate name and the detail of its code.
+func (r *Result) explain(v verdict) (cand, detail string) {
+	var pr *patterns.PipelineResult
+	var outside string // the detail of CodeOutsideHotspotFunc, up to F's name
+	switch v.stage {
+	case "pipeline":
+		pr = &r.Pipelines[v.i]
+		cand, outside = pr.Pair.Writer+"->"+pr.Pair.Reader, "pair not inside hotspot function "
+	case "taskpar":
+		cand, outside = v.name, "region not inside hotspot function "
+	case "geodecomp":
+		cand, outside = v.name, "not the hotspot function "
+	case "reduction":
+		red := r.Reductions[v.i]
+		cand, outside = red.LoopID+":"+red.Name, "loop not inside hotspot function "
 	}
-
-	fns := make([]string, 0, len(r.GeoDecomp))
-	for fn := range r.GeoDecomp {
-		fns = append(fns, fn)
+	switch v.code {
+	case obs.CodeOutsideHotspotFunc:
+		detail = outside + r.HotspotFunc
+	case obs.CodeFusion, obs.CodePipeline:
+		detail = fmt.Sprintf("a=%.3f b=%.3f e=%.3f", pr.A, pr.B, pr.E)
+	case obs.CodeReaderNotSequential:
+		detail = "reader loop is " + pr.ReaderClass.String() + ", already parallelisable alone"
+	case obs.CodeEBelowCutoff:
+		detail = fmt.Sprintf("e=%.3f < %.2f", pr.E, minPipelineE)
+	case obs.CodeNoIndependentWork:
+		detail = "no two path-independent substantial CUs"
+	case obs.CodeSpeedupBelowGate:
+		detail = fmt.Sprintf("est. speedup %.2f < %.2f", r.TaskPar[v.name].EstimatedSpeedup, minEstSpeedup)
+	case obs.CodeTaskPar:
+		detail = fmt.Sprintf("est. speedup %.2f", r.TaskPar[v.name].EstimatedSpeedup)
+	case obs.CodeBlockingLoop:
+		gd := r.GeoDecomp[v.name]
+		detail = fmt.Sprintf("loop %s is %s", gd.Blocking, gd.BlockingClass)
+	case obs.CodeNoLoops:
+		detail = "no loops to decompose"
+	case obs.CodeRecursive:
+		detail = "decomposes by recursion, not by data chunking"
+	case obs.CodeNotRepeated:
+		detail = "single-shot kernel, covered by its loop-level patterns"
+	case obs.CodeGeoDecomp:
+		detail = fmt.Sprintf("all %d loops do-all/reduction", len(r.GeoDecomp[v.name].Loops))
+	case obs.CodeRelShareBelowThreshold:
+		detail = fmt.Sprintf("loop share %.1f%% of %s below %.1f%%",
+			100*v.share, r.HotspotFunc, 100*minRelativeShare)
+	case obs.CodeReduction:
+		detail = fmt.Sprintf("line %d", r.Reductions[v.i].Line)
 	}
-	sort.Strings(fns)
-	for _, fn := range fns {
-		gd := r.GeoDecomp[fn]
-		switch {
-		case !gd.Candidate && gd.Blocking != "":
-			o.Reject("geodecomp", fn, obs.CodeBlockingLoop,
-				fmt.Sprintf("loop %s is %s", gd.Blocking, gd.BlockingClass))
-		case !gd.Candidate:
-			o.Reject("geodecomp", fn, obs.CodeNoLoops, "no loops to decompose")
-		case fn != r.HotspotFunc:
-			o.Reject("geodecomp", fn, obs.CodeOutsideHotspotFunc,
-				"not the hotspot function "+r.HotspotFunc)
-		case r.funcRecursive(fn):
-			o.Reject("geodecomp", fn, obs.CodeRecursive,
-				"decomposes by recursion, not by data chunking")
-		case !r.funcRepeated(fn):
-			o.Reject("geodecomp", fn, obs.CodeNotRepeated,
-				"single-shot kernel, covered by its loop-level patterns")
-		default:
-			o.Accept("geodecomp", fn, obs.CodeGeoDecomp,
-				fmt.Sprintf("all %d loops do-all/reduction", len(gd.Loops)))
-		}
-	}
-
-	for _, red := range r.Reductions {
-		cand := red.LoopID + ":" + red.Name
-		switch {
-		case !fnLoops[red.LoopID]:
-			o.Reject("reduction", cand, obs.CodeOutsideHotspotFunc,
-				"loop not inside hotspot function "+r.HotspotFunc)
-		case r.loopRelativeShare(red.LoopID) < r.opts.RelativeHotspotShare:
-			o.Reject("reduction", cand, obs.CodeRelShareBelowThreshold,
-				fmt.Sprintf("loop share %.1f%% of %s below %.1f%%",
-					100*r.loopRelativeShare(red.LoopID), r.HotspotFunc, 100*r.opts.RelativeHotspotShare))
-		default:
-			o.Accept("reduction", cand, obs.CodeReduction,
-				fmt.Sprintf("line %d", red.Line))
-		}
-	}
+	return cand, detail
 }
 
 // recordHotspotDecisions logs, per distinct PET region (function or loop),
@@ -147,24 +119,4 @@ func (r *Result) recordHotspotDecisions(o *obs.Observer) {
 			o.Reject("hotspot", cand, obs.CodeShareBelowThreshold, detail)
 		}
 	}
-}
-
-// funcRecursive reports whether any PET activation of fn was recursive.
-func (r *Result) funcRecursive(fn string) bool {
-	for _, n := range r.Tree.FindFunc(fn) {
-		if n.Recursive {
-			return true
-		}
-	}
-	return false
-}
-
-// funcRepeated reports whether fn was activated more than once.
-func (r *Result) funcRepeated(fn string) bool {
-	for _, n := range r.Tree.FindFunc(fn) {
-		if n.Activations > 1 {
-			return true
-		}
-	}
-	return false
 }

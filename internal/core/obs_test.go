@@ -17,15 +17,15 @@ func TestOptionsFillClampsOutOfRangeValues(t *testing.T) {
 		want Options
 	}{
 		{"zero-value defaults", Options{},
-			Options{HotspotShare: 0.02, RelativeHotspotShare: 1.0 / 3, MinEstSpeedup: 1.3}},
-		{"negative fractions", Options{HotspotShare: -0.5, RelativeHotspotShare: -1, MinEstSpeedup: -2, MaxSteps: -100},
-			Options{HotspotShare: 0.02, RelativeHotspotShare: 1.0 / 3, MinEstSpeedup: 1.3, MaxSteps: 0}},
-		{"fractions above one", Options{HotspotShare: 1.5, RelativeHotspotShare: 2},
-			Options{HotspotShare: 0.02, RelativeHotspotShare: 1.0 / 3, MinEstSpeedup: 1.3}},
-		{"valid values untouched", Options{HotspotShare: 0.1, RelativeHotspotShare: 0.5, MinEstSpeedup: 2, MaxSteps: 9},
-			Options{HotspotShare: 0.1, RelativeHotspotShare: 0.5, MinEstSpeedup: 2, MaxSteps: 9}},
-		{"boundary one is valid", Options{HotspotShare: 1, RelativeHotspotShare: 1},
-			Options{HotspotShare: 1, RelativeHotspotShare: 1, MinEstSpeedup: 1.3}},
+			Options{HotspotShare: 0.02}},
+		{"negative fractions", Options{HotspotShare: -0.5, MaxSteps: -100},
+			Options{HotspotShare: 0.02, MaxSteps: 0}},
+		{"fractions above one", Options{HotspotShare: 1.5},
+			Options{HotspotShare: 0.02}},
+		{"valid values untouched", Options{HotspotShare: 0.1, MaxSteps: 9},
+			Options{HotspotShare: 0.1, MaxSteps: 9}},
+		{"boundary one is valid", Options{HotspotShare: 1},
+			Options{HotspotShare: 1}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -331,13 +331,18 @@ func (g *Graph) HasPath(a, b int) bool {
 	if a == b {
 		return true
 	}
-	seen := make([]bool, len(g.CUs))
-	work := []int{a}
+	// Graphs of up to 64 CUs (every region of the Table III apps) search
+	// in stack buffers, so a query allocates nothing.
+	var seenBuf [64]bool
+	var workBuf [64]int
+	seen := seenBuf[:]
+	if len(g.CUs) > len(seenBuf) {
+		seen = make([]bool, len(g.CUs))
+	}
+	work := append(workBuf[:0], a)
 	seen[a] = true
-	for len(work) > 0 {
-		n := work[0]
-		work = work[1:]
-		for _, s := range g.Succs[n] {
+	for i := 0; i < len(work); i++ {
+		for _, s := range g.Succs[work[i]] {
 			if s == b {
 				return true
 			}

@@ -397,3 +397,33 @@ func TestGraphString(t *testing.T) {
 		t.Fatalf("rendering:\n%s", s)
 	}
 }
+
+// TestHasPathMatchesClosure checks HasPath against a transitive closure on
+// graphs of 10 CUs (searched in stack buffers) and 100 CUs (past them): two
+// chains, each node also jumping three ahead, with no edge between them.
+func TestHasPathMatchesClosure(t *testing.T) {
+	for _, n := range []int{10, 100} {
+		g := &Graph{CUs: make([]*CU, n), Succs: make([][]int, n)}
+		half := n / 2
+		for i := 0; i < n; i++ {
+			for _, j := range []int{i + 1, i + 3} {
+				if (i < half) == (j < half) && j < n {
+					g.Succs[i] = append(g.Succs[i], j)
+				}
+			}
+		}
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				want := a <= b && (a < half) == (b < half)
+				if got := g.HasPath(a, b); got != want {
+					t.Fatalf("n=%d: HasPath(%d, %d) = %v, want %v", n, a, b, got, want)
+				}
+			}
+		}
+		if n <= 64 {
+			if allocs := testing.AllocsPerRun(10, func() { g.HasPath(0, half-1) }); allocs != 0 {
+				t.Errorf("n=%d: HasPath allocated %.0f times, want 0", n, allocs)
+			}
+		}
+	}
+}

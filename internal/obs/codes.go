@@ -2,7 +2,7 @@ package obs
 
 // Machine-readable decision codes. Every candidate the pipeline judges gets
 // exactly one code; rejection codes name the first gate that failed, in the
-// order the headline composition applies them. Tools that consume the JSON
+// order core checks them when it judges the candidate for the headline. Tools that consume the JSON
 // report should match on these strings, which are stable across versions of
 // the pinned schema.
 const (
@@ -15,10 +15,10 @@ const (
 	CodeReduction = "REDUCTION"
 
 	// CodeShareBelowThreshold rejects a PET region whose share of executed
-	// operations is below Options.HotspotShare.
+	// operations is below core.Options.HotspotShare.
 	CodeShareBelowThreshold = "SHARE_BELOW_THRESHOLD"
 	// CodeRelShareBelowThreshold rejects a loop whose share within the
-	// hotspot function is below Options.RelativeHotspotShare.
+	// hotspot function is below the one-third secondary-pattern threshold.
 	CodeRelShareBelowThreshold = "REL_SHARE_BELOW_THRESHOLD"
 	// CodeOutsideHotspotFunc rejects a candidate lexically outside the
 	// dominant hotspot function the headline is composed for.
@@ -30,7 +30,7 @@ const (
 	// already parallelisable on its own (the pipeline adds nothing).
 	CodeReaderNotSequential = "READER_NOT_SEQUENTIAL"
 	// CodeSpeedupBelowGate rejects a task-parallel region whose estimated
-	// speedup (§III-B) is below Options.MinEstSpeedup.
+	// speedup (§III-B) is below the 1.3 reporting gate.
 	CodeSpeedupBelowGate = "SPEEDUP_BELOW_GATE"
 	// CodeNoIndependentWork rejects a task-parallel region without two
 	// path-independent substantial CUs.

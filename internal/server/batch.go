@@ -1,14 +1,12 @@
 package server
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
-	"pardetect/internal/obs"
 	"pardetect/internal/wire"
 )
 
@@ -159,8 +157,9 @@ func (s *Server) runBatchLine(i int, raw []byte, params analyzeParams, deadline 
 		return line
 	}
 	line.Program = prog.Name
-	ro := obs.New(fmt.Sprintf("batch[%d]", i))
-	entry, verdict, err := s.lookupOrAnalyze(prog, "", lineParams, ro)
+	// No per-line observer: nothing reads one, and a nil observer keeps the
+	// analysis free of span, decision and sampler work.
+	entry, verdict, err := s.lookupOrAnalyze(prog, "", lineParams, nil)
 	if err != nil {
 		line.Outcome, line.Error = errOutcome(err), err.Error()
 		return line
@@ -170,6 +169,6 @@ func (s *Server) runBatchLine(i int, raw []byte, params analyzeParams, deadline 
 	line.Headline = entry.Headline
 	line.BestThreads = entry.BestThreads
 	line.BestSpeedup = entry.BestSpeedup
-	line.Summary = string(entry.Text)
+	line.Summary = string(entry.Body)
 	return line
 }

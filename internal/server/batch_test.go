@@ -86,6 +86,21 @@ func TestBatchNDJSON(t *testing.T) {
 	if l := byIndex[3]; l.Outcome != "bad_line" || l.Error == "" {
 		t.Fatalf("undecodable line: outcome %q err %q, want bad_line with a message", l.Outcome, l.Error)
 	}
+	// The /metrics series counts the bad line under its own outcome, like
+	// the server.batch.lines.bad_line counter, and not as "other".
+	if n := s.Observer().Counter("server.batch.lines.bad_line"); n != 1 {
+		t.Fatalf("server.batch.lines.bad_line = %d, want 1", n)
+	}
+	_, scrape := get(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		`pardetect_batch_lines_total{outcome="bad_line"} 1` + "\n",
+		`pardetect_batch_lines_total{outcome="miss"} 3` + "\n",
+		`pardetect_batch_lines_total{outcome="other"} 0` + "\n",
+	} {
+		if !strings.Contains(string(scrape), want) {
+			t.Fatalf("/metrics lacks %q", want)
+		}
+	}
 
 	// The batch shares the tier stack with /analyze: a single-program request
 	// for a batched program is a hit with the identical summary.

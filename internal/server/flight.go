@@ -3,6 +3,8 @@ package server
 import (
 	"errors"
 	"sync"
+
+	"pardetect/internal/store"
 )
 
 // flightGroup is a minimal singleflight: concurrent calls with the same key
@@ -21,14 +23,14 @@ type flightGroup struct {
 
 type flightCall struct {
 	done chan struct{}
-	val  *cacheEntry
+	val  *store.Entry
 	err  error
 }
 
 // do executes fn under key, collapsing concurrent duplicates. joined reports
 // whether this call rode along on another caller's execution instead of
 // running fn itself (the server counts those as dedup joins).
-func (g *flightGroup) do(key string, fn func() (*cacheEntry, error)) (val *cacheEntry, err error, joined bool) {
+func (g *flightGroup) do(key string, fn func() (*store.Entry, error)) (val *store.Entry, err error, joined bool) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*flightCall)

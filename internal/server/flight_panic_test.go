@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"pardetect/internal/store"
 )
 
 // TestFlightGroupLeaderPanicDoesNotWedge is the regression test for the
@@ -21,7 +23,7 @@ func TestFlightGroupLeaderPanicDoesNotWedge(t *testing.T) {
 	leaderPanicked := make(chan any, 1)
 	go func() {
 		defer func() { leaderPanicked <- recover() }()
-		g.do("k", func() (*cacheEntry, error) {
+		g.do("k", func() (*store.Entry, error) {
 			close(started)
 			<-release
 			panic("analysis exploded")
@@ -31,14 +33,14 @@ func TestFlightGroupLeaderPanicDoesNotWedge(t *testing.T) {
 
 	// The joiner registers against the live flight, then the leader panics.
 	type joinResult struct {
-		e      *cacheEntry
+		e      *store.Entry
 		err    error
 		joined bool
 	}
 	joinDone := make(chan joinResult, 1)
 	go func() {
-		e, err, joined := g.do("k", func() (*cacheEntry, error) {
-			return &cacheEntry{key: "k"}, nil
+		e, err, joined := g.do("k", func() (*store.Entry, error) {
+			return &store.Entry{Key: "k"}, nil
 		})
 		joinDone <- joinResult{e, err, joined}
 	}()
@@ -76,14 +78,14 @@ func TestFlightGroupLeaderPanicDoesNotWedge(t *testing.T) {
 	// key runs fresh and succeeds.
 	retryDone := make(chan joinResult, 1)
 	go func() {
-		e, err, joined := g.do("k", func() (*cacheEntry, error) {
-			return &cacheEntry{key: "k"}, nil
+		e, err, joined := g.do("k", func() (*store.Entry, error) {
+			return &store.Entry{Key: "k"}, nil
 		})
 		retryDone <- joinResult{e, err, joined}
 	}()
 	select {
 	case r := <-retryDone:
-		if r.err != nil || r.joined || r.e == nil || r.e.key != "k" {
+		if r.err != nil || r.joined || r.e == nil || r.e.Key != "k" {
 			t.Fatalf("retry after panic: e=%v err=%v joined=%v, want a fresh success", r.e, r.err, r.joined)
 		}
 	case <-time.After(30 * time.Second):
@@ -92,35 +94,33 @@ func TestFlightGroupLeaderPanicDoesNotWedge(t *testing.T) {
 }
 
 // TestCacheEvictionCounters pins the observability invariant the eviction
-// counter exists for: puts − evictions == len at every point, including
-// across refreshes of an existing key (not a put) and eviction bursts.
+// hook exists for: puts − evictions == len at every point, including across
+// refreshes of an existing key (not a put) and eviction bursts. The server
+// counts evictions only through onEvict, so the hook is what is checked.
 func TestCacheEvictionCounters(t *testing.T) {
 	c := newCache(3)
-	var hooked int64
-	c.onEvict = func(*cacheEntry) { hooked++ }
+	var puts, evicted int
+	c.onEvict = func(*store.Entry) { evicted++ }
 
 	check := func(when string) {
 		t.Helper()
-		if got, want := c.putCount()-c.evictions(), int64(c.len()); got != want {
-			t.Fatalf("%s: puts(%d) - evictions(%d) = %d, want len %d",
-				when, c.putCount(), c.evictions(), got, want)
-		}
-		if hooked != c.evictions() {
-			t.Fatalf("%s: onEvict ran %d times, evictions counter says %d", when, hooked, c.evictions())
+		if got, want := puts-evicted, c.len(); got != want {
+			t.Fatalf("%s: puts(%d) - evictions(%d) = %d, want len %d", when, puts, evicted, got, want)
 		}
 	}
 
 	for i := 0; i < 10; i++ {
-		c.put(&cacheEntry{key: fmt.Sprintf("k%d", i)})
+		c.put(&store.Entry{Key: fmt.Sprintf("k%d", i)})
+		puts++
 		check(fmt.Sprintf("after put %d", i))
 	}
-	if c.evictions() != 7 {
-		t.Fatalf("evictions = %d after 10 puts into a 3-entry cache, want 7", c.evictions())
+	if evicted != 7 {
+		t.Fatalf("evictions = %d after 10 puts into a 3-entry cache, want 7", evicted)
 	}
 	// Refreshing a resident key is not a put and must not evict.
-	c.put(&cacheEntry{key: "k9"})
-	if c.putCount() != 10 || c.evictions() != 7 {
-		t.Fatalf("refresh changed counters: puts=%d evictions=%d", c.putCount(), c.evictions())
+	c.put(&store.Entry{Key: "k9"})
+	if evicted != 7 {
+		t.Fatalf("refresh evicted: evictions=%d", evicted)
 	}
 	check("after refresh")
 }

@@ -26,12 +26,16 @@ var endpoints = []string{"analyze", "batch", "healthz", "apps", "ir", "metrics",
 
 // analyzeOutcomes are the /analyze verdicts: the cache verdicts respond()
 // reports, the error classes analysisError maps, client errors, the drain
-// rejection, plus a defensive catch-all. They double as the per-line
-// outcome vocabulary of /analyze/batch (pardetect_batch_lines_total).
+// rejection, plus a defensive catch-all.
 var analyzeOutcomes = []string{
 	"hit", "miss", "join", "bypass",
 	"reject", "timeout", "panic", "error", "bad_request", "drain", "other",
 }
+
+// batchLineOutcomes are the per-line verdicts of /analyze/batch
+// (pardetect_batch_lines_total): the /analyze vocabulary plus "bad_line"
+// for a line that does not decode.
+var batchLineOutcomes = append([]string{"bad_line"}, analyzeOutcomes...)
 
 // batchOutcomes classify a whole /analyze/batch request; per-line verdicts
 // live in the pardetect_batch_lines_total counter family instead.
@@ -97,8 +101,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 	m.cacheEvicts = reg.Counter("pardetect_cache_evictions_total",
 		"Entries the in-memory LRU evicted to stay within its budget.")
-	m.batchLines = make(map[string]*metrics.Counter, len(analyzeOutcomes))
-	for _, oc := range analyzeOutcomes {
+	m.batchLines = make(map[string]*metrics.Counter, len(batchLineOutcomes))
+	for _, oc := range batchLineOutcomes {
 		m.batchLines[oc] = reg.Counter("pardetect_batch_lines_total",
 			"Per-program results streamed by /analyze/batch, by outcome.",
 			metrics.Label{Name: "outcome", Value: oc})

@@ -149,7 +149,7 @@ type Server struct {
 	// queued on storeCh and written behind by storeWriter; Shutdown flushes
 	// the queue so a clean restart loses nothing.
 	store     *store.Store
-	storeCh   chan *cacheEntry
+	storeCh   chan *store.Entry
 	storeWG   sync.WaitGroup
 	storeOnce sync.Once
 	runID     string // base-36 start stamp prefixing generated request IDs
@@ -180,7 +180,7 @@ func New(opts Options) (*Server, error) {
 	s.m = newServerMetrics(s)
 	s.slow = newSlowSampler(opts.SlowSamples)
 	s.tenants = newTenantLimiter(opts.TenantRPS, opts.TenantMaxInflight)
-	s.cache.onEvict = func(*cacheEntry) {
+	s.cache.onEvict = func(*store.Entry) {
 		s.obs.Add("server.cache.evictions", 1)
 		s.m.cacheEvicts.Inc()
 	}
@@ -190,7 +190,7 @@ func New(opts Options) (*Server, error) {
 			return nil, fmt.Errorf("server: opening result store: %w", err)
 		}
 		s.store = st
-		s.storeCh = make(chan *cacheEntry, 256)
+		s.storeCh = make(chan *store.Entry, 256)
 		s.storeWG.Add(1)
 		go s.storeWriter()
 		s.warmFromStore()
@@ -282,7 +282,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) storeWriter() {
 	defer s.storeWG.Done()
 	for e := range s.storeCh {
-		evicted, err := s.store.Put(storeEntryOf(e))
+		evicted, err := s.store.Put(e)
 		if err != nil {
 			s.obs.Add("server.store.write_errors", 1)
 			s.m.storeOp("write_error", 1)
@@ -300,7 +300,7 @@ func (s *Server) storeWriter() {
 // storeEnqueue hands a freshly computed entry to the write-behind writer.
 // The send blocks if the writer is more than a queue behind — backpressure
 // on disk, not data loss.
-func (s *Server) storeEnqueue(e *cacheEntry) {
+func (s *Server) storeEnqueue(e *store.Entry) {
 	if s.storeCh != nil {
 		s.storeCh <- e
 	}
@@ -308,7 +308,7 @@ func (s *Server) storeEnqueue(e *cacheEntry) {
 
 // storeProbe checks the disk tier on an LRU miss, counting the probe and
 // its latency. A corrupt record counts separately and reads as a miss.
-func (s *Server) storeProbe(key string) (*cacheEntry, bool) {
+func (s *Server) storeProbe(key string) (*store.Entry, bool) {
 	if s.store == nil {
 		return nil, false
 	}
@@ -319,7 +319,7 @@ func (s *Server) storeProbe(key string) (*cacheEntry, bool) {
 	case store.Hit:
 		s.obs.Add("server.store.hits", 1)
 		s.m.storeOp("hit", 1)
-		return cacheEntryOf(e), true
+		return e, true
 	case store.Corrupt:
 		s.obs.Add("server.store.corrupt", 1)
 		s.m.storeOp("corrupt", 1)
@@ -344,39 +344,12 @@ func (s *Server) warmFromStore() {
 			}
 			continue
 		}
-		s.cache.put(cacheEntryOf(e))
+		s.cache.put(e)
 		warmed++
 	}
 	if warmed > 0 {
 		s.obs.Add("server.store.warmed", warmed)
 		s.m.storeOp("warm", warmed)
-	}
-}
-
-// storeEntryOf converts a cache entry to its on-disk record.
-func storeEntryOf(e *cacheEntry) *store.Entry {
-	return &store.Entry{
-		Key:         e.key,
-		Program:     e.Program,
-		Headline:    e.Headline,
-		Fingerprint: e.Fingerprint,
-		BestThreads: e.BestThreads,
-		BestSpeedup: e.BestSpeedup,
-		Body:        e.Text,
-	}
-}
-
-// cacheEntryOf converts a loaded store record back to a cache entry; the
-// body is byte-identical to the response that populated the record.
-func cacheEntryOf(e *store.Entry) *cacheEntry {
-	return &cacheEntry{
-		key:         e.Key,
-		Text:        e.Body,
-		Fingerprint: e.Fingerprint,
-		Program:     e.Program,
-		Headline:    e.Headline,
-		BestThreads: e.BestThreads,
-		BestSpeedup: e.BestSpeedup,
 	}
 }
 
@@ -637,7 +610,7 @@ func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request) (func(), bo
 // tier that answered: "hit" (either cache tier), "miss" (this call
 // analysed), "join" (rode along on a concurrent identical request) or
 // "bypass" (cache=skip).
-func (s *Server) lookupOrAnalyze(prog *ir.Program, appName string, params analyzeParams, ro *obs.Observer) (*cacheEntry, string, error) {
+func (s *Server) lookupOrAnalyze(prog *ir.Program, appName string, params analyzeParams, ro *obs.Observer) (*store.Entry, string, error) {
 	// The content address: requests for the same program — by name or by
 	// POSTed IR — share one cache entry and one flight, across engines
 	// (the engines are observationally identical).
@@ -655,7 +628,7 @@ func (s *Server) lookupOrAnalyze(prog *ir.Program, appName string, params analyz
 		}
 	}
 
-	run := func() (*cacheEntry, error) {
+	run := func() (*store.Entry, error) {
 		return s.analyze(prog, appName, params, key, ro)
 	}
 	if params.skip {
@@ -663,7 +636,7 @@ func (s *Server) lookupOrAnalyze(prog *ir.Program, appName string, params analyz
 		e, err := run()
 		return e, "bypass", err
 	}
-	e, err, joined := s.flight.do(key, func() (*cacheEntry, error) {
+	e, err, joined := s.flight.do(key, func() (*store.Entry, error) {
 		s.obs.Add("server.cache.misses", 1)
 		e, err := run()
 		if err == nil {
@@ -685,7 +658,7 @@ func (s *Server) lookupOrAnalyze(prog *ir.Program, appName string, params analyz
 // side) and the analysis span with the pipeline's own phase spans and
 // decision log under it (worker side); the handler goroutine blocks on the
 // reply channel while the worker runs, so the two sides never race on ro.
-func (s *Server) analyze(prog *ir.Program, appName string, params analyzeParams, key string, ro *obs.Observer) (*cacheEntry, error) {
+func (s *Server) analyze(prog *ir.Program, appName string, params analyzeParams, key string, ro *obs.Observer) (*store.Entry, error) {
 	qSpan := ro.Start("queue_wait")
 	job := farm.Job{Name: prog.Name, Run: func(o *obs.Observer) (*report.AppRun, error) {
 		qSpan.End()
@@ -723,9 +696,9 @@ func (s *Server) analyze(prog *ir.Program, appName string, params analyzeParams,
 		return nil, r.Err
 	}
 	res := r.Run.Result
-	e := &cacheEntry{
-		key:         key,
-		Text:        []byte(res.Summary()),
+	e := &store.Entry{
+		Key:         key,
+		Body:        []byte(res.Summary()),
 		Fingerprint: res.Fingerprint(),
 		Program:     prog.Name,
 		Headline:    res.Headline,
@@ -858,7 +831,7 @@ type analyzeResponse struct {
 // respond renders a completed analysis. The text body is the rendered
 // Summary — byte-identical to the pardetect CLI output for the same program,
 // whether the entry was computed by this request or served from cache.
-func (s *Server) respond(w http.ResponseWriter, params analyzeParams, e *cacheEntry, verdict string, ro *obs.Observer) {
+func (s *Server) respond(w http.ResponseWriter, params analyzeParams, e *store.Entry, verdict string, ro *obs.Observer) {
 	sSpan := ro.Start("serialize")
 	t0 := time.Now()
 	defer func() {
@@ -878,10 +851,10 @@ func (s *Server) respond(w http.ResponseWriter, params analyzeParams, e *cacheEn
 			Cache:       verdict,
 			BestThreads: e.BestThreads,
 			BestSpeedup: e.BestSpeedup,
-			Summary:     string(e.Text),
+			Summary:     string(e.Body),
 		})
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(e.Text)
+	w.Write(e.Body)
 }

@@ -18,6 +18,7 @@ import (
 	"pardetect/internal/interp"
 	"pardetect/internal/ir"
 	"pardetect/internal/report"
+	"pardetect/internal/store"
 	"pardetect/internal/wire"
 )
 
@@ -467,7 +468,7 @@ func TestJSONFormatAndHealthz(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := newCache(2)
 	for _, k := range []string{"a", "b", "c"} {
-		c.put(&cacheEntry{key: k, Text: []byte(k)})
+		c.put(&store.Entry{Key: k, Body: []byte(k)})
 	}
 	if _, ok := c.get("a"); ok {
 		t.Fatalf("oldest entry survived eviction")
@@ -476,7 +477,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Fatalf("entry b evicted early")
 	}
 	// get refreshes recency: b is now newest, so d evicts c.
-	c.put(&cacheEntry{key: "d", Text: []byte("d")})
+	c.put(&store.Entry{Key: "d", Body: []byte("d")})
 	if _, ok := c.get("c"); ok {
 		t.Fatalf("LRU order ignores get recency")
 	}
@@ -494,7 +495,7 @@ func TestFlightGroupJoinsAndDoesNotStickErrors(t *testing.T) {
 	release := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err, joined := g.do("k", func() (*cacheEntry, error) {
+		_, err, joined := g.do("k", func() (*store.Entry, error) {
 			close(started)
 			<-release
 			return nil, fmt.Errorf("boom")
@@ -513,7 +514,7 @@ func TestFlightGroupJoinsAndDoesNotStickErrors(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err, joined := g.do("k", func() (*cacheEntry, error) { return &cacheEntry{}, nil })
+			_, err, joined := g.do("k", func() (*store.Entry, error) { return &store.Entry{}, nil })
 			joinErrs[i], joins[i] = err, joined
 		}(i)
 	}
@@ -539,8 +540,8 @@ func TestFlightGroupJoinsAndDoesNotStickErrors(t *testing.T) {
 		}
 	}
 	// Errors are not sticky: the next call runs fresh.
-	e, err, joined := g.do("k", func() (*cacheEntry, error) { return &cacheEntry{key: "k"}, nil })
-	if err != nil || joined || e == nil || e.key != "k" {
+	e, err, joined := g.do("k", func() (*store.Entry, error) { return &store.Entry{Key: "k"}, nil })
+	if err != nil || joined || e == nil || e.Key != "k" {
 		t.Fatalf("post-error flight: e=%v err=%v joined=%v", e, err, joined)
 	}
 }

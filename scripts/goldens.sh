@@ -14,8 +14,9 @@
 #
 # It also runs TestFingerprintGolden (fingerprints_test.go), which checks
 # testdata/goldens/fingerprints.txt under both engines: per Table III app
-# the phase-1 profile and result fingerprints, a PET digest and a digest of
-# every phase-2 sample. Update mode rewrites it from the tree engine too.
+# the phase-1 profile and result fingerprints, a PET digest, a digest of
+# every phase-2 sample and a digest of the decision log. Update mode
+# rewrites it from the tree engine too.
 #
 # Usage: scripts/goldens.sh [check|update]
 set -eu
