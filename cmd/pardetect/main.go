@@ -112,7 +112,7 @@ func main() {
 		o = obs.New(name)
 	}
 	if *debugAddr != "" {
-		addr, _, err := obs.ServeDebug(*debugAddr, o)
+		addr, _, err := obs.ServeDebug(*debugAddr, o.Snapshot)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pardetect: debug server: %v\n", err)
 			os.Exit(1)

@@ -59,11 +59,6 @@ type Options struct {
 	Engine string
 	// InferReductionOperator enables the paper's future-work extension.
 	InferReductionOperator bool
-	// ExtraInputs, when set, profiles the program under these additional
-	// builders (representative inputs) and merges the profiles, as §II
-	// prescribes. Each builder must produce a program with identical
-	// static structure (same lines and loop IDs).
-	ExtraInputs []func() *ir.Program
 	// Observer, when non-nil, receives per-phase spans (wall time and
 	// allocation deltas), event/dependence counters and the candidate
 	// decision log of this analysis. nil disables telemetry entirely: the
@@ -172,21 +167,6 @@ func Analyze(p *ir.Program, opts Options) (*Result, error) {
 	o.Add("shadow.pages", col.ShadowPages())
 	sp.End()
 
-	// Merge profiles from additional representative inputs.
-	if len(opts.ExtraInputs) > 0 {
-		sp = o.Start("phase1.extra-inputs")
-		for i, build := range opts.ExtraInputs {
-			p2 := build()
-			col2 := trace.NewCollector()
-			if err := runProgram(p2, col2, opts.MaxSteps, deadline, opts.Engine); err != nil {
-				return nil, fmt.Errorf("core: extra input %d: %w", i, err)
-			}
-			res.Profile.Merge(col2.Finish(p2.Name))
-			o.Add("shadow.pages", col2.ShadowPages())
-		}
-		o.Add("profile.extra_inputs", int64(len(opts.ExtraInputs)))
-		sp.End()
-	}
 	recordProfileCounters(o, res.Profile)
 
 	sp = o.Start("classify.loops")
@@ -376,38 +356,47 @@ const (
 // code of its pattern, or rejected with the code of the first gate it
 // failed (the obs.Code* constants). i indexes r.Pipelines or r.Reductions
 // and name keys r.TaskPar or r.GeoDecomp; share is a reduction loop's
-// share of the hotspot function F. inFunc reports whether the candidate
-// lies in F: a fusion pair is accepted wherever it lies, but only one
-// inside F sets the headline.
+// share of the hotspot function F. A candidate outside F is rejected at
+// every stage, so every accepted verdict can set the headline.
 type verdict struct {
 	stage, name, code string
 	i                 int
-	accepted, inFunc  bool
+	accepted          bool
 	share             float64
 }
 
 // focus is what the headline's gates need to know of the hotspot function
 // F, gathered once per analysis: its loops (nested ones included), the
 // summed cost of its PET nodes, and whether any activation of F was
-// recursive and whether any was activated more than once.
+// recursive and whether any was activated more than once. doAllAt maps
+// the source line of every loop of the program to whether all loops on
+// that line are do-all, for tasksAreDoAllLoops.
 type focus struct {
 	loops               map[string]bool
+	doAllAt             map[int]bool
 	total               int64
 	recursive, repeated bool
 }
 
 func (r *Result) focus() focus {
-	f := focus{loops: map[string]bool{}}
-	if fn := r.Program.Func(r.HotspotFunc); fn != nil {
-		ir.WalkStmts(fn.Body, func(s ir.Stmt) {
-			switch s := s.(type) {
-			case *ir.For:
-				f.loops[s.LoopID] = true
-			case *ir.While:
-				f.loops[s.LoopID] = true
-			}
-		})
-	}
+	f := focus{loops: map[string]bool{}, doAllAt: map[int]bool{}}
+	ir.WalkProgram(r.Program, func(fn *ir.Function, s ir.Stmt) {
+		var id string
+		var line int
+		switch s := s.(type) {
+		case *ir.For:
+			id, line = s.LoopID, s.Line
+		case *ir.While:
+			id, line = s.LoopID, s.Line
+		default:
+			return
+		}
+		if fn.Name == r.HotspotFunc {
+			f.loops[id] = true
+		}
+		all, seen := f.doAllAt[line]
+		f.doAllAt[line] = (all || !seen) && r.Classes[id] == patterns.LoopDoAll
+	})
 	r.Tree.Walk(func(n *pet.Node) {
 		if n.Kind == pet.Func && n.Name == r.HotspotFunc {
 			f.total += n.Total
@@ -437,12 +426,12 @@ func (r *Result) judge(f focus) []verdict {
 	byName := func(a, b verdict) int { return strings.Compare(a.name, b.name) }
 
 	for i, pr := range r.Pipelines {
-		v := verdict{stage: "pipeline", i: i, inFunc: f.loops[pr.Pair.Writer] && f.loops[pr.Pair.Reader]}
+		v := verdict{stage: "pipeline", i: i}
 		switch {
+		case !f.loops[pr.Pair.Writer] || !f.loops[pr.Pair.Reader]:
+			v.code = obs.CodeOutsideHotspotFunc
 		case pr.Pattern == patterns.Fusion:
 			v.accepted, v.code = true, obs.CodeFusion
-		case !v.inFunc:
-			v.code = obs.CodeOutsideHotspotFunc
 		case pr.ReaderClass != patterns.LoopSequential:
 			// The reader loop is already parallelisable alone.
 			v.code = obs.CodeReaderNotSequential
@@ -458,13 +447,13 @@ func (r *Result) judge(f focus) []verdict {
 	// gated on independent substantial tasks (calls or whole loops).
 	start, fnRegion := len(vs), r.HotspotFunc+"()"
 	for name, tp := range r.TaskPar {
-		v := verdict{stage: "taskpar", name: name, inFunc: name == fnRegion || f.loops[tp.Graph.Region.LoopID]}
+		v := verdict{stage: "taskpar", name: name}
 		switch {
 		case !tp.IndependentWork():
 			v.code = obs.CodeNoIndependentWork
 		case tp.EstimatedSpeedup < minEstSpeedup:
 			v.code = obs.CodeSpeedupBelowGate
-		case !v.inFunc:
+		case name != fnRegion && !f.loops[tp.Graph.Region.LoopID]:
 			v.code = obs.CodeOutsideHotspotFunc
 		default:
 			v.accepted, v.code = true, obs.CodeTaskPar
@@ -481,13 +470,13 @@ func (r *Result) judge(f focus) []verdict {
 	// decomposes by recursion, not by data chunking.
 	start = len(vs)
 	for fn, gd := range r.GeoDecomp {
-		v := verdict{stage: "geodecomp", name: fn, inFunc: fn == r.HotspotFunc}
+		v := verdict{stage: "geodecomp", name: fn}
 		switch {
 		case !gd.Candidate && gd.Blocking != "":
 			v.code = obs.CodeBlockingLoop
 		case !gd.Candidate:
 			v.code = obs.CodeNoLoops
-		case !v.inFunc:
+		case fn != r.HotspotFunc:
 			v.code = obs.CodeOutsideHotspotFunc
 		case f.recursive:
 			v.code = obs.CodeRecursive
@@ -501,9 +490,9 @@ func (r *Result) judge(f focus) []verdict {
 	slices.SortFunc(vs[start:], byName)
 
 	for i, red := range r.Reductions {
-		v := verdict{stage: "reduction", i: i, inFunc: f.loops[red.LoopID], share: r.loopShare(f, red.LoopID)}
+		v := verdict{stage: "reduction", i: i, share: r.loopShare(f, red.LoopID)}
 		switch {
-		case !v.inFunc:
+		case !f.loops[red.LoopID]:
 			v.code = obs.CodeOutsideHotspotFunc
 		case v.share < minRelativeShare:
 			v.code = obs.CodeRelShareBelowThreshold
@@ -531,11 +520,11 @@ func (r *Result) judge(f focus) []verdict {
 //  5. Reduction — a reduction candidate in a significant loop of F.
 //  6. Do-all — some significant loop of F is do-all.
 func (r *Result) composeHeadline(vs []verdict, f focus) string {
-	// in reports whether a candidate in F was accepted with code, and is
-	// the candidate named name when that is set.
+	// in reports whether a candidate (in F, as every accepted one is) was
+	// accepted with code, and is the candidate named name when that is set.
 	in := func(code, name string) bool {
 		for _, v := range vs {
-			if v.accepted && v.inFunc && v.code == code && (name == "" || v.name == name) {
+			if v.accepted && v.code == code && (name == "" || v.name == name) {
 				return true
 			}
 		}
@@ -547,7 +536,7 @@ func (r *Result) composeHeadline(vs []verdict, f focus) string {
 		return patterns.Fusion.String()
 	case in(obs.CodePipeline, ""):
 		return patterns.MultiLoopPipeline.String()
-	case in(obs.CodeTaskPar, fnRegion) && r.tasksAreDoAllLoops(r.TaskPar[fnRegion]):
+	case in(obs.CodeTaskPar, fnRegion) && tasksAreDoAllLoops(r.TaskPar[fnRegion], f):
 		return patterns.TaskParallelism.String() + " + Do-all"
 	case in(obs.CodeTaskPar, ""):
 		return patterns.TaskParallelism.String()
@@ -569,7 +558,7 @@ func (r *Result) composeHeadline(vs []verdict, f focus) string {
 // tasksAreDoAllLoops reports whether the parallel tasks of a function-region
 // classification are loop CUs that are themselves do-all (the combined
 // "Task parallelism + Do-all" label of Table III).
-func (r *Result) tasksAreDoAllLoops(tp *patterns.TaskParallelismResult) bool {
+func tasksAreDoAllLoops(tp *patterns.TaskParallelismResult, f focus) bool {
 	found := false
 	for i, c := range tp.Graph.CUs {
 		if tp.Class[i] != patterns.TaskWorker && tp.Class[i] != patterns.TaskFork {
@@ -582,14 +571,11 @@ func (r *Result) tasksAreDoAllLoops(tp *patterns.TaskParallelismResult) bool {
 			continue
 		}
 		// The CU is an entire nested loop: find its class via its anchor.
-		for _, l := range ir.ProgramLoops(r.Program) {
-			if l.Line == c.Anchor {
-				if r.Classes[l.ID] == patterns.LoopDoAll {
-					found = true
-				} else {
-					return false
-				}
+		if all, ok := f.doAllAt[c.Anchor]; ok {
+			if !all {
+				return false
 			}
+			found = true
 		}
 	}
 	return found

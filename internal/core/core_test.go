@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pardetect/internal/apps"
-	"pardetect/internal/ir"
 	"pardetect/internal/patterns"
 )
 
@@ -267,24 +266,5 @@ func TestAnalysisIsDeterministic(t *testing.T) {
 		if a != b {
 			t.Errorf("%s: nondeterministic summary", name)
 		}
-	}
-}
-
-// TestExtraInputsMerge exercises the representative-input merging path: a
-// second profiled run of the same program must double the observed counts
-// without changing the detection outcome.
-func TestExtraInputsMerge(t *testing.T) {
-	app := apps.Get("sum_local")
-	res, err := Analyze(app.Build(), Options{
-		ExtraInputs: []func() *ir.Program{app.Build},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Profile.Runs != 2 {
-		t.Fatalf("Runs = %d, want 2", res.Profile.Runs)
-	}
-	if res.Headline != "Reduction" {
-		t.Fatalf("headline = %q, want Reduction", res.Headline)
 	}
 }

@@ -184,6 +184,31 @@ func TestDecisionLogCoversAllCandidates(t *testing.T) {
 	}
 }
 
+// TestFusionOutsideHotspotRejected pins that a fusion pair outside the
+// hotspot function F is logged as rejected: it cannot set the headline, so
+// the log must not show it accepted.
+func TestFusionOutsideHotspotRejected(t *testing.T) {
+	for name, cand := range map[string]string{
+		"ludcmp": "main.L1->kernel_ludcmp.L4",
+		"rot-cc": "main.L1->rotcc.L2",
+	} {
+		o := obs.New(name)
+		analyzeObserved(t, name, o)
+		var found bool
+		for _, d := range o.Decisions() {
+			if d.Stage == "pipeline" && d.Candidate == cand {
+				found = true
+				if d.Accepted || d.Code != obs.CodeOutsideHotspotFunc {
+					t.Errorf("%s: %s logged %+v, want rejected %s", name, cand, d, obs.CodeOutsideHotspotFunc)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s: %s missing from the decision log", name, cand)
+		}
+	}
+}
+
 // TestCountersNonNegative pins the counter-sanity contract across every
 // Table III app: no pipeline counter may go negative. phase2.pairs_dropped
 // in particular is computed as a difference (candidate pairs minus fitted

@@ -8,12 +8,12 @@ import (
 )
 
 // RegisterDebug mounts the Go debug surface on a mux — /debug/pprof/*
-// (net/http/pprof) and /debug/vars (expvar) — plus /debug/obs, which returns
-// the observer's current Snapshot as JSON. The observer may be nil; then
-// /debug/obs serves an empty report. Callers pass a private mux, not
+// (net/http/pprof) and /debug/vars (expvar) — plus /debug/obs, which serves
+// the Report snapshot returns as JSON. snapshot may be nil; then /debug/obs
+// serves an empty report. Callers pass a private mux, not
 // http.DefaultServeMux, so repeated servers (tests, multiple runs) do not
 // collide; pardetectd mounts the same surface next to its service endpoints.
-func RegisterDebug(mux *http.ServeMux, o *Observer) {
+func RegisterDebug(mux *http.ServeMux, snapshot func() Report) {
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -21,7 +21,11 @@ func RegisterDebug(mux *http.ServeMux, o *Observer) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/obs", func(w http.ResponseWriter, req *http.Request) {
-		data, err := o.Snapshot().JSON()
+		rep := Report{Schema: Schema, Counters: Counters{}}
+		if snapshot != nil {
+			rep = snapshot()
+		}
+		data, err := rep.JSON()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -35,14 +39,14 @@ func RegisterDebug(mux *http.ServeMux, o *Observer) {
 // surface on a private mux.
 //
 // It returns the bound address (useful with a ":0" addr) and a shutdown
-// function. The observer may be nil; /debug/obs then serves an empty report.
-func ServeDebug(addr string, o *Observer) (net.Addr, func() error, error) {
+// function. snapshot may be nil; /debug/obs then serves an empty report.
+func ServeDebug(addr string, snapshot func() Report) (net.Addr, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, nil, err
 	}
 	mux := http.NewServeMux()
-	RegisterDebug(mux, o)
+	RegisterDebug(mux, snapshot)
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
 	return ln.Addr(), srv.Close, nil

@@ -17,8 +17,8 @@ func TestRegisterDebugMuxReuse(t *testing.T) {
 	ob.Add("only.in.b", 11)
 
 	muxA, muxB := http.NewServeMux(), http.NewServeMux()
-	RegisterDebug(muxA, oa)
-	RegisterDebug(muxB, ob)
+	RegisterDebug(muxA, oa.Snapshot)
+	RegisterDebug(muxB, ob.Snapshot)
 
 	for _, tc := range []struct {
 		mux     *http.ServeMux
@@ -44,6 +44,16 @@ func TestRegisterDebugMuxReuse(t *testing.T) {
 		if _, ok := rep.Counters[tc.absent]; ok {
 			t.Errorf("mux leaked counter %s from the other observer", tc.absent)
 		}
+	}
+
+	// A nil snapshot func serves an empty, schema-stamped report.
+	muxNil := http.NewServeMux()
+	RegisterDebug(muxNil, nil)
+	rr := httptest.NewRecorder()
+	muxNil.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/obs", nil))
+	var empty Report
+	if err := json.Unmarshal(rr.Body.Bytes(), &empty); err != nil || empty.Schema != Schema || len(empty.Counters) != 0 {
+		t.Errorf("nil snapshot: %v %+v", err, empty)
 	}
 
 	// pprof and expvar are wired on both too.

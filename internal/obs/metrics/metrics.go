@@ -154,17 +154,9 @@ func (h *Histogram) snapshot() (b [NumBuckets]int64, total int64) {
 	return b, total
 }
 
-// Quantile returns the p-quantile (0 < p <= 1) estimated from the bucket
-// histogram: the landing bucket is found by cumulative rank and the value is
-// interpolated linearly inside it. Returns 0 for an empty histogram.
-func (h *Histogram) Quantile(p float64) int64 {
-	if h == nil {
-		return 0
-	}
-	b, total := h.snapshot()
-	return quantile(b, total, p)
-}
-
+// quantile returns the p-quantile (0 < p <= 1) of a bucket snapshot: the
+// landing bucket is found by cumulative rank and the value is interpolated
+// linearly inside it. Returns 0 for an empty histogram.
 func quantile(b [NumBuckets]int64, total int64, p float64) int64 {
 	if total == 0 || p <= 0 {
 		return 0
@@ -311,57 +303,40 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 // ---------------------------------------------------------------------------
 
 // WriteProm renders the registry in the Prometheus text exposition format
-// (version 0.0.4), families sorted by name, series in registration order.
-// Histogram series render only their populated buckets (cumulative counts
-// are correct with gaps) plus the +Inf bucket, _sum and _count; _count and
-// the +Inf bucket are derived from the same bucket snapshot, so a scrape is
-// always internally consistent even under concurrent observations.
+// (version 0.0.4) from one Snapshot: families sorted by name, series in
+// registration order. Histogram series render only their populated buckets
+// (cumulative counts are correct with gaps) plus the +Inf bucket, _sum and
+// _count; _count and the +Inf bucket are the snapshot's bucket total, so a
+// scrape is always internally consistent even under concurrent observations.
 func (r *Registry) WriteProm(w io.Writer) error {
-	r.mu.Lock()
-	fams := make([]*family, len(r.fams))
-	copy(fams, r.fams)
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
 	var sb strings.Builder
-	for _, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(&sb, "# HELP %s %s\n", f.name, f.help)
+	for _, f := range r.Snapshot().Families {
+		if f.Help != "" {
+			fmt.Fprintf(&sb, "# HELP %s %s\n", f.Name, f.Help)
 		}
-		fmt.Fprintf(&sb, "# TYPE %s %s\n", f.name, f.typ)
-		for _, s := range f.ser {
-			switch {
-			case s.c != nil:
-				fmt.Fprintf(&sb, "%s%s %d\n", f.name, s.labels, s.c.Value())
-			case s.g != nil:
-				fmt.Fprintf(&sb, "%s%s %d\n", f.name, s.labels, s.g())
-			case s.h != nil:
-				writePromHistogram(&sb, f.name, s.labels, s.h)
+		fmt.Fprintf(&sb, "# TYPE %s %s\n", f.Name, f.Type)
+		for _, s := range f.Series {
+			if s.Value != nil {
+				fmt.Fprintf(&sb, "%s%s %d\n", f.Name, s.Labels, *s.Value)
+				continue
 			}
+			// Bucket label sets must splice `le` into the pre-rendered labels.
+			open := "{"
+			if s.Labels != "" {
+				open = s.Labels[:len(s.Labels)-1] + ","
+			}
+			var cum int64
+			for _, b := range s.Buckets {
+				cum += b.Count
+				fmt.Fprintf(&sb, "%s_bucket%sle=\"%d\"} %d\n", f.Name, open, b.LE, cum)
+			}
+			fmt.Fprintf(&sb, "%s_bucket%sle=\"+Inf\"} %d\n", f.Name, open, s.Count)
+			fmt.Fprintf(&sb, "%s_sum%s %d\n", f.Name, s.Labels, s.Sum)
+			fmt.Fprintf(&sb, "%s_count%s %d\n", f.Name, s.Labels, s.Count)
 		}
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
-}
-
-func writePromHistogram(sb *strings.Builder, name, labels string, h *Histogram) {
-	b, total := h.snapshot()
-	// Bucket label sets must splice `le` into the pre-rendered labels.
-	open := "{"
-	if labels != "" {
-		open = labels[:len(labels)-1] + ","
-	}
-	var cum int64
-	for i := 0; i < NumBuckets; i++ {
-		if b[i] == 0 {
-			continue
-		}
-		cum += b[i]
-		fmt.Fprintf(sb, "%s_bucket%sle=\"%d\"} %d\n", name, open, bucketUpper(i), cum)
-	}
-	fmt.Fprintf(sb, "%s_bucket%sle=\"+Inf\"} %d\n", name, open, total)
-	fmt.Fprintf(sb, "%s_sum%s %d\n", name, labels, h.Sum())
-	fmt.Fprintf(sb, "%s_count%s %d\n", name, labels, total)
 }
 
 // ---------------------------------------------------------------------------

@@ -163,7 +163,7 @@ func TestSnapshotOfOpenSpan(t *testing.T) {
 func TestServeDebugEndpoints(t *testing.T) {
 	o := New("prog")
 	o.Add("x", 1)
-	addr, stop, err := ServeDebug("127.0.0.1:0", o)
+	addr, stop, err := ServeDebug("127.0.0.1:0", o.Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}

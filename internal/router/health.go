@@ -34,38 +34,36 @@ type backend struct {
 	restores  *metrics.Counter
 }
 
-// strike records one failed probe or forward. Once fails reaches failAfter
+// strike records one failed probe or forward. Once fails reaches FailAfter
 // the backend is ejected: taken out of routing and probed on an exponential
 // backoff (base = the probe interval, doubling per failed reinstatement
-// probe up to maxBackoff) instead of every tick.
-func (b *backend) strike(failAfter int, base, maxBackoff time.Duration, onEject func()) {
+// probe up to MaxBackoff) instead of every tick.
+func (b *backend) strike(o *Options) {
+	b.failures.Inc()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails++
 	if b.alive.Load() {
-		if b.fails < failAfter {
+		if b.fails < o.FailAfter {
 			return
 		}
 		b.alive.Store(false)
 		b.downSince = time.Now()
-		b.backoff = base
+		b.backoff = o.ProbeInterval
 		b.nextProbe = time.Now().Add(b.backoff)
 		b.ejections.Inc()
-		if onEject != nil {
-			onEject()
-		}
 		return
 	}
 	// A failed reinstatement probe: back off further.
 	b.backoff *= 2
-	if b.backoff > maxBackoff {
-		b.backoff = maxBackoff
+	if b.backoff > o.MaxBackoff {
+		b.backoff = o.MaxBackoff
 	}
 	b.nextProbe = time.Now().Add(b.backoff)
 }
 
 // restore reinstates the backend after a successful probe.
-func (b *backend) restore(onRestore func()) {
+func (b *backend) restore() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	wasDown := !b.alive.Load()
@@ -75,9 +73,6 @@ func (b *backend) restore(onRestore func()) {
 	b.backoff = 0
 	if wasDown {
 		b.restores.Inc()
-		if onRestore != nil {
-			onRestore()
-		}
 	}
 }
 
@@ -126,17 +121,17 @@ func (rt *Router) probeLoop(ctx context.Context) {
 
 // probe runs one health check against one backend.
 func (rt *Router) probe(ctx context.Context, b *backend) {
-	rt.obs.Add("router.probes", 1)
+	rt.probes.Inc()
 	pctx, cancel := context.WithTimeout(ctx, rt.opts.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, b.name+"/healthz?format=text", nil)
 	if err != nil {
-		rt.strike(b)
+		b.strike(&rt.opts)
 		return
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		rt.strike(b)
+		b.strike(&rt.opts)
 		return
 	}
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10))
@@ -144,16 +139,8 @@ func (rt *Router) probe(ctx context.Context, b *backend) {
 	if resp.StatusCode != http.StatusOK {
 		// 503 means draining: the replica is deliberately going away, which
 		// is an ejection like any other — the prober notices it coming back.
-		rt.strike(b)
+		b.strike(&rt.opts)
 		return
 	}
-	b.restore(func() { rt.obs.Add("router.reinstatements", 1) })
-}
-
-// strike is the router-level wrapper counting ejections on the observer.
-func (rt *Router) strike(b *backend) {
-	b.failures.Inc()
-	rt.obs.Add("router.backend_failures", 1)
-	b.strike(rt.opts.FailAfter, rt.opts.ProbeInterval, rt.opts.MaxBackoff,
-		func() { rt.obs.Add("router.ejections", 1) })
+	b.restore()
 }

@@ -94,7 +94,6 @@ func (o *Options) fill() error {
 // pardetectd does, plus its own /healthz and /metrics.
 type Router struct {
 	opts      Options
-	obs       *obs.Observer
 	ring      *Ring
 	byName    map[string]*backend
 	order     []*backend // ring-name order (sorted)
@@ -106,6 +105,10 @@ type Router struct {
 	start     time.Time
 	cancel    context.CancelFunc
 	probeDone chan struct{}
+	// Events no per-backend series counts, kept out of the registry so the
+	// /metrics families stay as they are; Counters renders them.
+	requests, retries, unroutable, probes, badRequests metrics.Counter
+	batchRequests, batchLines, batchUnroutable         metrics.Counter
 }
 
 // New builds a router over the configured backends and starts its health
@@ -121,7 +124,6 @@ func New(opts Options) (*Router, error) {
 	}
 	rt := &Router{
 		opts:   opts,
-		obs:    obs.New("pardetectrouter"),
 		ring:   ring,
 		byName: make(map[string]*backend, len(opts.Backends)),
 		client: opts.Client,
@@ -190,8 +192,32 @@ func (rt *Router) Close() {
 // Handler returns the router's HTTP handler.
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
-// Observer returns the router telemetry observer.
-func (rt *Router) Observer() *obs.Observer { return rt.obs }
+// Counters renders the flat router.* counters of the /metrics page, sparse
+// like the server's: forwards, backend failures, ejections and
+// reinstatements are sums of their per-backend series.
+func (rt *Router) Counters() obs.Counters {
+	c := obs.Counters{}
+	add := func(name string, v int64) {
+		if v > 0 {
+			c[name] += v
+		}
+	}
+	for name, ctr := range map[string]*metrics.Counter{
+		"router.requests": &rt.requests, "router.retries": &rt.retries,
+		"router.unroutable": &rt.unroutable, "router.probes": &rt.probes,
+		"router.bad_requests": &rt.badRequests, "router.batch.requests": &rt.batchRequests,
+		"router.batch.lines": &rt.batchLines, "router.batch.unroutable": &rt.batchUnroutable,
+	} {
+		add(name, ctr.Value())
+	}
+	for _, b := range rt.order {
+		add("router.forwards", b.forwards.Value())
+		add("router.backend_failures", b.failures.Value())
+		add("router.ejections", b.ejections.Value())
+		add("router.reinstatements", b.restores.Value())
+	}
+	return c
+}
 
 // Ring returns the placement ring (read-only).
 func (rt *Router) Ring() *Ring { return rt.ring }
@@ -296,25 +322,25 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, bo
 	for i := 0; i < attempts; i++ {
 		b := candidates[i]
 		if i > 0 {
-			rt.obs.Add("router.retries", 1)
+			rt.retries.Inc()
 		}
 		resp, err := rt.roundTrip(r, b, body)
 		if err != nil {
 			lastErr = err
-			rt.strike(b)
+			b.strike(&rt.opts)
 			continue
 		}
 		if retryableStatus(resp.StatusCode) && i+1 < attempts {
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 			resp.Body.Close()
 			lastErr = fmt.Errorf("backend %s answered %d", b.name, resp.StatusCode)
-			rt.strike(b)
+			b.strike(&rt.opts)
 			continue
 		}
 		rt.relay(w, resp, b)
 		return
 	}
-	rt.obs.Add("router.unroutable", 1)
+	rt.unroutable.Inc()
 	server.WriteError(w, http.StatusBadGateway, "no backend could serve the request (last: %v)", lastErr)
 }
 
@@ -335,7 +361,6 @@ func (rt *Router) roundTrip(r *http.Request, b *backend, body []byte) (*http.Res
 		return nil, err
 	}
 	b.forwards.Inc()
-	rt.obs.Add("router.forwards", 1)
 	return resp, nil
 }
 
@@ -352,7 +377,7 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, b *backend) 
 // --- endpoints -------------------------------------------------------------
 
 func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	rt.obs.Add("router.requests", 1)
+	rt.requests.Inc()
 	var body []byte
 	switch r.Method {
 	case http.MethodGet:
@@ -373,7 +398,7 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // handlePassthrough serves the fingerprint-less endpoints (/apps, /ir) from
 // any alive replica, round-robin.
 func (rt *Router) handlePassthrough(w http.ResponseWriter, r *http.Request) {
-	rt.obs.Add("router.requests", 1)
+	rt.requests.Inc()
 	key := fmt.Sprintf("rr:%d", rt.rr.Add(1))
 	rt.forward(w, r, key, nil)
 }
@@ -381,7 +406,7 @@ func (rt *Router) handlePassthrough(w http.ResponseWriter, r *http.Request) {
 // clientError counts a request the router refuses on its own and answers it
 // with the {"error":…} body pardetectd uses for the same refusal.
 func (rt *Router) clientError(w http.ResponseWriter, status int, format string, args ...any) {
-	rt.obs.Add("router.bad_requests", 1)
+	rt.badRequests.Inc()
 	server.WriteError(w, status, format, args...)
 }
 
@@ -421,15 +446,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	case aliveN < len(rt.order):
 		status = "degraded"
 	}
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(code)
-		io.WriteString(w, status+"\n")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]any{
+	server.WriteHealth(w, r, code, status, map[string]any{
 		"status":         status,
 		"backends":       infos,
 		"backends_alive": aliveN,
@@ -440,10 +457,10 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the router's Prometheus text surface: the registry
 // (per-backend latency histograms, forward/ejection counters, aliveness
-// gauges) followed by the flat router.* observer counters, through the same
+// gauges) followed by the flat router.* counters, through the same
 // renderer pardetectd's /metrics uses.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	server.WriteMetrics(w, rt.reg, rt.obs, "Flat router counters.")
+	server.WriteMetrics(w, rt.reg, rt.Counters(), "Flat router counters.")
 }
 
 // --- batch fan-out ---------------------------------------------------------
@@ -456,7 +473,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // bounded by Retries rounds; lines that exhaust every route come back as
 // outcome "error" lines rather than failing the batch.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	rt.obs.Add("router.requests", 1)
+	rt.requests.Inc()
 	if r.Method != http.MethodPost {
 		rt.clientError(w, http.StatusMethodNotAllowed, "use POST with one wire-IR program per line (NDJSON)")
 		return
@@ -471,8 +488,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rt.clientError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	rt.obs.Add("router.batch.requests", 1)
-	rt.obs.Add("router.batch.lines", int64(len(lines)))
+	rt.batchRequests.Inc()
+	rt.batchLines.Add(int64(len(lines)))
 
 	pending := make([]*bline, len(lines))
 	for i, raw := range lines {
@@ -524,7 +541,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Lines that survived every round have no route left.
 	for _, l := range pending {
-		rt.obs.Add("router.batch.unroutable", 1)
+		rt.batchUnroutable.Inc()
 		out.Write(map[string]any{
 			"index":   l.idx,
 			"outcome": "error",
@@ -554,15 +571,15 @@ func (rt *Router) forwardSubBatch(r *http.Request, b *backend, group []*bline, o
 	}
 	resp, err := rt.roundTrip(r, b, bytes.Join(sub, []byte("\n")))
 	if err != nil {
-		rt.strike(b)
-		rt.obs.Add("router.retries", 1)
+		b.strike(&rt.opts)
+		rt.retries.Inc()
 		return group
 	}
 	defer resp.Body.Close()
 	if retryableStatus(resp.StatusCode) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		rt.strike(b)
-		rt.obs.Add("router.retries", 1)
+		b.strike(&rt.opts)
+		rt.retries.Inc()
 		return group
 	}
 	if resp.StatusCode != http.StatusOK {
@@ -614,8 +631,8 @@ func (rt *Router) forwardSubBatch(r *http.Request, b *backend, group []*bline, o
 		}
 	}
 	if len(failed) > 0 {
-		rt.strike(b)
-		rt.obs.Add("router.retries", 1)
+		b.strike(&rt.opts)
+		rt.retries.Inc()
 	}
 	return failed
 }

@@ -483,7 +483,7 @@ func TestRouterBatchFailoverOnDrain(t *testing.T) {
 	if vb.alive.Load() {
 		t.Fatal("backend still alive after answering 503 with FailAfter=1")
 	}
-	if n := c.router.Observer().Counter("router.retries"); n < 1 {
+	if n := c.router.Counters()["router.retries"]; n < 1 {
 		t.Fatalf("router.retries = %d, want >= 1", n)
 	}
 }

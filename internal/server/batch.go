@@ -82,8 +82,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.clientError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.obs.Add("server.batch.requests", 1)
-	s.obs.Add("server.batch.programs", int64(len(lines)))
+	s.m.batchRequests.Inc()
+	s.m.batchPrograms.Add(int64(len(lines)))
 
 	// The request-level deadline: a zero timeout means unbounded, like
 	// /analyze. Individual analyses get the remaining budget.
@@ -133,10 +133,7 @@ type batchLine struct {
 // mapping any failure onto a per-line outcome.
 func (s *Server) runBatchLine(i int, raw []byte, params analyzeParams, deadline time.Time, ctx interface{ Err() error }) batchLine {
 	line := batchLine{Index: i}
-	defer func() {
-		s.obs.Add("server.batch.lines."+line.Outcome, 1)
-		s.m.batchLine(line.Outcome)
-	}()
+	defer func() { s.m.batchLine(line.Outcome) }()
 	if ctx.Err() != nil {
 		// The client went away; don't burn workers on undeliverable results.
 		line.Outcome, line.Error = "error", "client disconnected"

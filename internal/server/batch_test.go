@@ -88,7 +88,7 @@ func TestBatchNDJSON(t *testing.T) {
 	}
 	// The /metrics series counts the bad line under its own outcome, like
 	// the server.batch.lines.bad_line counter, and not as "other".
-	if n := s.Observer().Counter("server.batch.lines.bad_line"); n != 1 {
+	if n := s.Counters()["server.batch.lines.bad_line"]; n != 1 {
 		t.Fatalf("server.batch.lines.bad_line = %d, want 1", n)
 	}
 	_, scrape := get(t, ts.URL+"/metrics")
@@ -114,17 +114,17 @@ func TestBatchNDJSON(t *testing.T) {
 	}
 
 	// And a repeat batch is all hits: zero new analyses.
-	before := s.Observer().Counter("server.analyses")
+	before := s.Counters()["server.analyses"]
 	_, lines2 := postBatch(t, ts.URL+"/analyze/batch", body.Bytes())
 	for _, l := range lines2 {
 		if l.Index < 3 && l.Outcome != "hit" {
 			t.Fatalf("repeat batch line %d outcome = %q, want hit", l.Index, l.Outcome)
 		}
 	}
-	if after := s.Observer().Counter("server.analyses"); after != before {
+	if after := s.Counters()["server.analyses"]; after != before {
 		t.Fatalf("repeat batch analysed %d programs, want 0", after-before)
 	}
-	if n := s.Observer().Counter("server.batch.requests"); n != 2 {
+	if n := s.Counters()["server.batch.requests"]; n != 2 {
 		t.Fatalf("server.batch.requests = %d, want 2", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"pardetect/internal/obs/metrics"
 	"pardetect/internal/store"
 )
 
@@ -27,18 +28,15 @@ type cache struct {
 	mu      sync.Mutex
 	max     int
 	entries map[string]*list.Element
-	order   *list.List // front = most recently used
-	// onEvict, when set, is called under the cache lock for every evicted
-	// entry; the server counts evictions here (server.cache.evictions and
-	// pardetect_cache_evictions_total).
-	onEvict func(*store.Entry)
+	order   *list.List       // front = most recently used
+	evicts  *metrics.Counter // pardetect_cache_evictions_total; nil-safe
 }
 
-func newCache(max int) *cache {
+func newCache(max int, evicts *metrics.Counter) *cache {
 	if max < 1 {
 		max = 1
 	}
-	return &cache{max: max, entries: make(map[string]*list.Element), order: list.New()}
+	return &cache{max: max, entries: make(map[string]*list.Element), order: list.New(), evicts: evicts}
 }
 
 // get returns the entry under key, marking it most recently used.
@@ -69,9 +67,7 @@ func (c *cache) put(e *store.Entry) {
 		c.order.Remove(oldest)
 		old := oldest.Value.(*store.Entry)
 		delete(c.entries, old.Key)
-		if c.onEvict != nil {
-			c.onEvict(old)
-		}
+		c.evicts.Inc()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pardetect/internal/obs/metrics"
 	"pardetect/internal/store"
 )
 
@@ -96,14 +97,16 @@ func TestFlightGroupLeaderPanicDoesNotWedge(t *testing.T) {
 // TestCacheEvictionCounters pins the observability invariant the eviction
 // hook exists for: puts − evictions == len at every point, including across
 // refreshes of an existing key (not a put) and eviction bursts. The server
-// counts evictions only through onEvict, so the hook is what is checked.
+// counts evictions only through the cache's counter, so that is what is
+// checked.
 func TestCacheEvictionCounters(t *testing.T) {
-	c := newCache(3)
-	var puts, evicted int
-	c.onEvict = func(*store.Entry) { evicted++ }
+	var evicts metrics.Counter
+	c := newCache(3, &evicts)
+	var puts int
 
 	check := func(when string) {
 		t.Helper()
+		evicted := int(evicts.Value())
 		if got, want := puts-evicted, c.len(); got != want {
 			t.Fatalf("%s: puts(%d) - evictions(%d) = %d, want len %d", when, puts, evicted, got, want)
 		}
@@ -114,13 +117,13 @@ func TestCacheEvictionCounters(t *testing.T) {
 		puts++
 		check(fmt.Sprintf("after put %d", i))
 	}
-	if evicted != 7 {
-		t.Fatalf("evictions = %d after 10 puts into a 3-entry cache, want 7", evicted)
+	if n := evicts.Value(); n != 7 {
+		t.Fatalf("evictions = %d after 10 puts into a 3-entry cache, want 7", n)
 	}
 	// Refreshing a resident key is not a put and must not evict.
 	c.put(&store.Entry{Key: "k9"})
-	if evicted != 7 {
-		t.Fatalf("refresh evicted: evictions=%d", evicted)
+	if n := evicts.Value(); n != 7 {
+		t.Fatalf("refresh evicted: evictions=%d", n)
 	}
 	check("after refresh")
 }

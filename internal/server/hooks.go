@@ -23,10 +23,10 @@ import (
 // would re-analyse a program another replica already holds, and splits a
 // batch body into the same lines the server's batch handler does. It also
 // answers its own errors, streams its merged batch results and renders its
-// /metrics page through the code here, under the same body limits. Kept
-// here (not in the router) so the two tiers cannot drift: one decode, one
-// fingerprint, one key, one split, one error body, one NDJSON writer, one
-// /metrics renderer, one batch limit.
+// /healthz and /metrics pages through the code here, under the same body
+// limits. Kept here (not in the router) so the two tiers cannot drift: one
+// decode, one fingerprint, one key, one split, one error body, one NDJSON
+// writer, one /healthz and /metrics renderer, one batch limit.
 
 // The /analyze/batch limits, enforced at both tiers: MaxBatchBytes bounds a
 // request body (a single POST /analyze body is bounded by
@@ -99,6 +99,21 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// WriteHealth answers a /healthz request with code: under format=text the
+// bare-probe contract (the status word and the code, nothing a shell check
+// has to parse), else body as JSON.
+func WriteHealth(w http.ResponseWriter, r *http.Request, code int, status string, body map[string]any) {
+	if r.URL.Query().Get("format") == "text" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.WriteHeader(code)
+		io.WriteString(w, status+"\n")
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(body)
+}
+
 // LineWriter streams an NDJSON response body: each Write marshals one value
 // onto its own line and flushes it, so a slow batch delivers results as they
 // complete. Safe for concurrent use.
@@ -125,16 +140,15 @@ func (l *LineWriter) Write(v any) {
 }
 
 // WriteMetrics serves the Prometheus text exposition: every family of reg,
-// followed by o's flat counters as the pardetect_obs_counter family, sorted
+// followed by the flat counters as the pardetect_obs_counter family, sorted
 // by name, under the given HELP text.
-func WriteMetrics(w http.ResponseWriter, reg *metrics.Registry, o *obs.Observer, help string) {
+func WriteMetrics(w http.ResponseWriter, reg *metrics.Registry, counters obs.Counters, help string) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var sb strings.Builder
 	if err := reg.WriteProm(&sb); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	counters := o.Snapshot().Counters
 	keys := make([]string, 0, len(counters))
 	for k := range counters {
 		keys = append(keys, k)

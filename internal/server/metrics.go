@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"pardetect/internal/obs"
 	"pardetect/internal/obs/metrics"
 )
 
@@ -19,7 +20,8 @@ import (
 // admission queue, analysis on the worker, serialization of the response).
 // All series are created up front at Server construction — the request path
 // does one map lookup on a read-only table and then lock-free atomic
-// recording (see internal/obs/metrics).
+// recording (see internal/obs/metrics). The flat server.* counters are not
+// recorded separately: Counters renders them from the same series.
 
 // endpoints normalised from request paths; "other" catches the rest.
 var endpoints = []string{"analyze", "batch", "healthz", "apps", "ir", "metrics", "debug", "other"}
@@ -66,6 +68,12 @@ type serverMetrics struct {
 	// scrape without bound.
 	tenantMu      sync.Mutex
 	tenantRejects map[string]*metrics.Counter
+	// Events no registered series counts, kept out of the registry so the
+	// /metrics families stay as they are; Counters renders them.
+	analyses, analysisNS                            metrics.Counter // analysisNS: submit to reply
+	cacheHits, cacheMisses, cacheBypass, dedupJoins metrics.Counter
+	rejects, timeouts, panics, errs, badRequests    metrics.Counter
+	batchRequests, batchPrograms                    metrics.Counter
 }
 
 // maxTenantSeries caps distinct per-tenant reject series; overflow tenants
@@ -155,13 +163,6 @@ func (m *serverMetrics) requestHist(endpoint, outcome string) *metrics.Histogram
 	return m.req[endpoint+"\x00other"]
 }
 
-// storeOp counts one persistent-store operation (no-op without a store).
-func (m *serverMetrics) storeOp(op string, n int64) {
-	if m.storeOps != nil {
-		m.storeOps[op].Add(n)
-	}
-}
-
 // batchLine counts one streamed batch result by outcome.
 func (m *serverMetrics) batchLine(outcome string) {
 	c, ok := m.batchLines[outcome]
@@ -196,21 +197,64 @@ func (m *serverMetrics) tenantReject(tenant, reason string) *metrics.Counter {
 	return c
 }
 
+// Counters renders the flat server.* counters of /debug/obs, /metrics and
+// the pardetectd expvar. Each event is counted once: where a registered
+// series counts it, the counter is read from that series. The map is
+// sparse: a key appears once its counter has counted something.
+func (s *Server) Counters() obs.Counters {
+	m, c := s.m, obs.Counters{}
+	add := func(name string, v int64) {
+		if v > 0 {
+			c[name] += v
+		}
+	}
+	for name, ctr := range map[string]*metrics.Counter{
+		"server.analyses": &m.analyses, "server.analysis_ns": &m.analysisNS,
+		"server.cache.hits": &m.cacheHits, "server.cache.misses": &m.cacheMisses,
+		"server.cache.bypass": &m.cacheBypass, "server.dedup.joins": &m.dedupJoins,
+		"server.rejects": &m.rejects, "server.timeouts": &m.timeouts, "server.panics": &m.panics,
+		"server.errors": &m.errs, "server.bad_requests": &m.badRequests,
+		"server.batch.requests": &m.batchRequests, "server.batch.programs": &m.batchPrograms,
+		"server.cache.evictions": m.cacheEvicts, "server.store.hits": m.storeOps["hit"],
+		"server.store.misses": m.storeOps["miss"], "server.store.corrupt": m.storeOps["corrupt"],
+		"server.store.evictions": m.storeOps["evict"], "server.store.writes": m.storeOps["write"],
+		"server.store.write_errors": m.storeOps["write_error"], "server.store.warmed": m.storeOps["warm"],
+	} {
+		add(name, ctr.Value())
+	}
+	for k, h := range m.req {
+		if n := h.Count(); n > 0 {
+			ep, _, _ := strings.Cut(k, "\x00")
+			c["server.http."+ep+".requests"] += n
+			c["server.http."+ep+".ns"] += h.Sum()
+		}
+	}
+	for name, h := range map[string]*metrics.Histogram{"server.queue_wait_ns": m.queueWait, "server.serialize_ns": m.serialize} {
+		if h.Count() > 0 {
+			c[name] = h.Sum()
+		}
+	}
+	for oc, ctr := range m.batchLines {
+		add("server.batch.lines."+oc, ctr.Value())
+	}
+	m.tenantMu.Lock()
+	for _, ctr := range m.tenantRejects {
+		add("server.tenant.rejects", ctr.Value())
+	}
+	m.tenantMu.Unlock()
+	return c
+}
+
+// endpointPaths maps the service paths to their metrics endpoint labels.
+var endpointPaths = map[string]string{
+	"/analyze": "analyze", "/analyze/batch": "batch", "/healthz": "healthz",
+	"/apps": "apps", "/ir": "ir", "/metrics": "metrics",
+}
+
 // endpointOf normalises a request path to its metrics endpoint label.
 func endpointOf(path string) string {
-	switch path {
-	case "/analyze":
-		return "analyze"
-	case "/analyze/batch":
-		return "batch"
-	case "/healthz":
-		return "healthz"
-	case "/apps":
-		return "apps"
-	case "/ir":
-		return "ir"
-	case "/metrics":
-		return "metrics"
+	if ep, ok := endpointPaths[path]; ok {
+		return ep
 	}
 	if strings.HasPrefix(path, "/debug/") {
 		return "debug"
@@ -303,9 +347,8 @@ type accessRecord struct {
 
 // instrument is the middleware in front of every endpoint: it assigns the
 // request ID, times the request, resolves endpoint × outcome, and feeds the
-// histogram, the obs counters (the same measured duration feeds both, so
-// /metrics count/sum and the server.http.* counters agree exactly) and the
-// access log.
+// request histogram (whose count and sum are the server.http.* counters)
+// and the access log.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
@@ -324,8 +367,6 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		ep := endpointOf(r.URL.Path)
 		oc := outcomeOf(ep, ow.Header(), ow.status)
 		s.m.requestHist(ep, oc).Observe(d.Nanoseconds())
-		s.obs.Add("server.http."+ep+".requests", 1)
-		s.obs.Add("server.http."+ep+".ns", d.Nanoseconds())
 
 		if s.opts.AccessLog != nil {
 			line, err := json.Marshal(accessRecord{
@@ -352,10 +393,10 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 
 // handleMetrics serves the Prometheus text exposition: every registry
 // family (request histograms, breakdown histograms, pool/cache gauges)
-// followed by the flat obs counters as one labeled family, so everything
+// followed by the flat counters as one labeled family, so everything
 // /debug/obs counts is also scrapeable.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	WriteMetrics(w, s.m.reg, s.obs, "Flat service counters (see /debug/obs).")
+	WriteMetrics(w, s.m.reg, s.Counters(), "Flat service counters (see /debug/obs).")
 }
 
 // handleDebugMetrics serves the registry as JSON (histograms with exact

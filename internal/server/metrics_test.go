@@ -41,104 +41,6 @@ func promSeries(t *testing.T, text string) map[string]int64 {
 	return out
 }
 
-// TestMetricsAgreeWithCounters is the exposition acceptance check: the
-// per-endpoint×outcome histogram counts and sums on /metrics must agree
-// exactly with the server.http.* obs counters, because middleware feeds
-// both from the same measured duration.
-func TestMetricsAgreeWithCounters(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 2})
-
-	// A miss, a hit, a bad request and a healthz probe.
-	get(t, ts.URL+"/analyze?app=bicg")
-	get(t, ts.URL+"/analyze?app=bicg")
-	get(t, ts.URL+"/analyze?app=nope")
-	get(t, ts.URL+"/healthz")
-
-	resp, body := get(t, ts.URL+"/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics: status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("/metrics Content-Type = %q", ct)
-	}
-	series := promSeries(t, string(body))
-
-	perOutcome := func(suffix, ep string) int64 {
-		var sum int64
-		for k, v := range series {
-			if strings.HasPrefix(k, "pardetect_http_request_duration_ns_"+suffix+`{endpoint="`+ep+`"`) {
-				sum += v
-			}
-		}
-		return sum
-	}
-
-	o := s.Observer()
-	for _, ep := range []string{"analyze", "healthz"} {
-		wantCount := o.Counter("server.http." + ep + ".requests")
-		wantSum := o.Counter("server.http." + ep + ".ns")
-		if wantCount == 0 {
-			t.Fatalf("no requests counted for %s", ep)
-		}
-		if got := perOutcome("count", ep); got != wantCount {
-			t.Errorf("%s histogram count = %d, obs counter = %d (must agree exactly)", ep, got, wantCount)
-		}
-		if got := perOutcome("sum", ep); got != wantSum {
-			t.Errorf("%s histogram sum = %d, obs ns counter = %d (must agree exactly)", ep, got, wantSum)
-		}
-	}
-
-	// Specific outcome series: one hit, one miss, one bad_request.
-	for _, tc := range []struct {
-		outcome string
-		want    int64
-	}{{"hit", 1}, {"miss", 1}, {"bad_request", 1}} {
-		key := `pardetect_http_request_duration_ns_count{endpoint="analyze",outcome="` + tc.outcome + `"}`
-		if series[key] != tc.want {
-			t.Errorf("%s = %d, want %d", key, series[key], tc.want)
-		}
-	}
-
-	// The obs counters themselves are scrapeable.
-	if series[`pardetect_obs_counter{name="server.cache.hits"}`] != 1 {
-		t.Errorf("pardetect_obs_counter server.cache.hits missing or wrong")
-	}
-	// Gauges present.
-	if _, ok := series["pardetect_workers"]; !ok {
-		t.Errorf("pardetect_workers gauge missing")
-	}
-	// Breakdown histograms populated by the one real analysis.
-	if series["pardetect_analyze_analysis_ns_count"] != 1 {
-		t.Errorf("pardetect_analyze_analysis_ns_count = %d, want 1", series["pardetect_analyze_analysis_ns_count"])
-	}
-	if series["pardetect_analyze_queue_wait_ns_count"] != 1 {
-		t.Errorf("pardetect_analyze_queue_wait_ns_count = %d, want 1", series["pardetect_analyze_queue_wait_ns_count"])
-	}
-	if series["pardetect_analyze_serialize_ns_count"] != 2 { // miss + hit both serialize
-		t.Errorf("pardetect_analyze_serialize_ns_count = %d, want 2", series["pardetect_analyze_serialize_ns_count"])
-	}
-
-	// The JSON twin parses and carries the same families.
-	_, jbody := get(t, ts.URL+"/debug/metrics")
-	var snap struct {
-		Families []struct {
-			Name string `json:"name"`
-		} `json:"families"`
-	}
-	if err := json.Unmarshal(jbody, &snap); err != nil {
-		t.Fatalf("/debug/metrics: %v", err)
-	}
-	var seen bool
-	for _, f := range snap.Families {
-		if f.Name == "pardetect_http_request_duration_ns" {
-			seen = true
-		}
-	}
-	if !seen {
-		t.Fatalf("/debug/metrics missing request histogram family")
-	}
-}
-
 // TestSlowSamplerCapturesSpanTree induces one slow request among fast ones
 // and checks /debug/slow returns it first, with the full span tree
 // (request → queue_wait/analysis/serialize, the pipeline's phases under

@@ -19,10 +19,10 @@
 //     bytecode) with responses byte-identical across engines, like the CLI;
 //   - graceful shutdown that stops admission and drains in-flight analyses.
 //
-// Telemetry flows through internal/obs: every decision the admission path
-// takes — hit, miss, join, reject, timeout, panic — is a counter on the
-// service observer, exported on /debug/obs, /debug/vars (expvar) and the
-// /healthz body.
+// Telemetry flows through internal/obs/metrics: every decision the
+// admission path takes — hit, miss, join, reject, timeout, panic — is
+// counted once, lock-free, and rendered at read time as the flat server.*
+// counter map on /debug/obs, /metrics and /debug/vars (expvar).
 package server
 
 import (
@@ -134,7 +134,6 @@ func (o *Options) fill() error {
 // Server is the pardetectd HTTP service.
 type Server struct {
 	opts    Options
-	obs     *obs.Observer
 	pool    *farm.Pool
 	cache   *cache
 	flight  flightGroup
@@ -170,20 +169,15 @@ func New(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		opts:  opts,
-		obs:   obs.New("pardetectd"),
 		pool:  farm.NewPool(farm.Options{Jobs: opts.Workers, Queue: opts.Queue}),
-		cache: newCache(opts.CacheEntries),
 		mux:   http.NewServeMux(),
 		start: time.Now(),
 	}
 	s.runID = strconv.FormatInt(s.start.UnixNano(), 36)
 	s.m = newServerMetrics(s)
+	s.cache = newCache(opts.CacheEntries, s.m.cacheEvicts)
 	s.slow = newSlowSampler(opts.SlowSamples)
 	s.tenants = newTenantLimiter(opts.TenantRPS, opts.TenantMaxInflight)
-	s.cache.onEvict = func(*store.Entry) {
-		s.obs.Add("server.cache.evictions", 1)
-		s.m.cacheEvicts.Inc()
-	}
 	if opts.StoreDir != "" {
 		st, err := store.Open(store.Options{Dir: opts.StoreDir, MaxEntries: opts.StoreMaxEntries})
 		if err != nil {
@@ -203,7 +197,10 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/debug/metrics", s.handleDebugMetrics)
 	s.mux.HandleFunc("/debug/slow", s.handleSlow)
-	obs.RegisterDebug(s.mux, s.obs)
+	obs.RegisterDebug(s.mux, func() obs.Report {
+		return obs.Report{Schema: obs.Schema, Label: "pardetectd",
+			WallNS: time.Since(s.start).Nanoseconds(), Counters: s.Counters()}
+	})
 	s.h = s.instrument(s.mux)
 	s.httpSrv = &http.Server{Handler: s.h}
 	publishExpvar(s)
@@ -222,17 +219,10 @@ func publishExpvar(s *Server) {
 	activeServer.Store(s)
 	expvarOnce.Do(func() {
 		expvar.Publish("pardetectd", expvar.Func(func() any {
-			cur := activeServer.Load()
-			if cur == nil {
-				return nil
-			}
-			return cur.obs.Snapshot().Counters
+			return activeServer.Load().Counters()
 		}))
 	})
 }
-
-// Observer returns the service telemetry observer.
-func (s *Server) Observer() *obs.Observer { return s.obs }
 
 // Workers returns the size of the analysis worker pool.
 func (s *Server) Workers() int { return s.pool.Workers() }
@@ -284,16 +274,11 @@ func (s *Server) storeWriter() {
 	for e := range s.storeCh {
 		evicted, err := s.store.Put(e)
 		if err != nil {
-			s.obs.Add("server.store.write_errors", 1)
-			s.m.storeOp("write_error", 1)
+			s.m.storeOps["write_error"].Inc()
 			continue
 		}
-		s.obs.Add("server.store.writes", 1)
-		s.m.storeOp("write", 1)
-		if evicted > 0 {
-			s.obs.Add("server.store.evictions", int64(evicted))
-			s.m.storeOp("evict", int64(evicted))
-		}
+		s.m.storeOps["write"].Inc()
+		s.m.storeOps["evict"].Add(int64(evicted))
 	}
 }
 
@@ -317,15 +302,12 @@ func (s *Server) storeProbe(key string) (*store.Entry, bool) {
 	s.m.storeProbe.Observe(time.Since(t0).Nanoseconds())
 	switch res {
 	case store.Hit:
-		s.obs.Add("server.store.hits", 1)
-		s.m.storeOp("hit", 1)
+		s.m.storeOps["hit"].Inc()
 		return e, true
 	case store.Corrupt:
-		s.obs.Add("server.store.corrupt", 1)
-		s.m.storeOp("corrupt", 1)
+		s.m.storeOps["corrupt"].Inc()
 	default:
-		s.obs.Add("server.store.misses", 1)
-		s.m.storeOp("miss", 1)
+		s.m.storeOps["miss"].Inc()
 	}
 	return nil, false
 }
@@ -339,18 +321,14 @@ func (s *Server) warmFromStore() {
 		e, res := s.store.Get(keys[i])
 		if res != store.Hit {
 			if res == store.Corrupt {
-				s.obs.Add("server.store.corrupt", 1)
-				s.m.storeOp("corrupt", 1)
+				s.m.storeOps["corrupt"].Inc()
 			}
 			continue
 		}
 		s.cache.put(e)
 		warmed++
 	}
-	if warmed > 0 {
-		s.obs.Add("server.store.warmed", warmed)
-		s.m.storeOp("warm", warmed)
-	}
+	s.m.storeOps["warm"].Add(warmed)
 }
 
 // --- request plumbing ------------------------------------------------------
@@ -404,7 +382,7 @@ func (s *Server) parseParams(r *http.Request) (analyzeParams, error) {
 }
 
 func (s *Server) clientError(w http.ResponseWriter, status int, format string, args ...any) {
-	s.obs.Add("server.bad_requests", 1)
+	s.m.badRequests.Inc()
 	w.Header().Set(outcomeHeader, "bad_request")
 	WriteError(w, status, format, args...)
 }
@@ -419,16 +397,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	// format=text keeps the bare-probe contract: a plain "ok" body and the
-	// status code, nothing a shell health check has to parse.
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(code)
-		io.WriteString(w, status+"\n")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
 	body := map[string]any{
 		"status":        status,
 		"draining":      draining,
@@ -443,7 +411,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.store != nil {
 		body["store_entries"] = s.store.Len()
 	}
-	json.NewEncoder(w).Encode(body)
+	WriteHealth(w, r, code, status, body)
 }
 
 func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
@@ -471,7 +439,7 @@ func (s *Server) handleIR(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := wire.EncodeProgram(app.Build())
 	if err != nil {
-		s.obs.Add("server.errors", 1)
+		s.m.errs.Inc()
 		WriteError(w, http.StatusInternalServerError, "encode: %v", err)
 		return
 	}
@@ -575,7 +543,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // is the conservative clamp ceiling: the queue gauges are meaningless
 // mid-drain, and a restarting server should not invite an immediate storm.
 func (s *Server) rejectDraining(w http.ResponseWriter) {
-	s.obs.Add("server.rejects", 1)
+	s.m.rejects.Inc()
 	w.Header().Set(outcomeHeader, "drain")
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
 	WriteError(w, http.StatusServiceUnavailable, "server is draining")
@@ -595,7 +563,6 @@ func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request) (func(), bo
 	if release != nil {
 		return release, true
 	}
-	s.obs.Add("server.tenant.rejects", 1)
 	s.m.tenantReject(tenant, reason).Inc()
 	w.Header().Set(outcomeHeader, "reject")
 	w.Header().Set("Retry-After", strconv.FormatInt(retryAfter, 10))
@@ -618,11 +585,11 @@ func (s *Server) lookupOrAnalyze(prog *ir.Program, appName string, params analyz
 
 	if !params.skip {
 		if e, ok := s.cache.get(key); ok {
-			s.obs.Add("server.cache.hits", 1)
+			s.m.cacheHits.Inc()
 			return e, "hit", nil
 		}
 		if e, ok := s.storeProbe(key); ok {
-			s.obs.Add("server.cache.hits", 1)
+			s.m.cacheHits.Inc()
 			s.cache.put(e)
 			return e, "hit", nil
 		}
@@ -632,12 +599,12 @@ func (s *Server) lookupOrAnalyze(prog *ir.Program, appName string, params analyz
 		return s.analyze(prog, appName, params, key, ro)
 	}
 	if params.skip {
-		s.obs.Add("server.cache.bypass", 1)
+		s.m.cacheBypass.Inc()
 		e, err := run()
 		return e, "bypass", err
 	}
 	e, err, joined := s.flight.do(key, func() (*store.Entry, error) {
-		s.obs.Add("server.cache.misses", 1)
+		s.m.cacheMisses.Inc()
 		e, err := run()
 		if err == nil {
 			s.cache.put(e)
@@ -646,7 +613,7 @@ func (s *Server) lookupOrAnalyze(prog *ir.Program, appName string, params analyz
 		return e, err
 	})
 	if joined {
-		s.obs.Add("server.dedup.joins", 1)
+		s.m.dedupJoins.Inc()
 		return e, "join", err
 	}
 	return e, "miss", err
@@ -687,9 +654,8 @@ func (s *Server) analyze(prog *ir.Program, appName string, params analyzeParams,
 	}
 	t0 := time.Now()
 	r := <-reply
-	s.obs.Add("server.analyses", 1)
-	s.obs.Add("server.analysis_ns", time.Since(t0).Nanoseconds())
-	s.obs.Add("server.queue_wait_ns", r.Wait.Nanoseconds())
+	s.m.analyses.Inc()
+	s.m.analysisNS.Add(time.Since(t0).Nanoseconds())
 	s.m.queueWait.Observe(r.Wait.Nanoseconds())
 	s.m.analysis.Observe(r.Elapsed.Nanoseconds())
 	if r.Err != nil {
@@ -737,18 +703,18 @@ func (s *Server) analysisError(w http.ResponseWriter, err error) {
 	w.Header().Set(outcomeHeader, outcome)
 	switch outcome {
 	case "reject":
-		s.obs.Add("server.rejects", 1)
+		s.m.rejects.Inc()
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
 		WriteError(w, http.StatusTooManyRequests, "analysis queue full (%d running, %d queued)",
 			s.pool.Running(), s.pool.Queued())
 	case "timeout":
-		s.obs.Add("server.timeouts", 1)
+		s.m.timeouts.Inc()
 		WriteError(w, http.StatusGatewayTimeout, "%v", err)
 	case "panic":
 		// A joiner whose flight leader panicked gets the same verdict as the
 		// leader's own request, and it is not sticky: the flight is gone, a
 		// retry is fresh.
-		s.obs.Add("server.panics", 1)
+		s.m.panics.Inc()
 		var pe *farm.PanicError
 		if errors.As(err, &pe) {
 			WriteError(w, http.StatusInternalServerError, "analysis panicked: %v", pe.Value)
@@ -756,7 +722,7 @@ func (s *Server) analysisError(w http.ResponseWriter, err error) {
 			WriteError(w, http.StatusInternalServerError, "%v", err)
 		}
 	default:
-		s.obs.Add("server.errors", 1)
+		s.m.errs.Inc()
 		WriteError(w, http.StatusUnprocessableEntity, "%v", err)
 	}
 }
@@ -838,7 +804,6 @@ func (s *Server) respond(w http.ResponseWriter, params analyzeParams, e *store.E
 		d := time.Since(t0)
 		sSpan.End()
 		s.m.serialize.Observe(d.Nanoseconds())
-		s.obs.Add("server.serialize_ns", d.Nanoseconds())
 	}()
 	w.Header().Set("X-Pardetect-Cache", verdict)
 	w.Header().Set("X-Pardetect-Fingerprint", e.Fingerprint)

@@ -124,11 +124,11 @@ func TestCacheHitCounterVerified(t *testing.T) {
 	}
 
 	// The counters prove the hit did no second analysis.
-	o := s.Observer()
-	if n := o.Counter("server.analyses"); n != 1 {
+	o := s.Counters()
+	if n := o["server.analyses"]; n != 1 {
 		t.Fatalf("server.analyses = %d, want 1 (cache hit must not re-analyse)", n)
 	}
-	if h, m := o.Counter("server.cache.hits"), o.Counter("server.cache.misses"); h != 1 || m != 1 {
+	if h, m := o["server.cache.hits"], o["server.cache.misses"]; h != 1 || m != 1 {
 		t.Fatalf("hits/misses = %d/%d, want 1/1", h, m)
 	}
 
@@ -142,7 +142,7 @@ func TestCacheHitCounterVerified(t *testing.T) {
 	if !bytes.Equal(b1, b3) {
 		t.Fatalf("POSTed-IR hit body differs from app body")
 	}
-	if n := s.Observer().Counter("server.analyses"); n != 1 {
+	if n := s.Counters()["server.analyses"]; n != 1 {
 		t.Fatalf("server.analyses = %d after POSTed-IR hit, want still 1", n)
 	}
 }
@@ -202,7 +202,7 @@ func TestSingleflightCollapsesConcurrentDuplicates(t *testing.T) {
 	// The leader has registered its flight exactly when the miss counter
 	// ticks; every request sent after that and before the (slow) analysis
 	// finishes joins deterministically.
-	waitUntil(t, "leader in flight", func() bool { return s.Observer().Counter("server.cache.misses") == 1 })
+	waitUntil(t, "leader in flight", func() bool { return s.Counters()["server.cache.misses"] == 1 })
 	for i := 0; i < 3; i++ {
 		go send()
 	}
@@ -222,11 +222,11 @@ func TestSingleflightCollapsesConcurrentDuplicates(t *testing.T) {
 			t.Fatalf("response %d differs from response 0", i)
 		}
 	}
-	o := s.Observer()
-	if n := o.Counter("server.analyses"); n != 1 {
+	o := s.Counters()
+	if n := o["server.analyses"]; n != 1 {
 		t.Fatalf("server.analyses = %d, want 1 (identical in-flight requests must collapse; verdicts %v)", n, verdicts)
 	}
-	if j := o.Counter("server.dedup.joins"); j != 3 {
+	if j := o["server.dedup.joins"]; j != 3 {
 		t.Fatalf("server.dedup.joins = %d, want 3 (verdicts %v)", j, verdicts)
 	}
 }
@@ -259,7 +259,7 @@ func TestBackpressure429WhenQueueFull(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Fatalf("429 response missing Retry-After")
 	}
-	if n := s.Observer().Counter("server.rejects"); n != 1 {
+	if n := s.Counters()["server.rejects"]; n != 1 {
 		t.Fatalf("server.rejects = %d, want 1", n)
 	}
 
@@ -280,7 +280,7 @@ func TestDeadlineSurfacesAs504(t *testing.T) {
 	if !strings.Contains(string(body), "deadline") {
 		t.Fatalf("504 body does not mention the deadline: %s", body)
 	}
-	if n := s.Observer().Counter("server.timeouts"); n != 1 {
+	if n := s.Counters()["server.timeouts"]; n != 1 {
 		t.Fatalf("server.timeouts = %d, want 1", n)
 	}
 	// The deadline is per request: the same app analyses fine without it.
@@ -466,7 +466,7 @@ func TestJSONFormatAndHealthz(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := newCache(2)
+	c := newCache(2, nil)
 	for _, k := range []string{"a", "b", "c"} {
 		c.put(&store.Entry{Key: k, Body: []byte(k)})
 	}

@@ -72,13 +72,13 @@ func TestStoreWarmRestart(t *testing.T) {
 		t.Fatalf("%d distinct fingerprints over bicg and %d pool programs, want all distinct", len(keys), len(pool))
 	}
 	want := int64(len(keys))
-	if n := sA.Observer().Counter("server.store.writes"); n != want {
+	if n := sA.Counters()["server.store.writes"]; n != want {
 		t.Fatalf("server.store.writes after shutdown = %d, want %d", n, want)
 	}
 
 	sB, tsB, stopB := startStoreServer(t, Options{Workers: 2, StoreDir: dir})
 	defer stopB()
-	if n := sB.Observer().Counter("server.store.warmed"); n != want {
+	if n := sB.Counters()["server.store.warmed"]; n != want {
 		t.Fatalf("server.store.warmed = %d, want %d (startup must warm the LRU)", n, want)
 	}
 	r2, b2 := get(t, tsB.URL+"/analyze?app=bicg")
@@ -106,7 +106,7 @@ func TestStoreWarmRestart(t *testing.T) {
 			t.Fatalf("replay pool[%d]: hit body differs from the analysis that populated the store", i)
 		}
 	}
-	if n := sB.Observer().Counter("server.analyses"); n != 0 {
+	if n := sB.Counters()["server.analyses"]; n != 0 {
 		t.Fatalf("server.analyses after warm-restart hits = %d, want 0", n)
 	}
 }
@@ -134,7 +134,7 @@ func TestStoreReadThroughBeyondLRU(t *testing.T) {
 
 	sB, tsB, stopB := startStoreServer(t, Options{Workers: 2, StoreDir: dir, CacheEntries: 1})
 	defer stopB()
-	if n, e := sB.Observer().Counter("server.store.warmed"), sB.cache.len(); n != 1 || e != 1 {
+	if n, e := sB.Counters()["server.store.warmed"], sB.cache.len(); n != 1 || e != 1 {
 		t.Fatalf("warmed %d entries into an LRU of %d, want 1 into 1", n, e)
 	}
 	// The newest entry got the LRU slot; the older one must come off disk.
@@ -148,11 +148,11 @@ func TestStoreReadThroughBeyondLRU(t *testing.T) {
 	if !bytes.Equal(body, bodyOld) {
 		t.Fatalf("read-through body differs from the original analysis")
 	}
-	o := sB.Observer()
-	if n := o.Counter("server.store.hits"); n != 1 {
+	o := sB.Counters()
+	if n := o["server.store.hits"]; n != 1 {
 		t.Fatalf("server.store.hits = %d, want 1", n)
 	}
-	if n := o.Counter("server.analyses"); n != 0 {
+	if n := o["server.analyses"]; n != 0 {
 		t.Fatalf("server.analyses = %d, want 0 (disk tier must answer)", n)
 	}
 }
@@ -222,8 +222,8 @@ func TestStoreSharedWithCorpus(t *testing.T) {
 		}
 		hits[i] = body
 	}
-	o := s.Observer()
-	if h, a := o.Counter("server.store.hits"), o.Counter("server.analyses"); h < n-1 || a != 0 {
+	o := s.Counters()
+	if h, a := o["server.store.hits"], o["server.analyses"]; h < n-1 || a != 0 {
 		t.Fatalf("server.store.hits = %d, server.analyses = %d; want at least %d store hits and no analysis", h, a, n-1)
 	}
 	for i, doc := range docs {

@@ -224,15 +224,15 @@ func TestTenantFairnessHTTP(t *testing.T) {
 		}
 	}
 
-	o := s.Observer()
-	if n := o.Counter("server.tenant.rejects"); n != hogRejects {
+	o := s.Counters()
+	if n := o["server.tenant.rejects"]; n != hogRejects {
 		t.Fatalf("server.tenant.rejects = %d, want the hog's %d", n, hogRejects)
 	}
 	// The per-tenant metrics series carries the rejections.
 	if c := s.m.tenantReject("hog", "rate"); c.Value() != hogRejects {
 		t.Fatalf("tenant reject counter = %d, want %d", c.Value(), hogRejects)
 	}
-	if n := o.Counter("server.analyses"); n != 1 {
+	if n := o["server.analyses"]; n != 1 {
 		t.Fatalf("server.analyses = %d, want 1", n)
 	}
 }

@@ -209,43 +209,6 @@ func TestDepsAreDeduplicatedWithCounts(t *testing.T) {
 	}
 }
 
-func TestMergeCombinesProfiles(t *testing.T) {
-	p1, loop := buildReduction(8)
-	prof1 := profileOf(t, p1)
-	p2, _ := buildReduction(16)
-	prof2 := profileOf(t, p2)
-	prof1.Merge(prof2)
-	if prof1.Runs != 2 {
-		t.Fatalf("Runs = %d, want 2", prof1.Runs)
-	}
-	g := prof1.Carried[loop][0]
-	if g.MaxPerAddr < 15 {
-		t.Fatalf("merged MaxPerAddr = %d, want >= 15 (max of runs)", g.MaxPerAddr)
-	}
-	ts := prof1.LoopTrips[loop]
-	if ts.Iterations != 8+16 || ts.Activations != 2 {
-		t.Fatalf("merged trips = %+v, want 24 iters / 2 activations", ts)
-	}
-	if ts.AvgTrip() != 12 {
-		t.Fatalf("AvgTrip = %g, want 12", ts.AvgTrip())
-	}
-}
-
-func TestMergeUnionsDisjointDeps(t *testing.T) {
-	a := &Profile{Runs: 1, Deps: []Dep{{Kind: RAW, SrcLine: 1, DstLine: 2, Name: "x", Count: 3}}}
-	b := &Profile{Runs: 1, Deps: []Dep{
-		{Kind: RAW, SrcLine: 1, DstLine: 2, Name: "x", Count: 2},
-		{Kind: WAW, SrcLine: 5, DstLine: 6, Name: "y", Count: 1},
-	}}
-	a.Merge(b)
-	if len(a.Deps) != 2 {
-		t.Fatalf("merged deps = %+v, want 2 entries", a.Deps)
-	}
-	if a.Deps[0].Count != 5 {
-		t.Fatalf("merged count = %d, want 5", a.Deps[0].Count)
-	}
-}
-
 func TestWhileLoopProfiled(t *testing.T) {
 	b := ir.NewBuilder("wh")
 	b.GlobalArray("a", 8)

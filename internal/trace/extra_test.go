@@ -173,33 +173,3 @@ func TestCollectorLoopIterWithoutEnter(t *testing.T) {
 	f.CallExit("ghost")    // must not panic on empty frame stack
 	_ = c.Finish("empty")
 }
-
-func TestMergeIntoEmptyProfile(t *testing.T) {
-	dst := &Profile{}
-	src := &Profile{
-		Runs:          1,
-		Deps:          []Dep{{Kind: RAW, SrcLine: 1, DstLine: 2, Name: "x", Count: 1}},
-		Carried:       map[string][]CarriedGroup{"L": {{LoopID: "L", Name: "x", WriteLines: []int{1}, ReadLines: []int{1}, MaxPerAddr: 3, MinDist: 1, MaxDist: 1, Count: 3}}},
-		CrossLoopDeps: map[PairKey]int64{{Writer: "A", Reader: "B"}: 2},
-		LoopTrips:     map[string]TripStat{"L": {Iterations: 4, Activations: 1}},
-		LineOps:       map[int]int64{1: 10},
-		FuncCalls:     map[string]int64{"main": 1},
-	}
-	dst.Merge(src)
-	if dst.Runs != 1 || len(dst.Deps) != 1 || len(dst.Carried["L"]) != 1 {
-		t.Fatalf("merge into empty: %+v", dst)
-	}
-	if dst.LineOps[1] != 10 || dst.FuncCalls["main"] != 1 || dst.CrossLoopDeps[PairKey{Writer: "A", Reader: "B"}] != 2 {
-		t.Fatalf("maps not merged: %+v", dst)
-	}
-	// Merging a second time extends the carried group's bounds.
-	src2 := &Profile{
-		Runs:    1,
-		Carried: map[string][]CarriedGroup{"L": {{LoopID: "L", Name: "x", WriteLines: []int{1, 9}, ReadLines: []int{1}, MaxPerAddr: 7, MinDist: 1, MaxDist: 4, Count: 9}}},
-	}
-	dst.Merge(src2)
-	g := dst.Carried["L"][0]
-	if g.MaxPerAddr != 7 || g.MaxDist != 4 || len(g.WriteLines) != 2 || g.Count != 12 {
-		t.Fatalf("carried merge wrong: %+v", g)
-	}
-}

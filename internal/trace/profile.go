@@ -14,9 +14,8 @@
 //     with the last-write / first-read filter, feeding the linear-regression
 //     pipeline analysis.
 //
-// Because the analysis is dynamic its results are input-sensitive; Profile
-// values from runs with different representative inputs can be combined with
-// Merge, as §II of the paper prescribes.
+// Because the analysis is dynamic its results are input-sensitive: a Profile
+// covers one run on one representative input.
 package trace
 
 import (
@@ -114,11 +113,11 @@ type IterPair struct {
 	Y int64
 }
 
-// Profile is the merged result of phase-1 profiling.
+// Profile is the result of phase-1 profiling.
 type Profile struct {
 	// ProgramName is the profiled program's name.
 	ProgramName string
-	// Runs counts how many runs were merged into this profile.
+	// Runs counts the profiled runs (one; the fingerprint records it).
 	Runs int
 	// Deps holds the de-duplicated dependences, deterministically sorted.
 	Deps []Dep
@@ -180,115 +179,6 @@ func (p *Profile) DepsBetween(src, dst func(line int) bool) []Dep {
 			out = append(out, d)
 		}
 	}
-	return out
-}
-
-// Merge folds another profile (typically from a run with a different
-// representative input) into p, as §II prescribes for mitigating the
-// input-sensitivity of dynamic analysis: dependence sets are unioned and
-// counts added.
-func (p *Profile) Merge(o *Profile) {
-	p.Runs += o.Runs
-	p.SnapshotTruncated += o.SnapshotTruncated
-	// Union dependences.
-	type dk struct {
-		kind     DepKind
-		src, dst int
-		name     string
-		carried  bool
-	}
-	idx := make(map[dk]int, len(p.Deps))
-	for i, d := range p.Deps {
-		idx[dk{d.Kind, d.SrcLine, d.DstLine, d.Name, d.Carried}] = i
-	}
-	for _, d := range o.Deps {
-		k := dk{d.Kind, d.SrcLine, d.DstLine, d.Name, d.Carried}
-		if i, ok := idx[k]; ok {
-			p.Deps[i].Count += d.Count
-		} else {
-			idx[k] = len(p.Deps)
-			p.Deps = append(p.Deps, d)
-		}
-	}
-	sortDeps(p.Deps)
-
-	// Union carried groups.
-	if p.Carried == nil {
-		p.Carried = make(map[string][]CarriedGroup)
-	}
-	for loop, groups := range o.Carried {
-		for _, g := range groups {
-			p.mergeCarried(loop, g)
-		}
-	}
-	// Union cross-loop dependences.
-	if p.CrossLoopDeps == nil {
-		p.CrossLoopDeps = make(map[PairKey]int64)
-	}
-	for k, n := range o.CrossLoopDeps {
-		p.CrossLoopDeps[k] += n
-	}
-	// Accumulate trip counts.
-	if p.LoopTrips == nil {
-		p.LoopTrips = make(map[string]TripStat)
-	}
-	for id, t := range o.LoopTrips {
-		cur := p.LoopTrips[id]
-		cur.Iterations += t.Iterations
-		cur.Activations += t.Activations
-		p.LoopTrips[id] = cur
-	}
-	// Accumulate line costs and call counts.
-	if p.LineOps == nil {
-		p.LineOps = make(map[int]int64)
-	}
-	for line, n := range o.LineOps {
-		p.LineOps[line] += n
-	}
-	if p.FuncCalls == nil {
-		p.FuncCalls = make(map[string]int64)
-	}
-	for fn, n := range o.FuncCalls {
-		p.FuncCalls[fn] += n
-	}
-}
-
-func (p *Profile) mergeCarried(loop string, g CarriedGroup) {
-	groups := p.Carried[loop]
-	for i := range groups {
-		if groups[i].Name == g.Name && groups[i].Array == g.Array {
-			groups[i].WriteLines = unionSorted(groups[i].WriteLines, g.WriteLines)
-			groups[i].ReadLines = unionSorted(groups[i].ReadLines, g.ReadLines)
-			if g.MaxPerAddr > groups[i].MaxPerAddr {
-				groups[i].MaxPerAddr = g.MaxPerAddr
-			}
-			if g.MinDist < groups[i].MinDist {
-				groups[i].MinDist = g.MinDist
-			}
-			if g.MaxDist > groups[i].MaxDist {
-				groups[i].MaxDist = g.MaxDist
-			}
-			groups[i].Count += g.Count
-			return
-		}
-	}
-	p.Carried[loop] = append(groups, g)
-	sortCarried(p.Carried[loop])
-}
-
-func unionSorted(a, b []int) []int {
-	seen := make(map[int]bool, len(a)+len(b))
-	for _, x := range a {
-		seen[x] = true
-	}
-	for _, x := range b {
-		seen[x] = true
-	}
-	out := make([]int, 0, len(seen))
-	for x := range seen {
-		out = append(out, x)
-	}
-	sort.Ints(out)
 	return out
 }
 

@@ -3,8 +3,9 @@
 // servesmoke is the CI smoke test for the pardetectd analysis service
 // (cmd/pardetectd): it builds the real binary, starts it on an ephemeral
 // port, and exercises the service behaviors end to end over HTTP —
-// liveness, an uncached and a cached analysis (counter-verified via the
-// X-Pardetect-Cache header and byte-compared bodies), a batch NDJSON
+// liveness, an uncached and a cached analysis (verified via the
+// X-Pardetect-Cache header, byte-compared bodies and the cache counters on
+// /debug/obs, /metrics and /debug/vars), a batch NDJSON
 // request, a hostile program whose array dims would exhaust memory (refused
 // with 400, the daemon still healthy), admission backpressure (429 + Retry-After while the single
 // worker is occupied), and a clean SIGTERM drain. It then relaunches the
@@ -14,7 +15,8 @@
 // SIGTERM. Finally it builds cmd/pardetectrouter, starts three pardetectd
 // backends (each with its own store directory) behind the router binary, and
 // proves the routing tier end to end: cache affinity (repeat requests are
-// hits on the same home replica), batch fan-out across replicas, and
+// hits on the same home replica), batch fan-out across replicas, a
+// router.forwards counter equal to the sum of router_forwards_total, and
 // failover — the home replica of a routed app is SIGKILLed mid-run, after
 // which the same request must still succeed from another replica with zero
 // client-visible errors and the router's /healthz must report the dead
@@ -28,6 +30,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -35,6 +38,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -266,6 +270,23 @@ func routerLeg(tmp, pardetectd string) error {
 	}
 	fmt.Println("servesmoke: routed batch fan-out merged per-line outcomes")
 
+	// The flat router.forwards counter is the sum of the per-backend series.
+	_, _, mbody, err := get(rd.base + "/metrics")
+	if err != nil {
+		return fmt.Errorf("router metrics: %v", err)
+	}
+	rows := promRows(mbody)
+	var perBackend int64
+	for k, v := range rows {
+		if strings.HasPrefix(k, "router_forwards_total{") {
+			perBackend += v
+		}
+	}
+	if fw := rows[`pardetect_obs_counter{name="router.forwards"}`]; fw == 0 || fw != perBackend {
+		return fmt.Errorf("router.forwards = %d, sum of router_forwards_total = %d", fw, perBackend)
+	}
+	fmt.Printf("servesmoke: router.forwards = sum of router_forwards_total = %d\n", perBackend)
+
 	// Failover: SIGKILL bicg's home replica — no drain, no flush — then the
 	// same request must succeed from another replica with no client-visible
 	// error, and the router must report the dead backend ejected.
@@ -366,6 +387,9 @@ func probe(base string) ([]byte, error) {
 	if !bytes.Equal(b1, b2) {
 		return nil, fmt.Errorf("cache hit body differs from the miss body")
 	}
+	if err := checkCacheCounters(base); err != nil {
+		return nil, err
+	}
 	fmt.Println("servesmoke: cache miss then counter-verified hit, identical bodies")
 
 	// Batch NDJSON: two lines (a cached hit and an undecodable line) come
@@ -439,6 +463,55 @@ func probe(base string) ([]byte, error) {
 	}
 	fmt.Println("servesmoke: full queue answered 429 with Retry-After")
 	return b1, nil
+}
+
+// checkCacheCounters requires server.cache.hits = 1 and server.cache.misses
+// = 1 on each of /debug/obs, /metrics and the pardetectd expvar.
+func checkCacheCounters(base string) error {
+	var rep struct{ Counters map[string]int64 }
+	var vars struct{ Pardetectd map[string]int64 }
+	for path, into := range map[string]any{"/debug/obs": &rep, "/debug/vars": &vars} {
+		_, _, body, err := get(base + path)
+		if err != nil {
+			return fmt.Errorf("%s: %v", path, err)
+		}
+		if err := json.Unmarshal(body, into); err != nil {
+			return fmt.Errorf("%s: %v", path, err)
+		}
+	}
+	_, _, body, err := get(base + "/metrics")
+	if err != nil {
+		return fmt.Errorf("/metrics: %v", err)
+	}
+	prom := map[string]int64{}
+	for k, v := range promRows(body) {
+		if name, ok := strings.CutPrefix(k, `pardetect_obs_counter{name="`); ok {
+			prom[strings.TrimSuffix(name, `"}`)] = v
+		}
+	}
+	surfaces := map[string]map[string]int64{"/debug/obs": rep.Counters, "/debug/vars": vars.Pardetectd, "/metrics": prom}
+	for path, c := range surfaces {
+		if c["server.cache.hits"] != 1 || c["server.cache.misses"] != 1 {
+			return fmt.Errorf("%s: server.cache.hits = %d, server.cache.misses = %d, want 1 and 1",
+				path, c["server.cache.hits"], c["server.cache.misses"])
+		}
+	}
+	return nil
+}
+
+// promRows parses a Prometheus text exposition into "name{labels}" → value.
+func promRows(body []byte) map[string]int64 {
+	rows := map[string]int64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		sp := strings.LastIndex(line, " ")
+		if strings.HasPrefix(line, "#") || sp < 0 {
+			continue
+		}
+		if v, err := strconv.ParseInt(line[sp+1:], 10, 64); err == nil {
+			rows[line[:sp]] = v
+		}
+	}
+	return rows
 }
 
 // waitRunning polls /healthz until the running gauge reaches n.
