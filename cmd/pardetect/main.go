@@ -29,11 +29,11 @@
 // walker — identical analysis results, about twice as slow; see DESIGN.md).
 //
 // -stats appends the telemetry report: the per-phase span tree (wall time
-// and allocated bytes), the counter table, the hottest sampled lines and
-// the candidate decision log. -stats-json writes the same data as JSON
-// (schema pardetect.obs/v1). -debug-addr serves /debug/pprof, /debug/vars
-// and /debug/obs on the given address and keeps the process alive after
-// printing, for interactive inspection.
+// and allocated bytes), the counter table and the candidate decision log.
+// -stats-json writes the same data as JSON (schema pardetect.obs/v1).
+// -debug-addr serves /debug/pprof, /debug/vars and /debug/obs on the given
+// address and keeps the process alive after printing, for interactive
+// inspection.
 package main
 
 import (

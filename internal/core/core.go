@@ -44,10 +44,10 @@ type Options struct {
 	MaxSteps int64
 	// Timeout, when positive, bounds the whole analysis in wall-clock time
 	// alongside MaxSteps: one deadline is computed when Analyze starts and
-	// every profiled execution (phase 1, extra inputs, phase 2) runs under
-	// it. An exceeded deadline surfaces as an error wrapping
-	// interp.ErrDeadline. Batch drivers (internal/farm) use this to stop a
-	// wedged analysis from stalling the whole batch.
+	// every profiled execution (phase 1, phase 2) runs under it. An
+	// exceeded deadline surfaces as an error wrapping interp.ErrDeadline.
+	// Batch drivers (internal/farm) use this to stop a wedged analysis from
+	// stalling the whole batch.
 	Timeout time.Duration
 	// Engine selects the interpreter execution engine for every profiled
 	// run: "" or interp.EngineBytecode (closure-threaded code, the default)
@@ -62,8 +62,9 @@ type Options struct {
 	// Observer, when non-nil, receives per-phase spans (wall time and
 	// allocation deltas), event/dependence counters and the candidate
 	// decision log of this analysis. nil disables telemetry entirely: the
-	// instrumented call sites are nil-safe no-ops and phase-1 runs without
-	// the extra event tracer, so the seed pipeline is unchanged.
+	// instrumented call sites are nil-safe no-ops. Phase 1 runs the same
+	// tracer either way; the events.* counters are read from the profile,
+	// the PET and the collector's access counts after the run.
 	Observer *obs.Observer
 }
 
@@ -152,22 +153,14 @@ func Analyze(p *ir.Program, opts Options) (*Result, error) {
 	col := trace.NewCollector()
 	pb := pet.NewBuilder()
 	col.FeedPET(pb)
-	var tr interp.Tracer = col
-	var ev *obs.EventTracer
-	if o != nil {
-		ev = obs.NewEventTracer(0)
-		tr = interp.Tee(col, ev)
-	}
-	if err := runProgram(p, tr, opts.MaxSteps, deadline, opts.Engine); err != nil {
+	if err := runProgram(p, col, opts.MaxSteps, deadline, opts.Engine); err != nil {
 		return nil, fmt.Errorf("core: phase-1 run: %w", err)
 	}
 	res.Profile = col.Finish(p.Name)
 	res.Tree = pb.Finish()
-	ev.FlushTo(o)
-	o.Add("shadow.pages", col.ShadowPages())
 	sp.End()
 
-	recordProfileCounters(o, res.Profile)
+	recordProfileCounters(o, col, res)
 
 	sp = o.Start("classify.loops")
 	res.Classes = patterns.ClassifyLoops(p, res.Profile)
@@ -276,12 +269,31 @@ func Analyze(p *ir.Program, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// recordProfileCounters exports the phase-1 profile's volumes: dependences
-// recorded, loop-carried summaries, cross-loop pairs, loops observed.
-func recordProfileCounters(o *obs.Observer, prof *trace.Profile) {
+// recordProfileCounters exports the phase-1 volumes: the shadow pages, the
+// events.* totals of the instrumentation stream, read from what the
+// collector, the profile and the PET already hold, and the profile's
+// dependences, loop-carried summaries, cross-loop pairs and loops observed.
+func recordProfileCounters(o *obs.Observer, col *trace.Collector, res *Result) {
 	if o == nil {
 		return
 	}
+	prof := res.Profile
+	o.Add("shadow.pages", col.ShadowPages())
+	loads, stores := col.Accesses()
+	var enters, iters, calls int64
+	for _, t := range prof.LoopTrips {
+		enters += t.Activations
+		iters += t.Iterations
+	}
+	for _, n := range prof.FuncCalls {
+		calls += n
+	}
+	o.Add("events.loads", loads)
+	o.Add("events.stores", stores)
+	o.Add("events.loop_enters", enters)
+	o.Add("events.loop_iters", iters)
+	o.Add("events.calls", calls)
+	o.Add("events.ops", res.Tree.Total)
 	o.Add("profile.deps", int64(len(prof.Deps)))
 	var groups int64
 	for _, gs := range prof.Carried {

@@ -507,30 +507,21 @@ func (u *unit) run(prog *ir.Program, st *store.Store, engine string, timeout tim
 			return
 		}
 	}
-	res, err := core.Analyze(prog, core.Options{
-		InferReductionOperator: true,
-		Timeout:                timeout,
-		Engine:                 engine,
-	})
+	run, err := report.Analyze(prog, u.key, nil, timeout, engine)
 	if err != nil {
 		u.err = err
 		return
 	}
+	e := run.Entry(u.key)
 	u.outcome = OutcomeAnalyzed
-	u.headline = res.Headline
-	u.resultFP = res.Fingerprint()
+	u.headline = e.Headline
+	u.resultFP = e.Fingerprint
 	if st != nil {
-		// Same record shape the serving tier writes, so one store serves
-		// both: corpus-warmed entries answer pardetectd requests and vice
-		// versa. Write failures are survivable — the manifest still records
-		// the result, so only a renamed file would re-analyse.
-		_, _ = st.Put(&store.Entry{
-			Key:         u.key,
-			Program:     prog.Name,
-			Headline:    res.Headline,
-			Fingerprint: u.resultFP,
-			Body:        []byte(res.Summary()),
-		})
+		// Same record the serving tier writes, so one store serves both:
+		// corpus-warmed entries answer pardetectd requests and vice versa.
+		// Write failures are survivable — the manifest still records the
+		// result, so only a renamed file would re-analyse.
+		_, _ = st.Put(e)
 	}
 }
 

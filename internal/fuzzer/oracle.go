@@ -67,17 +67,20 @@ func CheckSeed(seed uint64) *CheckResult {
 }
 
 // checkTracedUntraced is differential oracle D1: instrumentation must be
-// observation-only. The same program runs once bare and once under the full
-// phase-1 tracer tee (dependence collector + PET builder); final array
-// state, return value and statement count must match bit for bit. The
-// deterministic step-limit abort is comparable too — both runs must stop at
-// the same statement with the same state. Both engines are checked: the
-// compiled default, whose batched tracing differs most from the bare run,
-// and the reference tree walker, which no default path exercises.
+// observation-only. The same program runs once bare and once under the
+// phase-1 tracer core.Analyze runs (the dependence collector feeding the
+// PET builder); final array state, return value and statement count must
+// match bit for bit. The deterministic step-limit abort is comparable too —
+// both runs must stop at the same statement with the same state. Both
+// engines are checked: the compiled default, whose batched tracing differs
+// most from the bare run, and the reference tree walker, which no default
+// path exercises.
 func checkTracedUntraced(res *CheckResult, seed uint64) {
 	for _, engine := range []string{interp.EngineBytecode, interp.EngineTree} {
 		bare := executeEngine(seed, nil, engine)
-		traced := executeEngine(seed, interp.Tee(trace.NewCollector(), pet.NewBuilder()), engine)
+		col := trace.NewCollector()
+		col.FeedPET(pet.NewBuilder())
+		traced := executeEngine(seed, col, engine)
 		if !bare.Comparable(traced) {
 			res.skip("traced-vs-untraced", engine+": wall-clock truncation")
 			continue
@@ -234,9 +237,9 @@ func checkFarmedSequential(res *CheckResult, seed uint64) {
 }
 
 // checkObserverTee is differential oracle D3: telemetry must be
-// observation-only. Attaching an observer tees a sampling EventTracer into
-// the phase-1 run; the analysis result fingerprint must nevertheless be
-// identical to the unobserved analysis.
+// observation-only. An observed analysis runs the same phase-1 tracer as an
+// unobserved one and adds spans, counters and the decision log around it;
+// its result fingerprint must be identical to the unobserved analysis.
 func checkObserverTee(res *CheckResult, seed uint64) {
 	plain, errPlain := core.Analyze(Generate(seed), core.Options{MaxSteps: MaxSteps})
 	observed, errObs := core.Analyze(Generate(seed), core.Options{MaxSteps: MaxSteps, Observer: obs.New("fuzz")})

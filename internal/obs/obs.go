@@ -1,6 +1,6 @@
 // Package obs is the pipeline's telemetry layer: phase spans with wall time
-// and allocation deltas, named counters, a sampled event histogram, and a
-// decision log recording why each pattern candidate was accepted or rejected.
+// and allocation deltas, named counters, and a decision log recording why
+// each pattern candidate was accepted or rejected.
 //
 // A span's allocation delta is the growth of the process's cumulative heap
 // allocation (HeapAllocBytes, read from runtime/metrics) between its start
@@ -37,7 +37,6 @@ type Observer struct {
 	roots     []*Span
 	cur       *Span
 	counters  map[string]int64
-	samples   map[int]int64 // source line -> sampled event estimate
 	decisions []Decision
 }
 
@@ -47,7 +46,6 @@ func New(label string) *Observer {
 		label:    label,
 		created:  time.Now(),
 		counters: make(map[string]int64),
-		samples:  make(map[int]int64),
 	}
 }
 
@@ -134,16 +132,6 @@ func (o *Observer) Counter(counter string) int64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.counters[counter]
-}
-
-// addSample folds a sampled per-line event estimate into the histogram.
-func (o *Observer) addSample(line int, n int64) {
-	if o == nil || n == 0 {
-		return
-	}
-	o.mu.Lock()
-	o.samples[line] += n
-	o.mu.Unlock()
 }
 
 // Decision is one entry of the decision log: a pattern candidate together

@@ -99,8 +99,8 @@ func TestCountersAndDecisions(t *testing.T) {
 	}
 }
 
-func TestEventTracerCountsAndSamples(t *testing.T) {
-	et := NewEventTracer(4)
+func TestEventTracerCounts(t *testing.T) {
+	et := NewEventTracer(4) // the argument is ignored
 	var evs []interp.Event
 	for i := 0; i < 10; i++ {
 		evs = append(evs, interp.Event{Kind: interp.EvLoad, A: uint64(i), Line: 7})
@@ -133,15 +133,6 @@ func TestEventTracerCountsAndSamples(t *testing.T) {
 		if got := o.Counter(k); got != v {
 			t.Errorf("%s = %d, want %d", k, got, v)
 		}
-	}
-	// 16 memory events at stride 4 → 4 samples, each scaled ×4.
-	r := o.Snapshot()
-	var total int64
-	for _, s := range r.Samples {
-		total += s.Events
-	}
-	if total != 16 {
-		t.Fatalf("sampled total = %d, want 16 (samples %+v)", total, r.Samples)
 	}
 
 	// Flushing again contributes nothing (deltas were reset).

@@ -19,15 +19,14 @@ const Schema = "pardetect.obs/v1"
 const RunSetSchema = "pardetect.obs.runset/v1"
 
 // Report is the machine-readable export of one observed run: the span tree,
-// the counters, the sampled per-line event histogram and the decision log.
-// This is the schema behind `pardetect -stats-json` and `benchtab -stats-out`.
+// the counters and the decision log. This is the schema behind
+// `pardetect -stats-json` and `benchtab -stats-out`.
 type Report struct {
 	Schema   string       `json:"schema"`
 	Label    string       `json:"label,omitempty"`
 	WallNS   int64        `json:"wall_ns"`
 	Spans    []SpanReport `json:"spans,omitempty"`
 	Counters Counters     `json:"counters"`
-	Samples  []LineSample `json:"sampled_lines,omitempty"`
 	Decide   []Decision   `json:"decisions,omitempty"`
 }
 
@@ -41,12 +40,6 @@ type SpanReport struct {
 	NS         int64        `json:"ns"`
 	AllocBytes int64        `json:"alloc_bytes"`
 	Children   []SpanReport `json:"children,omitempty"`
-}
-
-// LineSample is one entry of the sampled memory-event histogram.
-type LineSample struct {
-	Line   int   `json:"line"`
-	Events int64 `json:"events"`
 }
 
 // RunSet bundles the reports of several runs into one export file.
@@ -72,14 +65,6 @@ func (o *Observer) Snapshot() Report {
 	}
 	for k, v := range o.counters {
 		r.Counters[k] = v
-	}
-	lines := make([]int, 0, len(o.samples))
-	for line := range o.samples {
-		lines = append(lines, line)
-	}
-	sort.Ints(lines)
-	for _, line := range lines {
-		r.Samples = append(r.Samples, LineSample{Line: line, Events: o.samples[line]})
 	}
 	r.Decide = append([]Decision(nil), o.decisions...)
 	return r
@@ -115,13 +100,9 @@ func marshalIndent(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// maxTextSamples bounds the sampled-line rows of the text rendering; the
-// JSON export always carries the full histogram.
-const maxTextSamples = 10
-
 // Text renders the report for humans: the span tree with wall time and
-// allocation deltas, the counter table, the hottest sampled lines and the
-// decision log. The layout is pinned by a golden test.
+// allocation deltas, the counter table and the decision log. The layout is
+// pinned by a golden test.
 func (r Report) Text() string {
 	var sb strings.Builder
 	label := r.Label
@@ -144,22 +125,6 @@ func (r Report) Text() string {
 		sort.Strings(keys)
 		for _, k := range keys {
 			fmt.Fprintf(&sb, "  %-34s %12d\n", k, r.Counters[k])
-		}
-	}
-	if len(r.Samples) > 0 {
-		top := append([]LineSample(nil), r.Samples...)
-		sort.Slice(top, func(i, j int) bool {
-			if top[i].Events != top[j].Events {
-				return top[i].Events > top[j].Events
-			}
-			return top[i].Line < top[j].Line
-		})
-		if len(top) > maxTextSamples {
-			top = top[:maxTextSamples]
-		}
-		fmt.Fprintf(&sb, "hottest sampled lines (top %d of %d):\n", len(top), len(r.Samples))
-		for _, s := range top {
-			fmt.Fprintf(&sb, "  line %-6d ~%d memory events\n", s.Line, s.Events)
 		}
 	}
 	if len(r.Decide) > 0 {

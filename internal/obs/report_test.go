@@ -26,7 +26,6 @@ func goldenReport() Report {
 			"events.loads": 1234,
 			"profile.deps": 49,
 		},
-		Samples: []LineSample{{Line: 3, Events: 27968}},
 		Decide: []Decision{
 			{Stage: "pipeline", Candidate: "f.L1->f.L2", Accepted: true, Code: CodePipeline, Detail: "a=1.000 b=0.000 e=1.000"},
 			{Stage: "taskpar", Candidate: "main()", Accepted: false, Code: CodeNoIndependentWork, Detail: "no two path-independent substantial CUs"},
@@ -66,12 +65,6 @@ const goldenJSON = `{
     "events.loads": 1234,
     "profile.deps": 49
   },
-  "sampled_lines": [
-    {
-      "line": 3,
-      "events": 27968
-    }
-  ],
   "decisions": [
     {
       "stage": "pipeline",
@@ -100,8 +93,6 @@ phase spans (wall time, allocated bytes):
 counters:
   events.loads                               1234
   profile.deps                                 49
-hottest sampled lines (top 1 of 1):
-  line 3      ~27968 memory events
 decision log:
   [pipeline ] f.L1->f.L2                         accepted PIPELINE                   a=1.000 b=0.000 e=1.000
   [taskpar  ] main()                             rejected NO_INDEPENDENT_WORK        no two path-independent substantial CUs

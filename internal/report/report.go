@@ -8,14 +8,17 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"pardetect/internal/apps"
 	"pardetect/internal/core"
+	"pardetect/internal/ir"
 	"pardetect/internal/obs"
 	"pardetect/internal/patterns"
 	"pardetect/internal/sched"
 	"pardetect/internal/static"
+	"pardetect/internal/store"
 	"pardetect/internal/trace"
 )
 
@@ -49,14 +52,59 @@ func RunAppEngine(name string, o *obs.Observer, timeout time.Duration, engine st
 	if app == nil {
 		return nil, fmt.Errorf("report: unknown app %q", name)
 	}
-	res, err := core.Analyze(app.Build(), core.Options{
+	return runApp(app, app.Build(), o, timeout, engine)
+}
+
+// Analyze analyses prog, whose content address (core.ProgramFingerprint) is
+// key, with RunAppEngine's telemetry, deadline and engine. A key that is a
+// registered app's fingerprint names that app's program, which gets the
+// app's full run, analysis plus schedule sweep, whether it was built by
+// name or decoded from wire IR; any other program is analysed alone. The
+// service and corpus mode both analyse through here, so the entry stored
+// under an app's key carries its sweep whichever path computed it.
+func Analyze(prog *ir.Program, key string, o *obs.Observer, timeout time.Duration, engine string) (*AppRun, error) {
+	if _, byKey := appKeys(); byKey[key] != nil {
+		return runApp(byKey[key], prog, o, timeout, engine)
+	}
+	res, err := analyze(prog, o, timeout, engine)
+	if err != nil {
+		return nil, err
+	}
+	return &AppRun{Result: res}, nil
+}
+
+// AppKey returns the content address of a registered app's program, or ""
+// for an unknown app.
+func AppKey(name string) string {
+	byName, _ := appKeys()
+	return byName[name]
+}
+
+// appKeys fingerprints every registered app's program once: the key by app
+// name, and the app by key.
+var appKeys = sync.OnceValues(func() (map[string]string, map[string]*apps.App) {
+	byName, byKey := map[string]string{}, map[string]*apps.App{}
+	for _, a := range apps.All() {
+		k := core.ProgramFingerprint(a.Build())
+		byName[a.Name], byKey[k] = k, a
+	}
+	return byName, byKey
+})
+
+func analyze(prog *ir.Program, o *obs.Observer, timeout time.Duration, engine string) (*core.Result, error) {
+	return core.Analyze(prog, core.Options{
 		InferReductionOperator: true,
 		Observer:               o,
 		Timeout:                timeout,
 		Engine:                 engine,
 	})
+}
+
+// runApp analyses prog, the program of app, and simulates app's schedule.
+func runApp(app *apps.App, prog *ir.Program, o *obs.Observer, timeout time.Duration, engine string) (*AppRun, error) {
+	res, err := analyze(prog, o, timeout, engine)
 	if err != nil {
-		return nil, fmt.Errorf("report: %s: %w", name, err)
+		return nil, fmt.Errorf("report: %s: %w", app.Name, err)
 	}
 	run := &AppRun{App: app, Result: res}
 	if app.Schedule != nil {
@@ -70,6 +118,25 @@ func RunAppEngine(name string, o *obs.Observer, timeout time.Duration, engine st
 		o.Add("sched.points", int64(len(run.Sweep)))
 	}
 	return run, nil
+}
+
+// Entry is the run's result record under key, the shape the service's cache
+// and the persistent store hold: the rendered summary, the result digest,
+// the headline and, for an app with a schedule model, the sweep's peak.
+func (r *AppRun) Entry(key string) *store.Entry {
+	res := r.Result
+	e := &store.Entry{
+		Key:         key,
+		Body:        []byte(res.Summary()),
+		Fingerprint: res.Fingerprint(),
+		Program:     res.Program.Name,
+		Headline:    res.Headline,
+	}
+	if r.Sweep != nil {
+		e.BestThreads = r.Best.Threads
+		e.BestSpeedup = r.Best.Speedup
+	}
+	return e
 }
 
 // RunAll analyses every Table III benchmark in row order.

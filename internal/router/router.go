@@ -100,7 +100,6 @@ type Router struct {
 	client    *http.Client
 	mux       *http.ServeMux
 	reg       *metrics.Registry
-	appFP     sync.Map // app name → fingerprint (registered apps are static)
 	rr        atomic.Uint64
 	start     time.Time
 	cancel    context.CancelFunc
@@ -253,15 +252,10 @@ func (rt *Router) candidatesFor(key string) []*backend {
 func (rt *Router) analyzeKey(r *http.Request, body []byte) string {
 	if r.Method == http.MethodGet {
 		name := r.URL.Query().Get("app")
-		if fp, ok := rt.appFP.Load(name); ok {
-			return fp.(string)
+		if fp := server.AppFingerprint(name); fp != "" {
+			return fp
 		}
-		fp := server.AppFingerprint(name)
-		if fp == "" {
-			return "app:" + name // unknown app: let the home backend 404 it
-		}
-		rt.appFP.Store(name, fp)
-		return fp
+		return "app:" + name // unknown app: let the home backend 404 it
 	}
 	return wireKey(body)
 }

@@ -155,8 +155,8 @@ func (s *Server) runBatchLine(i int, raw []byte, params analyzeParams, deadline 
 	}
 	line.Program = prog.Name
 	// No per-line observer: nothing reads one, and a nil observer keeps the
-	// analysis free of span, decision and sampler work.
-	entry, verdict, err := s.lookupOrAnalyze(prog, "", lineParams, nil)
+	// analysis free of span, counter and decision work.
+	entry, verdict, err := s.lookupOrAnalyze(prog, lineParams, nil)
 	if err != nil {
 		line.Outcome, line.Error = errOutcome(err), err.Error()
 		return line

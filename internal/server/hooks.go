@@ -10,10 +10,10 @@ import (
 	"strings"
 	"sync"
 
-	"pardetect/internal/apps"
 	"pardetect/internal/core"
 	"pardetect/internal/obs"
 	"pardetect/internal/obs/metrics"
+	"pardetect/internal/report"
 	"pardetect/internal/wire"
 )
 
@@ -52,13 +52,7 @@ func FingerprintWire(data []byte) (string, error) {
 // AppFingerprint returns the content address of a registered benchmark
 // app's program — the key a GET /analyze?app=name request resolves to —
 // or "" for an unknown app.
-func AppFingerprint(name string) string {
-	app := apps.Get(name)
-	if app == nil {
-		return ""
-	}
-	return core.ProgramFingerprint(app.Build())
-}
+func AppFingerprint(name string) string { return report.AppKey(name) }
 
 // BatchLines splits an NDJSON batch body (POST /analyze/batch) into its
 // non-empty lines, each trimmed of surrounding white space, and checks them

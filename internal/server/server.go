@@ -499,7 +499,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var appName string // non-empty when analysing a registered app
 	switch r.Method {
 	case http.MethodGet:
 		name := r.URL.Query().Get("app")
@@ -508,7 +507,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			s.clientError(w, http.StatusNotFound, "unknown app %q (see /apps)", name)
 			return
 		}
-		appName = name
 		sp := ro.Start("build_ir")
 		prog = app.Build()
 		sp.End()
@@ -531,7 +529,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	entry, verdict, err := s.lookupOrAnalyze(prog, appName, params, ro)
+	entry, verdict, err := s.lookupOrAnalyze(prog, params, ro)
 	if err != nil {
 		s.analysisError(w, err)
 		return
@@ -577,7 +575,7 @@ func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request) (func(), bo
 // tier that answered: "hit" (either cache tier), "miss" (this call
 // analysed), "join" (rode along on a concurrent identical request) or
 // "bypass" (cache=skip).
-func (s *Server) lookupOrAnalyze(prog *ir.Program, appName string, params analyzeParams, ro *obs.Observer) (*store.Entry, string, error) {
+func (s *Server) lookupOrAnalyze(prog *ir.Program, params analyzeParams, ro *obs.Observer) (*store.Entry, string, error) {
 	// The content address: requests for the same program — by name or by
 	// POSTed IR — share one cache entry and one flight, across engines
 	// (the engines are observationally identical).
@@ -596,7 +594,7 @@ func (s *Server) lookupOrAnalyze(prog *ir.Program, appName string, params analyz
 	}
 
 	run := func() (*store.Entry, error) {
-		return s.analyze(prog, appName, params, key, ro)
+		return s.analyze(prog, params, key, ro)
 	}
 	if params.skip {
 		s.m.cacheBypass.Inc()
@@ -625,27 +623,15 @@ func (s *Server) lookupOrAnalyze(prog *ir.Program, appName string, params analyz
 // side) and the analysis span with the pipeline's own phase spans and
 // decision log under it (worker side); the handler goroutine blocks on the
 // reply channel while the worker runs, so the two sides never race on ro.
-func (s *Server) analyze(prog *ir.Program, appName string, params analyzeParams, key string, ro *obs.Observer) (*store.Entry, error) {
+func (s *Server) analyze(prog *ir.Program, params analyzeParams, key string, ro *obs.Observer) (*store.Entry, error) {
 	qSpan := ro.Start("queue_wait")
 	job := farm.Job{Name: prog.Name, Run: func(o *obs.Observer) (*report.AppRun, error) {
 		qSpan.End()
 		aSpan := ro.Start("analysis")
 		defer aSpan.End()
-		if appName != "" {
-			// The full CLI pipeline for registered apps: analysis plus the
-			// schedule sweep behind Table III's speedup column.
-			return report.RunAppEngine(appName, ro, params.timeout, params.engine)
-		}
-		res, err := core.Analyze(prog, core.Options{
-			InferReductionOperator: true,
-			Timeout:                params.timeout,
-			Engine:                 params.engine,
-			Observer:               ro,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &report.AppRun{Result: res}, nil
+		// A registered app's program, requested by name or POSTed as IR,
+		// also gets the schedule sweep behind Table III's speedup column.
+		return report.Analyze(prog, key, ro, params.timeout, params.engine)
 	}}
 	reply, ok := s.pool.TrySubmit(job)
 	if !ok {
@@ -661,19 +647,7 @@ func (s *Server) analyze(prog *ir.Program, appName string, params analyzeParams,
 	if r.Err != nil {
 		return nil, r.Err
 	}
-	res := r.Run.Result
-	e := &store.Entry{
-		Key:         key,
-		Body:        []byte(res.Summary()),
-		Fingerprint: res.Fingerprint(),
-		Program:     prog.Name,
-		Headline:    res.Headline,
-	}
-	if r.Run.Sweep != nil {
-		e.BestThreads = r.Run.Best.Threads
-		e.BestSpeedup = r.Run.Best.Speedup
-	}
-	return e, nil
+	return r.Run.Entry(key), nil
 }
 
 // errOutcome classifies an analysis failure in the outcome vocabulary both

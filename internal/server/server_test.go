@@ -545,3 +545,52 @@ func TestFlightGroupJoinsAndDoesNotStickErrors(t *testing.T) {
 		t.Fatalf("post-error flight: e=%v err=%v joined=%v", e, err, joined)
 	}
 }
+
+// appEnvelope requests mvt's JSON envelope from ts, by name (GET) or as the
+// wire IR in doc (POST), checks the cache verdict and returns the envelope
+// with its verdict cleared.
+func appEnvelope(t *testing.T, ts *httptest.Server, doc []byte, verdict string) analyzeResponse {
+	t.Helper()
+	var resp *http.Response
+	var body []byte
+	if doc == nil {
+		resp, body = get(t, ts.URL+"/analyze?app=mvt&format=json")
+	} else {
+		resp, body = post(t, ts.URL+"/analyze?format=json", doc)
+	}
+	var env analyzeResponse
+	if err := json.Unmarshal(body, &env); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, body %s, unmarshal error %v", resp.StatusCode, body, err)
+	}
+	if env.Cache != verdict {
+		t.Fatalf("cache verdict %q, want %q", env.Cache, verdict)
+	}
+	env.Cache = ""
+	return env
+}
+
+// TestAppEnvelopeIndependentOfRequestOrder: a registered app requested by
+// name and the same program POSTed as wire IR share one cache entry, and
+// that entry carries the app's schedule sweep whichever request computed
+// it, so the envelope does not depend on which came first.
+func TestAppEnvelopeIndependentOfRequestOrder(t *testing.T) {
+	_, tsA := newTestServer(t, Options{Workers: 1})
+	_, doc := get(t, tsA.URL+"/ir?app=mvt")
+	getFirst := appEnvelope(t, tsA, nil, "miss")
+	postSecond := appEnvelope(t, tsA, doc, "hit")
+
+	_, tsB := newTestServer(t, Options{Workers: 1})
+	postFirst := appEnvelope(t, tsB, doc, "miss")
+	getSecond := appEnvelope(t, tsB, nil, "hit")
+
+	if getFirst.BestThreads < 1 || getFirst.BestSpeedup <= 0 {
+		t.Fatalf("mvt envelope missing its sweep best: %+v", getFirst)
+	}
+	for name, env := range map[string]analyzeResponse{
+		"POST after GET": postSecond, "POST first": postFirst, "GET after POST": getSecond,
+	} {
+		if env != getFirst {
+			t.Errorf("%s envelope differs from a first GET:\n%+v\n%+v", name, env, getFirst)
+		}
+	}
+}

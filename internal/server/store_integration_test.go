@@ -255,3 +255,24 @@ func TestStoreSharedWithCorpus(t *testing.T) {
 		t.Fatalf("corpus pass over server-analysed programs: %+v, %v; want %d cached, 0 analysed", rep, err, n)
 	}
 }
+
+// TestCorpusStoresAppSweep: a corpus pass over a registered app's wire IR
+// stores the app's full result, schedule sweep included, so a server
+// sharing the store answers GET ?app= with the envelope a fresh server
+// computes.
+func TestCorpusStoresAppSweep(t *testing.T) {
+	storeDir, dir := t.TempDir(), t.TempDir()
+	_, ts := newTestServer(t, Options{Workers: 1})
+	_, doc := get(t, ts.URL+"/ir?app=mvt")
+	if err := os.WriteFile(filepath.Join(dir, corpus.FileName(0)), doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := corpus.Run(corpus.Options{Dir: dir, StoreDir: storeDir}); err != nil || rep.Analyzed != 1 {
+		t.Fatalf("corpus pass: %+v, %v; want 1 analysed", rep, err)
+	}
+	_, warm, stop := startStoreServer(t, Options{Workers: 1, StoreDir: storeDir})
+	defer stop()
+	if got, want := appEnvelope(t, warm, nil, "hit"), appEnvelope(t, ts, nil, "miss"); got != want {
+		t.Fatalf("store hit envelope differs from a fresh analysis:\n%+v\n%+v", got, want)
+	}
+}

@@ -31,6 +31,8 @@ type Collector struct {
 	// snapTrunc counts shadow-memory snapshots whose loop nest exceeded
 	// maxSnapDepth and was truncated (Profile.SnapshotTruncated).
 	snapTrunc int64
+	// loads and stores count the memory events walked (Accesses).
+	loads, stores int64
 
 	// lastWrite/lastRead are direct-indexed paged shadow tables (shadow.go)
 	// over the interpreter's dense address space — the profiler's hot path.
@@ -351,6 +353,12 @@ func (c *Collector) ShadowPages() int64 {
 	return c.lastWrite.pages + c.lastRead.pages
 }
 
+// Accesses reports how many load and store events the run delivered (the
+// obs counters events.loads and events.stores).
+func (c *Collector) Accesses() (loads, stores int64) {
+	return c.loads, c.stores
+}
+
 func (c *Collector) loopEnter(id uint32) {
 	c.nextAct++
 	c.loops = append(c.loops, liveLoop{id: id, act: c.nextAct, iter: -1})
@@ -572,9 +580,11 @@ func (c *Collector) TraceBatch(names []string, events []interp.Event) {
 		e := &events[i]
 		switch e.Kind {
 		case interp.EvLoad:
+			c.loads++
 			c.load(interp.Addr(e.A), c.batchSym[e.Name], e.Array, e.Line)
 			continue
 		case interp.EvStore:
+			c.stores++
 			c.store(interp.Addr(e.A), c.batchSym[e.Name], e.Array, e.Line)
 			continue
 		case interp.EvLoopEnter:

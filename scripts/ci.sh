@@ -4,9 +4,12 @@
 # In order:
 #   - repo hygiene (scripts/hygiene.sh): the tree tracks no built binaries
 #     and no scratch benchmark artifacts (*.fresh.json);
-#   - gofmt, and a telemetry-cost check: no non-test Go file may call
+#   - gofmt, and two telemetry-cost checks: no non-test Go file may call
 #     runtime.ReadMemStats, which stops the world (spans and farm jobs read
-#     runtime/metrics through obs.HeapAllocBytes);
+#     runtime/metrics through obs.HeapAllocBytes), and no non-test Go file
+#     outside internal/obs and the benchmark module (bench/) may name
+#     obs.EventTracer: an observed analysis reads its events.* counters
+#     from the phase-1 collector, so phase 1 runs one tracer either way;
 #   - go vet, go build, go test, and a shuffled test pass (-shuffle=on) to
 #     catch test-order dependencies;
 #   - a race-detector pass over the concurrency-sensitive packages: the
@@ -72,6 +75,14 @@ memstats=$(grep -rn --include='*.go' --exclude='*_test.go' 'runtime\.ReadMemStat
 if [ -n "$memstats" ]; then
     echo "runtime.ReadMemStats stops the world on every call; read runtime/metrics instead (obs.HeapAllocBytes):" >&2
     echo "$memstats" >&2
+    exit 1
+fi
+
+echo "==> no obs.EventTracer outside internal/obs and bench/ (phase 1 runs one tracer)"
+evtracer=$(grep -rn --include='*.go' --exclude='*_test.go' 'EventTracer' . | grep -v -e '^\./internal/obs/' -e '^\./bench/' || true)
+if [ -n "$evtracer" ]; then
+    echo "obs.EventTracer is a second phase-1 consumer; read events.* from the collector instead (core.recordProfileCounters):" >&2
+    echo "$evtracer" >&2
     exit 1
 fi
 
