@@ -31,10 +31,10 @@
 // output for the same program. The bound address is printed to stderr
 // (useful with ":0"); SIGINT/SIGTERM drain in-flight analyses before exit.
 //
-// -store-dir enables the persistent result store: completed analyses are
-// written behind to DIR and survive restarts — a relaunched daemon pointed at
-// the same directory serves them as cache hits without re-analysing. Shutdown
-// flushes the write queue, so a drained SIGTERM loses nothing.
+// -store-dir enables the persistent result store: each completed analysis is
+// written through to DIR before its response is sent and survives restarts —
+// a relaunched daemon pointed at the same directory serves it as a cache hit
+// without re-analysing, after a SIGTERM drain or a SIGKILL alike.
 //
 // -tenant-rps and -tenant-inflight enforce per-tenant fairness keyed on the
 // X-Pardetect-Tenant header (unlabelled requests share one bucket): a tenant

@@ -15,14 +15,23 @@ import (
 // farmed vs. sequential execution, telemetry on vs. off — produce equal
 // fingerprints for the same program.
 func (r *Result) Fingerprint() string {
+	_, fp := r.SummaryAndFingerprint()
+	return fp
+}
+
+// SummaryAndFingerprint returns Summary() and Fingerprint() from one
+// rendering of the summary, most of what either costs on a small program.
+// A stored result needs both.
+func (r *Result) SummaryAndFingerprint() (summary, fingerprint string) {
+	summary = r.Summary()
 	h := fnv.New64a()
-	fmt.Fprintf(h, "summary:%s\n", r.Summary())
+	fmt.Fprintf(h, "summary:%s\n", summary)
 	fmt.Fprintf(h, "profile:%s\n", r.Profile.Fingerprint())
 	fmt.Fprintf(h, "hotspotfn:%s share=%.6f\n", r.HotspotFunc, r.HotspotSharePct)
 	for _, hs := range r.Hotspots {
 		fmt.Fprintf(h, "hotspot %s %s share=%.6f\n", hs.Node.Kind, hs.Node.Name, hs.Share)
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return summary, fmt.Sprintf("%016x", h.Sum64())
 }
 
 // ProgramFingerprint returns a deterministic digest of a program's content:

@@ -125,10 +125,11 @@ func runApp(app *apps.App, prog *ir.Program, o *obs.Observer, timeout time.Durat
 // the headline and, for an app with a schedule model, the sweep's peak.
 func (r *AppRun) Entry(key string) *store.Entry {
 	res := r.Result
+	summary, fp := res.SummaryAndFingerprint()
 	e := &store.Entry{
 		Key:         key,
-		Body:        []byte(res.Summary()),
-		Fingerprint: res.Fingerprint(),
+		Body:        []byte(summary),
+		Fingerprint: fp,
 		Program:     res.Program.Name,
 		Headline:    res.Headline,
 	}

@@ -64,8 +64,10 @@ func TestServiceCounters(t *testing.T) {
 	postBatch(t, ts.URL+"/analyze/batch", append(append(doc, '\n'), "{bad"...))
 	_, hz := get(t, ts.URL+"/healthz")
 	get(t, ts.URL+"/ir?app=bicg")
-	// Store writes happen behind the response; wait for both.
-	waitUntil(t, "write-behind", func() bool { return s.m.storeOps["write"].Value() == 2 })
+	// Each miss wrote its entry through before answering.
+	if n := s.m.storeOps["write"].Value(); n != 2 {
+		t.Fatalf("store writes after the mix = %d, want 2", n)
+	}
 
 	var health map[string]any
 	if err := json.Unmarshal(hz, &health); err != nil {

@@ -81,9 +81,9 @@ type Options struct {
 	SlowSamples int
 	// StoreDir enables the persistent result store (internal/store): a
 	// disk-backed tier under the in-memory LRU that survives restarts. A
-	// cache miss probes the store before analysing; completed analyses are
-	// written behind; startup warms the LRU with the most recent entries.
-	// Empty disables the store.
+	// cache miss probes the store before analysing; a completed analysis is
+	// written through before its response is sent; startup warms the LRU
+	// with the most recent entries. Empty disables the store.
 	StoreDir string
 	// StoreMaxEntries bounds the entries the store serves (oldest evicted
 	// beyond it, their bytes compacted away later); values < 1 select the
@@ -144,17 +144,14 @@ type Server struct {
 	slow    *slowSampler
 	httpSrv *http.Server
 	start   time.Time
-	// The persistent tier: a miss probes store, a completed analysis is
-	// queued on storeCh and written behind by storeWriter; Shutdown flushes
-	// the queue so a clean restart loses nothing.
-	store     *store.Store
-	storeCh   chan *store.Entry
-	storeWG   sync.WaitGroup
-	storeOnce sync.Once
-	runID     string // base-36 start stamp prefixing generated request IDs
-	reqSeq    atomic.Int64
-	logMu     sync.Mutex // serialises AccessLog writes
-	closing   atomic.Bool
+	// The persistent tier: a miss probes store, and the flight leader writes
+	// a completed analysis through to it before answering, so an answered
+	// result survives even a killed process.
+	store   *store.Store
+	runID   string // base-36 start stamp prefixing generated request IDs
+	reqSeq  atomic.Int64
+	logMu   sync.Mutex // serialises AccessLog writes
+	closing atomic.Bool
 	// gate tracks analysis-bearing requests for the non-embedded drain path
 	// (tests mounting Handler on their own listener): handlers hold a read
 	// lock while working, Shutdown takes the write lock to wait them out.
@@ -184,9 +181,6 @@ func New(opts Options) (*Server, error) {
 			return nil, fmt.Errorf("server: opening result store: %w", err)
 		}
 		s.store = st
-		s.storeCh = make(chan *store.Entry, 256)
-		s.storeWG.Add(1)
-		go s.storeWriter()
 		s.warmFromStore()
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -241,9 +235,10 @@ func (s *Server) Serve(ln net.Listener) error { return s.httpSrv.Serve(ln) }
 
 // Shutdown drains the service: new work is rejected with 503, in-flight
 // requests (including their queued analyses) run to completion, the
-// worker pool is closed, and the store's write-behind queue is flushed
-// before the store is closed. It honors ctx the way net/http.Server.Shutdown
-// does. Safe to call whether or not Serve was used.
+// worker pool is closed, and then the store is closed. Every answered
+// result is already on disk, so there is nothing to flush. It honors ctx
+// the way net/http.Server.Shutdown does. Safe to call whether or not Serve
+// was used.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closing.Store(true)
 	err := s.httpSrv.Shutdown(ctx)
@@ -252,13 +247,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.gate.Lock()
 	s.gate.Unlock() //nolint:staticcheck // empty critical section is the drain barrier
 	s.pool.Close()
-	// Flush the write-behind store queue: no handler is running (the gate
-	// barrier passed) so no new entries can be enqueued, and every entry
-	// already queued must reach disk before exit — the warm-restart
-	// guarantee depends on it.
-	if s.storeCh != nil {
-		s.storeOnce.Do(func() { close(s.storeCh) })
-		s.storeWG.Wait()
+	// No handler is running (the gate barrier passed), so no Put races
+	// the close.
+	if s.store != nil {
 		s.store.Close()
 	}
 	return err
@@ -266,29 +257,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // --- the persistent store tier --------------------------------------------
 
-// storeWriter is the write-behind goroutine: it drains storeCh onto disk so
-// request latency never includes the store write. Closing storeCh (from
-// Shutdown, after the drain barrier) flushes and stops it.
-func (s *Server) storeWriter() {
-	defer s.storeWG.Done()
-	for e := range s.storeCh {
-		evicted, err := s.store.Put(e)
-		if err != nil {
-			s.m.storeOps["write_error"].Inc()
-			continue
-		}
-		s.m.storeOps["write"].Inc()
-		s.m.storeOps["evict"].Add(int64(evicted))
+// storeWrite writes a freshly computed entry through to the disk tier, as
+// corpus mode does, counting the write and the entries it evicted. A failed
+// write is counted and otherwise survivable: the result is still answered
+// and cached in memory.
+func (s *Server) storeWrite(e *store.Entry) {
+	if s.store == nil {
+		return
 	}
-}
-
-// storeEnqueue hands a freshly computed entry to the write-behind writer.
-// The send blocks if the writer is more than a queue behind — backpressure
-// on disk, not data loss.
-func (s *Server) storeEnqueue(e *store.Entry) {
-	if s.storeCh != nil {
-		s.storeCh <- e
+	evicted, err := s.store.Put(e)
+	if err != nil {
+		s.m.storeOps["write_error"].Inc()
+		return
 	}
+	s.m.storeOps["write"].Inc()
+	s.m.storeOps["evict"].Add(int64(evicted))
 }
 
 // storeProbe checks the disk tier on an LRU miss, counting the probe and
@@ -570,11 +553,11 @@ func (s *Server) admitTenant(w http.ResponseWriter, r *http.Request) (func(), bo
 
 // lookupOrAnalyze resolves one program through the full tier stack: the
 // in-memory LRU, then the persistent store (warming the LRU on a store
-// hit), then singleflight-deduplicated analysis on the worker pool, with
-// the computed entry written back to both tiers. The verdict names the
-// tier that answered: "hit" (either cache tier), "miss" (this call
-// analysed), "join" (rode along on a concurrent identical request) or
-// "bypass" (cache=skip).
+// hit), then singleflight-deduplicated analysis on the worker pool, whose
+// leader writes the computed entry to both tiers before it returns. The
+// verdict names the tier that answered: "hit" (either cache tier), "miss"
+// (this call analysed), "join" (rode along on a concurrent identical
+// request) or "bypass" (cache=skip).
 func (s *Server) lookupOrAnalyze(prog *ir.Program, params analyzeParams, ro *obs.Observer) (*store.Entry, string, error) {
 	// The content address: requests for the same program — by name or by
 	// POSTed IR — share one cache entry and one flight, across engines
@@ -606,7 +589,7 @@ func (s *Server) lookupOrAnalyze(prog *ir.Program, params analyzeParams, ro *obs
 		e, err := run()
 		if err == nil {
 			s.cache.put(e)
-			s.storeEnqueue(e)
+			s.storeWrite(e)
 		}
 		return e, err
 	})

@@ -10,14 +10,16 @@ import (
 	"testing"
 	"time"
 
+	"pardetect/internal/core"
 	"pardetect/internal/corpus"
 	"pardetect/internal/fuzzer"
+	"pardetect/internal/store"
 	"pardetect/internal/wire"
 )
 
 // startStoreServer builds a server backed by dir without the shared cleanup,
-// so tests control shutdown ordering (the restart tests need server A fully
-// flushed before server B opens the same directory).
+// so tests control shutdown ordering (the restart tests shut server A down
+// before server B opens the same directory).
 func startStoreServer(t *testing.T, opts Options) (*Server, *httptest.Server, func()) {
 	t.Helper()
 	s, err := New(opts)
@@ -67,7 +69,7 @@ func TestStoreWarmRestart(t *testing.T) {
 		keys[r.Header.Get("X-Pardetect-Fingerprint")] = true
 		bodies[i] = b
 	}
-	stopA() // Shutdown flushes the write-behind queue
+	stopA() // Shutdown closes the store, releasing its segment lock
 	if len(keys) != 1+len(pool) {
 		t.Fatalf("%d distinct fingerprints over bicg and %d pool programs, want all distinct", len(keys), len(pool))
 	}
@@ -108,6 +110,42 @@ func TestStoreWarmRestart(t *testing.T) {
 	}
 	if n := sB.Counters()["server.analyses"]; n != 0 {
 		t.Fatalf("server.analyses after warm-restart hits = %d, want 0", n)
+	}
+}
+
+// TestStoreWriteThrough: a miss's entry is on disk once its response has
+// arrived. With the server still running and no Shutdown, a second store
+// handle on the same directory reads the entry under the program's key, and
+// it carries the answered body and X-Pardetect-Fingerprint.
+func TestStoreWriteThrough(t *testing.T) {
+	dir := t.TempDir()
+	prog := fuzzer.Generate(7100)
+	doc, err := wire.EncodeProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Options{Workers: 1, StoreDir: dir})
+	r, body := post(t, ts.URL+"/analyze", doc)
+	if r.StatusCode != http.StatusOK || r.Header.Get("X-Pardetect-Cache") != "miss" {
+		t.Fatalf("POST: status %d, verdict %q, body %s", r.StatusCode, r.Header.Get("X-Pardetect-Cache"), body)
+	}
+	if n := s.Counters()["server.store.writes"]; n != 1 {
+		t.Fatalf("server.store.writes = %d when the response arrived, want 1", n)
+	}
+	peer, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	e, res := peer.Get(core.ProgramFingerprint(prog))
+	if res != store.Hit {
+		t.Fatalf("fresh handle Get of the answered program = %v, want Hit", res)
+	}
+	if fp := r.Header.Get("X-Pardetect-Fingerprint"); e.Fingerprint != fp {
+		t.Fatalf("stored fingerprint %q, answered %q", e.Fingerprint, fp)
+	}
+	if !bytes.Equal(e.Body, body) {
+		t.Fatalf("stored body differs from the answered one")
 	}
 }
 
@@ -249,7 +287,7 @@ func TestStoreSharedWithCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stop() // flushes the write-behind queue
+	stop() // closes the store; every answered result is already on disk
 	rep, err = corpus.Run(corpus.Options{Dir: dir2, StoreDir: storeDir, Manifest: filepath.Join(t.TempDir(), "fresh.json")})
 	if err != nil || rep.Cached != n || rep.Analyzed != 0 {
 		t.Fatalf("corpus pass over server-analysed programs: %+v, %v; want %d cached, 0 analysed", rep, err, n)

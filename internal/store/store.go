@@ -37,15 +37,17 @@
 // that locks the segment. A whole frame that fails its CRC, JSON, schema or
 // key check reads Corrupt once and is dropped from the index.
 //
-// Space: eviction beyond MaxEntries (oldest stamp first) removes entries
-// from the index only. Once the dead bytes in a handle's segments exceed
-// both their live bytes and compactMinBytes, the handle copies the live
-// records into a new segment and deletes the old ones, so the segments a
-// handle owns hold at most 2 × live + compactMinBytes bytes plus one frame.
+// Space: eviction beyond MaxEntries (oldest stamp first, kept in a heap)
+// removes entries from the index only. Once the dead bytes in a handle's
+// segments exceed both their live bytes and compactMinBytes, the handle
+// copies the live records into a new segment and deletes the old ones, so
+// the segments a handle owns hold at most 2 × live + compactMinBytes bytes
+// plus one frame.
 package store
 
 import (
 	"bufio"
+	"container/heap"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -54,6 +56,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -146,6 +149,30 @@ type loc struct {
 	stamp int64
 }
 
+// aged is an eviction-order item: a key and the stamp it was indexed with.
+// An item whose stamp no longer matches the index is stale and is dropped
+// when it reaches the top.
+type aged struct {
+	stamp int64
+	key   string
+}
+
+// ageHeap orders items oldest stamp first, ties broken by key.
+type ageHeap []aged
+
+func (h ageHeap) Len() int { return len(h) }
+func (h ageHeap) Less(i, j int) bool {
+	return h[i].stamp < h[j].stamp || h[i].stamp == h[j].stamp && h[i].key < h[j].key
+}
+func (h ageHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *ageHeap) Push(x any)   { *h = append(*h, x.(aged)) }
+func (h *ageHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
 // Store is a disk-backed content-addressed entry store. All methods are
 // safe for concurrent use. One mutex guards the index and the segment set;
 // Get reads records outside it.
@@ -156,6 +183,7 @@ type Store struct {
 
 	mu   sync.Mutex
 	idx  map[string]loc
+	age  ageHeap             // an item per index entry, plus stale ones
 	segs map[string]*segment // by file name
 	w    *segment            // the segment Puts append to; nil once closed
 	last int64               // newest stamp ever indexed; floors self-stamped Puts
@@ -327,11 +355,25 @@ func frame(key string, stamp int64, payload []byte) []byte {
 	return b
 }
 
-// index points key at l, moving the live-byte accounting with it.
+// index points key at l, moving the live-byte accounting with it, and
+// gives the entry an eviction-order item unless it keeps its stamp. The
+// heap is rebuilt from the index once stale items make up half of it.
 func (s *Store) index(key string, l loc) {
+	old, ok := s.idx[key]
 	s.unindex(key)
 	s.idx[key] = l
 	l.seg.live += l.n
+	if ok && old.stamp == l.stamp {
+		return
+	}
+	heap.Push(&s.age, aged{l.stamp, key})
+	if len(s.age) > 2*len(s.idx) {
+		s.age = s.age[:0]
+		for k, kl := range s.idx {
+			s.age = append(s.age, aged{kl.stamp, k})
+		}
+		heap.Init(&s.age)
+	}
 }
 
 func (s *Store) unindex(key string) {
@@ -525,14 +567,11 @@ func (s *Store) Put(e *Entry) (evicted int, err error) {
 // Called with s.mu held.
 func (s *Store) evict() (evicted int) {
 	for len(s.idx) > s.max {
-		oldKey, oldStamp := "", int64(0)
-		for k, l := range s.idx {
-			if oldKey == "" || l.stamp < oldStamp || l.stamp == oldStamp && k < oldKey {
-				oldKey, oldStamp = k, l.stamp
-			}
+		a := heap.Pop(&s.age).(aged)
+		if l, ok := s.idx[a.key]; ok && l.stamp == a.stamp {
+			s.unindex(a.key)
+			evicted++
 		}
-		s.unindex(oldKey)
-		evicted++
 	}
 	return evicted
 }
@@ -548,13 +587,14 @@ func (s *Store) compact() error {
 	}
 	moved := make(map[string]loc)
 	bw := bufio.NewWriterSize(n.f, 64<<10)
+	var buf []byte // one record at a time: io.Copy would allocate per record
 	for k, l := range s.idx {
 		if !l.seg.owned {
 			continue
 		}
-		var c int64
-		if c, err = io.Copy(bw, io.NewSectionReader(l.seg.f, l.off, l.n)); err == nil && c != l.n {
-			err = io.ErrUnexpectedEOF
+		buf = slices.Grow(buf[:0], int(l.n))[:l.n]
+		if _, err = l.seg.f.ReadAt(buf, l.off); err == nil {
+			_, err = bw.Write(buf)
 		}
 		if err != nil {
 			break
@@ -599,7 +639,7 @@ func (s *Store) Close() error {
 			err = cerr
 		}
 	}
-	s.idx, s.segs, s.w = nil, nil, nil
+	s.idx, s.age, s.segs, s.w = nil, nil, nil, nil
 	return err
 }
 

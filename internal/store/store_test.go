@@ -241,33 +241,85 @@ func TestCorruptVariants(t *testing.T) {
 	}
 }
 
+// TestEvictionOldestFirst: beyond MaxEntries the oldest stamp goes first,
+// ties broken by key, whether stamps arrive in order or out of order (as a
+// peer's records do through catch-up, or a caller-stamped Put older than
+// everything indexed, which evicts itself).
 func TestEvictionOldestFirst(t *testing.T) {
-	s := open(t, t.TempDir(), 3)
-	var total int
-	for i := 0; i < 5; i++ {
-		// Distinct stamps make recency deterministic without sleeping.
-		ev, err := s.Put(&Entry{Key: testKey(i), Program: "p", Fingerprint: "f",
-			Body: []byte("b"), SavedUnixNS: int64(1000 + i)})
-		if err != nil {
-			t.Fatalf("Put %d: %v", i, err)
+	for _, tc := range []struct {
+		name    string
+		stamps  []int64 // key i is put with stamps[i], in index order
+		evicted int
+		keep    []int
+	}{
+		{"in order", []int64{1000, 1001, 1002, 1003, 1004}, 2, []int{2, 3, 4}},
+		// Key 3 is older than everything and evicts itself; key 4 ties
+		// key 1, which goes first on its smaller key.
+		{"out of order", []int64{1003, 1001, 1004, 999, 1001}, 2, []int{0, 2, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := open(t, t.TempDir(), 3)
+			var total int
+			for i, stamp := range tc.stamps {
+				ev, err := s.Put(&Entry{Key: testKey(i), Program: "p", Fingerprint: "f",
+					Body: []byte("b"), SavedUnixNS: stamp})
+				if err != nil {
+					t.Fatalf("Put %d: %v", i, err)
+				}
+				total += ev
+			}
+			if total != tc.evicted {
+				t.Fatalf("evicted %d, want %d", total, tc.evicted)
+			}
+			if s.Len() != len(tc.keep) {
+				t.Fatalf("Len = %d, want %d", s.Len(), len(tc.keep))
+			}
+			kept := make(map[int]bool)
+			for _, i := range tc.keep {
+				kept[i] = true
+			}
+			for i := range tc.stamps {
+				want := Miss
+				if kept[i] {
+					want = Hit
+				}
+				if _, res := s.Get(testKey(i)); res != want {
+					t.Fatalf("entry %d (stamp %d) = %v, want %v", i, tc.stamps[i], res, want)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPutAtCapacity times Puts into a store filled to MaxEntries 4096,
+// each of which evicts the oldest entry; BenchmarkPutBelowCapacity times
+// the same Puts with room to spare. Bodies are 1 KiB.
+func BenchmarkPutAtCapacity(b *testing.B)    { benchPut(b, 4096) }
+func BenchmarkPutBelowCapacity(b *testing.B) { benchPut(b, 1<<30) }
+
+func benchPut(b *testing.B, max int) {
+	s, err := Open(Options{Dir: b.TempDir(), MaxEntries: max})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	body := bytes.Repeat([]byte("summary "), 128)
+	put := func(i int) {
+		if _, err := s.Put(&Entry{Key: testKey(i), Program: "p", Fingerprint: "f", Body: body}); err != nil {
+			b.Fatal(err)
 		}
-		total += ev
 	}
-	if total != 2 {
-		t.Fatalf("evicted %d, want 2", total)
+	const fill = 4096
+	for i := 0; i < fill; i++ {
+		put(i)
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		put(fill + i)
 	}
-	for i := 0; i < 2; i++ {
-		if _, res := s.Get(testKey(i)); res != Miss {
-			t.Fatalf("oldest entry %d survived eviction: %v", i, res)
-		}
-	}
-	for i := 2; i < 5; i++ {
-		if _, res := s.Get(testKey(i)); res != Hit {
-			t.Fatalf("recent entry %d evicted: %v", i, res)
-		}
+	b.StopTimer()
+	if max == fill && s.Len() != fill {
+		b.Fatalf("Len = %d, want %d", s.Len(), fill)
 	}
 }
 
@@ -631,6 +683,21 @@ func TestSharedDirectory(t *testing.T) {
 		if _, res := fresh.Get(testKey(i)); res != Hit {
 			t.Fatalf("fresh Open Get(%s) = %v, want Hit", testKey(i), res)
 		}
+	}
+
+	// A peer opened right after a miss writes to a new segment; the next
+	// Get of its key hits with no sleep.
+	h := handles[0]
+	key = testKey(3 * per)
+	if _, res := h.Get(key); res != Miss {
+		t.Fatalf("Get(%s) before any Put = %v, want Miss", key, res)
+	}
+	peer := open(t, dir, 0)
+	if _, err := peer.Put(putEntry(3 * per)); err != nil {
+		t.Fatal(err)
+	}
+	if _, res := h.Get(key); res != Hit {
+		t.Fatalf("Get(%s) after a new peer's Put = %v, want Hit", key, res)
 	}
 }
 

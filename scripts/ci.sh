@@ -35,7 +35,8 @@
 #   - the pardetectd smoke (scripts/servesmoke.go: cached and uncached
 #     requests, batch NDJSON, a hostile program refused with 400 and the
 #     daemon still healthy, backpressure, /healthz, SIGTERM drain and a
-#     warm restart against the real binary, plus a 3-backend
+#     warm restart against the real binary, a restart after a SIGKILL that
+#     must still serve the last answered miss as a hit, plus a 3-backend
 #     pardetectrouter leg with affinity, batch fan-out and a backend
 #     SIGKILLed mid-run);
 #   - the corpus-mode smoke (scripts/corpussmoke.go: a CORPUS_N-program

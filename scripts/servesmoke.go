@@ -12,7 +12,10 @@
 // binary on the same -store-dir and requires the very first request of the
 // new process to be a cache hit with a byte-identical body: the persistent
 // store's restart durability, proven against the real binary and a real
-// SIGTERM. Finally it builds cmd/pardetectrouter, starts three pardetectd
+// SIGTERM. It then POSTs an unseen program, SIGKILLs the daemon once the
+// 200 has arrived and relaunches it on the same -store-dir: that program's
+// first request must be a byte-identical hit too, since a result is written
+// through to the store before its response. Finally it builds cmd/pardetectrouter, starts three pardetectd
 // backends (each with its own store directory) behind the router binary, and
 // proves the routing tier end to end: cache affinity (repeat requests are
 // hits on the same home replica), batch fan-out across replicas, a
@@ -55,6 +58,10 @@ const slowWire = `{"name":"smoke-slow","entry":"main","arrays":[{"name":"a","dim
 // int, passed validation before ir.MaxArrayElems and killed the daemon with
 // an out-of-memory error when analysed.
 const hostileWire = `{"name":"smoke-hostile","entry":"main","arrays":[{"name":"a","dims":[1048576,1048576]}],"funcs":[{"name":"main","line":1,"body":[{"kind":"return","line":2,"val":{"kind":"const","v":1}}]}]}`
+
+// killWire is a small valid program no other leg sends, so its first POST
+// is a miss.
+const killWire = `{"name":"smoke-kill","entry":"main","arrays":[{"name":"a","dims":[16]}],"funcs":[{"name":"main","line":1,"body":[{"kind":"for","line":2,"loop_id":"main.L1","var":"i","start":{"kind":"const"},"end":{"kind":"const","v":16},"step":{"kind":"const","v":1},"body":[{"kind":"assign","line":3,"dst":{"kind":"elem","arr":"a","idx":[{"kind":"var","name":"i"}]},"src":{"kind":"bin","op":"*","l":{"kind":"var","name":"i"},"r":{"kind":"const","v":2}}}]},{"kind":"return","line":4,"val":{"kind":"elem","arr":"a","idx":[{"kind":"const","v":3}]}}]}]}`
 
 func main() {
 	if err := run(); err != nil {
@@ -104,6 +111,20 @@ func startDaemon(bin string, args ...string) (*daemon, error) {
 		}
 	}()
 	return d, nil
+}
+
+// kill SIGKILLs the daemon and reaps it.
+func (d *daemon) kill() error {
+	if err := d.cmd.Process.Kill(); err != nil {
+		return err
+	}
+	select {
+	case <-d.logDone:
+	case <-time.After(30 * time.Second):
+		return fmt.Errorf("daemon did not exit within 30s of SIGKILL")
+	}
+	d.cmd.Wait() // "signal: killed" is the expected exit
+	return nil
 }
 
 // drain SIGTERMs the daemon and requires a clean exit with the drain message.
@@ -179,10 +200,39 @@ func run() error {
 		return fmt.Errorf("post-restart hit body differs from the pre-restart analysis")
 	}
 	fmt.Println("servesmoke: restart on the same -store-dir served a byte-identical hit")
-	if err := d2.drain(); err != nil {
+
+	// Durability without a drain: an answered miss is already in the store,
+	// so a SIGKILL right after its 200 loses nothing.
+	status, h, killBody, err := post(d2.base+"/analyze", []byte(killWire))
+	if err != nil || status != 200 {
+		return fmt.Errorf("analyze before SIGKILL: status %d err %v body %s", status, err, killBody)
+	}
+	if v := h.Get("X-Pardetect-Cache"); v != "miss" {
+		return fmt.Errorf("unseen program before SIGKILL: X-Pardetect-Cache %q, want miss", v)
+	}
+	if err := d2.kill(); err != nil {
 		return err
 	}
-	fmt.Println("servesmoke: second daemon drained cleanly")
+	d3, err := startDaemon(bin, "-addr", "127.0.0.1:0", "-workers", "1", "-queue", "0", "-store-dir", storeDir)
+	if err != nil {
+		return fmt.Errorf("relaunch after SIGKILL: %v", err)
+	}
+	defer d3.cmd.Process.Kill()
+	status, h, body, err = post(d3.base+"/analyze", []byte(killWire))
+	if err != nil || status != 200 {
+		return fmt.Errorf("analyze after SIGKILL: status %d err %v body %s", status, err, body)
+	}
+	if v := h.Get("X-Pardetect-Cache"); v != "hit" {
+		return fmt.Errorf("first request after SIGKILL: X-Pardetect-Cache %q, want hit (answered result lost)", v)
+	}
+	if !bytes.Equal(body, killBody) {
+		return fmt.Errorf("post-SIGKILL hit body differs from the answered analysis")
+	}
+	fmt.Println("servesmoke: a result answered just before SIGKILL was a byte-identical hit after restart")
+	if err := d3.drain(); err != nil {
+		return err
+	}
+	fmt.Println("servesmoke: third daemon drained cleanly")
 
 	return routerLeg(tmp, bin)
 }
