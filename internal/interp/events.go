@@ -100,8 +100,8 @@ func newEmitter(t Tracer, names []string) emitter {
 const eventBufSize = 1 << 12
 
 // eventBufPool recycles event buffers across runs: an analysis executes the
-// interpreter several times (phase 1, extra inputs, phase 2) and a fresh
-// 96 KiB buffer per run is measurable zeroing cost on short programs. The
+// interpreter once per profiling phase and a fresh 96 KiB buffer per run is
+// measurable zeroing cost on short programs. The
 // buffer holds no pointers and is fully overwritten before use, so reuse
 // needs no clearing.
 var eventBufPool = sync.Pool{New: func() any { return make([]Event, eventBufSize) }}

@@ -86,8 +86,8 @@ type Options struct {
 	// with the most recent entries. Empty disables the store.
 	StoreDir string
 	// StoreMaxEntries bounds the entries the store serves (oldest evicted
-	// beyond it, their bytes compacted away later); values < 1 select the
-	// store default of 4096.
+	// beyond it; a segment file is deleted once it holds none of the
+	// entries served); values < 1 select the store default of 4096.
 	StoreMaxEntries int
 	// TenantRPS rate-limits each tenant (X-Pardetect-Tenant header;
 	// unlabelled requests share "default") with a token bucket: TenantRPS

@@ -14,10 +14,16 @@ const tenantHeader = "X-Pardetect-Tenant"
 // defaultTenant is the bucket unlabelled requests share.
 const defaultTenant = "default"
 
-// maxTrackedTenants bounds the limiter's state map: beyond it, idle tenants
-// (full bucket, nothing in flight) are swept before a new one is admitted,
-// so a client fabricating tenant names cannot grow memory without bound.
-const maxTrackedTenants = 4096
+// maxTrackedTenants bounds the limiter's state map. A new tenant that finds
+// it full sweeps out the idle tenants (full bucket, nothing in flight), at
+// most once per sweepEvery; if that leaves no room, it shares one overflow
+// state with every other tenant that found none. So a client fabricating
+// tenant names grows neither memory nor its rate allowance, and pays at
+// most one sweep of the map per sweepEvery.
+const (
+	maxTrackedTenants = 4096
+	sweepEvery        = time.Second
+)
 
 // tenantLimiter enforces per-tenant fairness ahead of global admission:
 // a token-bucket request rate (rps sustained, burst of capacity) and a
@@ -32,8 +38,10 @@ type tenantLimiter struct {
 
 	now func() time.Time // injectable clock for deterministic tests
 
-	mu sync.Mutex
-	m  map[string]*tenantState
+	mu       sync.Mutex
+	m        map[string]*tenantState
+	overflow *tenantState // shared by the new tenants the full map turned away
+	swept    time.Time    // when the full map was last swept
 }
 
 type tenantState struct {
@@ -58,6 +66,7 @@ func newTenantLimiter(rps float64, maxInflight int) *tenantLimiter {
 		maxInflight: maxInflight,
 		now:         time.Now,
 		m:           make(map[string]*tenantState),
+		overflow:    &tenantState{tokens: burst},
 	}
 }
 
@@ -70,11 +79,15 @@ func (l *tenantLimiter) acquire(tenant string) (release func(), reason string, r
 	defer l.mu.Unlock()
 	st := l.m[tenant]
 	if st == nil {
-		if len(l.m) >= maxTrackedTenants {
+		if len(l.m) >= maxTrackedTenants && l.now().Sub(l.swept) >= sweepEvery {
 			l.sweepIdleLocked()
 		}
-		st = &tenantState{tokens: l.burst, last: l.now()}
-		l.m[tenant] = st
+		if len(l.m) < maxTrackedTenants {
+			st = &tenantState{tokens: l.burst, last: l.now()}
+			l.m[tenant] = st
+		} else {
+			st = l.overflow
+		}
 	}
 	if l.rps > 0 {
 		now := l.now()
@@ -110,6 +123,7 @@ func (l *tenantLimiter) acquire(tenant string) (release func(), reason string, r
 // Called with l.mu held, only when the map is at capacity.
 func (l *tenantLimiter) sweepIdleLocked() {
 	now := l.now()
+	l.swept = now
 	for name, st := range l.m {
 		tokens := math.Min(l.burst, st.tokens+now.Sub(st.last).Seconds()*l.rps)
 		if st.inflight == 0 && (l.rps <= 0 || tokens >= l.burst) {

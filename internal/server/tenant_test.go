@@ -147,6 +147,31 @@ func TestTenantLimiterDisabledAndSweep(t *testing.T) {
 			t.Fatalf("tenant map grew to %d, cap is %d", len(l.m), maxTrackedTenants)
 		}
 	}
+
+	// The hostile case: below one request per second the bucket holds one
+	// token, and nothing refills between fabricated names, so no tracked
+	// tenant is ever idle. The map still stays at its cap, and the names
+	// it turns away share one bucket rather than each minting a full one.
+	l = newTenantLimiter(0.5, 0)
+	l.now = (&fakeClock{t: time.Unix(1000, 0)}).now
+	admitted := 0
+	start := time.Now()
+	for i := 0; i < 3*maxTrackedTenants; i++ {
+		if release, _, _ := l.acquire(fmt.Sprintf("minted-%d", i)); release != nil {
+			release()
+			admitted++
+		}
+	}
+	if len(l.m) > maxTrackedTenants {
+		t.Fatalf("fabricated names grew the tenant map to %d, cap is %d", len(l.m), maxTrackedTenants)
+	}
+	if admitted > maxTrackedTenants+1 {
+		t.Fatalf("%d fabricated names admitted, want at most the %d tracked plus one shared token",
+			admitted, maxTrackedTenants)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("%d acquires took %v: each one past the cap swept the map", 3*maxTrackedTenants, d)
+	}
 }
 
 func TestTenantOf(t *testing.T) {

@@ -38,11 +38,15 @@
 // key check reads Corrupt once and is dropped from the index.
 //
 // Space: eviction beyond MaxEntries (oldest stamp first, kept in a heap)
-// removes entries from the index only. Once the dead bytes in a handle's
-// segments exceed both their live bytes and compactMinBytes, the handle
-// copies the live records into a new segment and deletes the old ones, so
-// the segments a handle owns hold at most 2 × live + compactMinBytes bytes
-// plus one frame.
+// removes entries from the index only. Put starts a new segment once the one
+// it appends to has reached segmentBytes, and a segment the handle owns is
+// deleted as soon as the index holds none of its records, unless Puts append
+// to it. Put stamps every record itself, in append order, so while each key
+// is written once between evictions the live records are a suffix of what
+// the handle appended, and its segments hold at most live + segmentBytes
+// bytes plus one frame. A rewrite, a corrupt drop or a peer's newer record
+// can leave an older record live behind dead ones; its segment stays until
+// that record is evicted too.
 package store
 
 import (
@@ -56,7 +60,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -87,7 +90,8 @@ type Entry struct {
 	// apps (0/0 when the program has no schedule model).
 	BestThreads int     `json:"best_threads,omitempty"`
 	BestSpeedup float64 `json:"best_speedup,omitempty"`
-	// SavedUnixNS stamps the write; recency drives eviction and LRU warming.
+	// SavedUnixNS is the stamp Put gave the record; a caller's value is
+	// ignored. Recency drives eviction and LRU warming.
 	SavedUnixNS int64 `json:"saved_unix_ns"`
 	// Body is the rendered response text (base64 in the JSON encoding),
 	// byte-identical to the miss that produced it.
@@ -123,11 +127,10 @@ const (
 	// maxPayload bounds one record's JSON; a header claiming more is
 	// garbage, not a record.
 	maxPayload = 256 << 20
-	// compactMinBytes is the dead space a handle tolerates regardless of
-	// the live/dead ratio, so a small store is not rewritten on every few
-	// Puts.
-	compactMinBytes = 1 << 20
-	segSuffix       = ".seg"
+	// segmentBytes is the size past which Put starts a new segment, and so
+	// the grain in which a handle's space is reclaimed.
+	segmentBytes = 1 << 20
+	segSuffix    = ".seg"
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -186,7 +189,7 @@ type Store struct {
 	age  ageHeap             // an item per index entry, plus stale ones
 	segs map[string]*segment // by file name
 	w    *segment            // the segment Puts append to; nil once closed
-	last int64               // newest stamp ever indexed; floors self-stamped Puts
+	last int64               // newest stamp ever indexed; floors the stamps Put gives
 }
 
 // Open creates the root directory if needed, locks every segment no other
@@ -212,7 +215,9 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	// Ascending name order is creation order, so for a key stamped equally
-	// in two segments the newer segment's record wins.
+	// in two segments the newer segment's record wins. s.w stays nil until
+	// every segment is indexed, so none is retired before then.
+	var w *segment
 	for _, name := range names {
 		f, err := os.OpenFile(filepath.Join(s.dir, name), os.O_RDWR, 0)
 		if err != nil {
@@ -222,21 +227,25 @@ func Open(opts Options) (*Store, error) {
 		s.segs[name] = seg
 		s.scan(seg)
 		if seg.owned {
-			s.w = seg
+			w = seg
 		}
 	}
-	if s.w != nil {
+	if w != nil {
 		// Only the lock holder may cut a torn tail: anyone else could be
 		// cutting a frame its writer is still appending.
-		if err := s.w.f.Truncate(s.w.size); err != nil {
-			s.Close()
-			return nil, err
-		}
-	} else if s.w, err = s.create(); err != nil {
+		err = w.f.Truncate(w.size)
+	} else {
+		w, err = s.create()
+	}
+	if err != nil {
 		s.Close()
 		return nil, err
 	}
+	s.w = w
 	s.evict()
+	for _, seg := range s.segs {
+		s.retire(seg) // the adopted segments that hold no live record
+	}
 	return s, nil
 }
 
@@ -376,11 +385,29 @@ func (s *Store) index(key string, l loc) {
 	}
 }
 
+// unindex drops key's entry and retires the segment it leaves empty.
 func (s *Store) unindex(key string) {
-	if old, ok := s.idx[key]; ok {
-		old.seg.live -= old.n
-		delete(s.idx, key)
+	old, ok := s.idx[key]
+	if !ok {
+		return
 	}
+	delete(s.idx, key)
+	old.seg.live -= old.n
+	s.retire(old.seg)
+}
+
+// retire deletes and closes seg if this handle owns it, the index holds
+// none of its records and Puts do not append to it. A Get still reading it
+// fails on the closed file and settles. Called with s.mu held.
+func (s *Store) retire(seg *segment) {
+	if !seg.owned || seg.live > 0 || s.w == nil || seg == s.w {
+		return
+	}
+	// A segment the remove leaves behind is adopted by a later Open, which
+	// re-indexes what eviction has not yet reached again.
+	os.Remove(filepath.Join(s.dir, seg.name))
+	seg.f.Close()
+	delete(s.segs, seg.name)
 }
 
 // validKey requires hex and a bounded length, so a key fits a frame header
@@ -440,8 +467,8 @@ func (s *Store) locate(key string) (loc, bool) {
 
 // catchUp indexes the frames other handles appended since this one last
 // looked: new bytes in segments it does not own and segments it has not
-// seen. A segment another handle compacted away stays open while the index
-// still points into it. Called with s.mu held.
+// seen. A segment another handle retired stays open while the index still
+// points into it. Called with s.mu held.
 func (s *Store) catchUp() {
 	names, err := s.list()
 	if err != nil {
@@ -498,8 +525,8 @@ func (l loc) read(key string) (*Entry, error) {
 
 // settle resolves a read of l that failed. If the index still points key at
 // l, the record is corrupt and is dropped; if the key has moved — rewritten
-// by a Put or copied by a compaction, which closes the segment the read
-// used — the caller retries at the new location.
+// by a Put, which may have retired the segment the read used — the caller
+// retries at the new location.
 func (s *Store) settle(key string, l loc) (res GetResult, retry bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -514,11 +541,11 @@ func (s *Store) settle(key string, l loc) (res GetResult, retry bool) {
 	return Corrupt, false
 }
 
-// Put appends the entry to the handle's segment, indexes it and evicts the
-// oldest entries beyond the MaxEntries budget, then compacts if dead bytes
-// have come to dominate. It returns how many entries were evicted.
-// Self-stamps are floored to stay monotonic; caller-provided stamps are
-// respected (recency is their contract) but still raise the floor.
+// Put stamps the entry, appends it to the handle's segment (a new one once
+// that has reached segmentBytes), indexes it and evicts the oldest entries
+// beyond the MaxEntries budget. It returns how many entries were evicted.
+// The stamp is the clock floored above every stamp indexed so far, so the
+// entry is the newest and the handle's append order is its stamp order.
 func (s *Store) Put(e *Entry) (evicted int, err error) {
 	if e == nil || !validKey(e.Key) {
 		return 0, os.ErrInvalid
@@ -530,10 +557,8 @@ func (s *Store) Put(e *Entry) (evicted int, err error) {
 	if s.w == nil {
 		return 0, os.ErrClosed
 	}
-	if rec.SavedUnixNS == 0 {
-		rec.SavedUnixNS = max(time.Now().UnixNano(), s.last+1)
-	}
-	s.last = max(s.last, rec.SavedUnixNS)
+	rec.SavedUnixNS = max(time.Now().UnixNano(), s.last+1)
+	s.last = rec.SavedUnixNS
 	payload, err := json.Marshal(&rec)
 	if err != nil {
 		return 0, err
@@ -542,6 +567,11 @@ func (s *Store) Put(e *Entry) (evicted int, err error) {
 		return 0, errors.New("store: record too large")
 	}
 	b := frame(rec.Key, rec.SavedUnixNS, payload)
+	if s.w.size >= segmentBytes {
+		if err := s.rotate(); err != nil {
+			return 0, err
+		}
+	}
 	w := s.w
 	if _, err := w.f.WriteAt(b, w.size); err != nil {
 		w.f.Truncate(w.size) // drop a partial frame so the next append lines up
@@ -549,22 +579,12 @@ func (s *Store) Put(e *Entry) (evicted int, err error) {
 	}
 	s.index(rec.Key, loc{seg: w, off: w.size, n: int64(len(b)), stamp: rec.SavedUnixNS})
 	w.size += int64(len(b))
-	evicted = s.evict()
-	var size, live int64
-	for _, seg := range s.segs {
-		if seg.owned {
-			size, live = size+seg.size, live+seg.live
-		}
-	}
-	if dead := size - live; dead > live && dead >= compactMinBytes {
-		s.compact() // a failed compaction leaves the segments as they were
-	}
-	return evicted, nil
+	return s.evict(), nil
 }
 
 // evict drops the oldest index entries beyond the budget, ties broken by
-// key. A self-stamped Put is the newest entry, so it never evicts itself.
-// Called with s.mu held.
+// key. A Put is the newest entry, so it never evicts itself. Called with
+// s.mu held.
 func (s *Store) evict() (evicted int) {
 	for len(s.idx) > s.max {
 		a := heap.Pop(&s.age).(aged)
@@ -576,52 +596,16 @@ func (s *Store) evict() (evicted int) {
 	return evicted
 }
 
-// compact copies the live records of every owned segment into a new
-// segment, repoints the index there and deletes the old segments. A Get
-// reading an old segment meanwhile fails on its closed file and retries at
-// the new location. Called with s.mu held.
-func (s *Store) compact() error {
+// rotate points Puts at a new segment and retires the old one if it holds
+// no live record. Called with s.mu held.
+func (s *Store) rotate() error {
 	n, err := s.create()
 	if err != nil {
 		return err
 	}
-	moved := make(map[string]loc)
-	bw := bufio.NewWriterSize(n.f, 64<<10)
-	var buf []byte // one record at a time: io.Copy would allocate per record
-	for k, l := range s.idx {
-		if !l.seg.owned {
-			continue
-		}
-		buf = slices.Grow(buf[:0], int(l.n))[:l.n]
-		if _, err = l.seg.f.ReadAt(buf, l.off); err == nil {
-			_, err = bw.Write(buf)
-		}
-		if err != nil {
-			break
-		}
-		moved[k] = loc{seg: n, off: n.size, n: l.n, stamp: l.stamp}
-		n.size += l.n
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err != nil {
-		n.f.Close()
-		os.Remove(filepath.Join(s.dir, n.name))
-		delete(s.segs, n.name)
-		return err
-	}
-	for k, l := range moved {
-		s.index(k, l)
-	}
-	for name, seg := range s.segs {
-		if seg.owned && seg != n {
-			os.Remove(filepath.Join(s.dir, name))
-			seg.f.Close()
-			delete(s.segs, name)
-		}
-	}
+	old := s.w
 	s.w = n
+	s.retire(old)
 	return nil
 }
 

@@ -38,6 +38,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		BestThreads: 8,
 		BestSpeedup: 3.5,
 		Body:        []byte("the rendered summary\nwith lines\n"),
+		SavedUnixNS: 1, // Put stamps the record itself
 	}
 	if _, err := s.Put(in); err != nil {
 		t.Fatalf("Put: %v", err)
@@ -51,8 +52,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 		!bytes.Equal(e.Body, in.Body) {
 		t.Fatalf("round-trip mismatch: %+v", e)
 	}
-	if e.SavedUnixNS == 0 {
-		t.Fatalf("SavedUnixNS not stamped")
+	if e.SavedUnixNS <= 1 {
+		t.Fatalf("SavedUnixNS = %d, not stamped by Put", e.SavedUnixNS)
 	}
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", s.Len())
@@ -70,10 +71,9 @@ func TestSurvivesReopen(t *testing.T) {
 		t.Fatalf("Put: %v", err)
 	}
 
-	// A rewrite carrying an older caller stamp still replaces the record,
-	// before and after a reopen: within a segment the later frame wins.
-	for i, stamp := range []int64{2000, 1000} {
-		e := &Entry{Key: testKey(2), Program: "p", Fingerprint: "f", Body: []byte{byte('a' + i)}, SavedUnixNS: stamp}
+	// A rewrite replaces the record, before and after a reopen.
+	for i := 0; i < 2; i++ {
+		e := &Entry{Key: testKey(2), Program: "p", Fingerprint: "f", Body: []byte{byte('a' + i)}}
 		if _, err := s.Put(e); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
@@ -195,13 +195,15 @@ func writeSegment(t *testing.T, dir string, frames ...[]byte) {
 	}
 }
 
+// record is e's JSON payload, as Put would frame it.
+func record(e Entry) []byte {
+	data, _ := json.Marshal(&e)
+	return data
+}
+
 // TestCorruptVariants: every way a whole frame can be wrong reads as
 // Corrupt exactly once, then Miss.
 func TestCorruptVariants(t *testing.T) {
-	record := func(e Entry) []byte {
-		data, _ := json.Marshal(&e)
-		return data
-	}
 	badCRC := func(key string) []byte {
 		b := frame(key, 1, record(Entry{Schema: Schema, Key: key, Body: []byte("x")}))
 		b[4] ^= 1 // the stored CRC, leaving a valid record behind it
@@ -242,17 +244,17 @@ func TestCorruptVariants(t *testing.T) {
 }
 
 // TestEvictionOldestFirst: beyond MaxEntries the oldest stamp goes first,
-// ties broken by key, whether stamps arrive in order or out of order (as a
-// peer's records do through catch-up, or a caller-stamped Put older than
-// everything indexed, which evicts itself).
+// ties broken by key. Puts arrive in stamp order; a peer's records reach
+// the index through catch-up with stamps out of order, or equal to another
+// peer's, which the out-of-order case drives into the index directly.
 func TestEvictionOldestFirst(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		stamps  []int64 // key i is put with stamps[i], in index order
+		stamps  []int64 // key i is indexed with stamps[i]; nil: Put in key order
 		evicted int
 		keep    []int
 	}{
-		{"in order", []int64{1000, 1001, 1002, 1003, 1004}, 2, []int{2, 3, 4}},
+		{"in order", nil, 2, []int{2, 3, 4}},
 		// Key 3 is older than everything and evicts itself; key 4 ties
 		// key 1, which goes first on its smaller key.
 		{"out of order", []int64{1003, 1001, 1004, 999, 1001}, 2, []int{0, 2, 4}},
@@ -260,13 +262,19 @@ func TestEvictionOldestFirst(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := open(t, t.TempDir(), 3)
 			var total int
-			for i, stamp := range tc.stamps {
-				ev, err := s.Put(&Entry{Key: testKey(i), Program: "p", Fingerprint: "f",
-					Body: []byte("b"), SavedUnixNS: stamp})
-				if err != nil {
-					t.Fatalf("Put %d: %v", i, err)
+			for i := 0; i < 5; i++ {
+				if tc.stamps == nil {
+					ev, err := s.Put(putEntry(i))
+					if err != nil {
+						t.Fatalf("Put %d: %v", i, err)
+					}
+					total += ev
+					continue
 				}
-				total += ev
+				s.mu.Lock()
+				s.index(testKey(i), loc{seg: s.w, n: 1, stamp: tc.stamps[i]})
+				total += s.evict()
+				s.mu.Unlock()
 			}
 			if total != tc.evicted {
 				t.Fatalf("evicted %d, want %d", total, tc.evicted)
@@ -278,13 +286,19 @@ func TestEvictionOldestFirst(t *testing.T) {
 			for _, i := range tc.keep {
 				kept[i] = true
 			}
-			for i := range tc.stamps {
+			for i := 0; i < 5; i++ {
+				if _, ok := locOf(s, testKey(i)); ok != kept[i] {
+					t.Fatalf("entry %d indexed = %v, want %v", i, ok, kept[i])
+				}
+				if tc.stamps != nil {
+					continue // the directly indexed records were never written
+				}
 				want := Miss
 				if kept[i] {
 					want = Hit
 				}
 				if _, res := s.Get(testKey(i)); res != want {
-					t.Fatalf("entry %d (stamp %d) = %v, want %v", i, tc.stamps[i], res, want)
+					t.Fatalf("entry %d = %v, want %v", i, res, want)
 				}
 			}
 		})
@@ -325,14 +339,15 @@ func benchPut(b *testing.B, max int) {
 
 func TestRecentKeysOrder(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
-	for i := 0; i < 4; i++ {
-		if _, err := s.Put(&Entry{Key: testKey(i), Program: "p", Fingerprint: "f",
-			Body: []byte("b"), SavedUnixNS: int64(1000 + i)}); err != nil {
+	// Written in an order the keys do not sort in, so only the stamps can
+	// produce the expected order.
+	for _, i := range []int{1, 0, 3, 2} {
+		if _, err := s.Put(putEntry(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := s.RecentKeys(2)
-	want := []string{testKey(3), testKey(2)}
+	want := []string{testKey(2), testKey(3)}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("RecentKeys = %v, want %v", got, want)
 	}
@@ -349,8 +364,7 @@ func TestRecentKeysClamp(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
 	const n = 3
 	for i := 0; i < n; i++ {
-		if _, err := s.Put(&Entry{Key: testKey(i), Program: "p", Fingerprint: "f",
-			Body: []byte("b"), SavedUnixNS: int64(1000 + i)}); err != nil {
+		if _, err := s.Put(putEntry(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -449,7 +463,7 @@ func TestConcurrentEviction(t *testing.T) {
 	}
 }
 
-// putEntry is a self-stamped entry for key i.
+// putEntry is an entry for key i.
 func putEntry(i int) *Entry {
 	return &Entry{Key: testKey(i), Program: "p", Fingerprint: "f", Body: []byte("b")}
 }
@@ -478,12 +492,19 @@ func corrupt(t *testing.T, s *Store, key string) {
 }
 
 // TestGetAfterPutHitsUnderEviction: writers re-Put their own keys and read
-// each back at once while a churner overflows MaxEntries 4 with entries
-// stamped older than anything the writers index, so every churn Put evicts
-// and no writer's key is ever the oldest. A miss is a lost or wrongly
-// evicted write.
+// each back at once while a churner overflows MaxEntries 4 with a peer's
+// records stamped older than anything the writers index, as a peer whose
+// clock runs behind writes them: it appends each to a segment of its own
+// and Gets it, so catch-up indexes it and evicts. No writer's key is ever
+// the oldest, so a miss is a lost or wrongly evicted write.
 func TestGetAfterPutHitsUnderEviction(t *testing.T) {
-	s := open(t, t.TempDir(), 4)
+	dir := t.TempDir()
+	s := open(t, dir, 4)
+	peer, err := os.Create(filepath.Join(dir, "0000000000000001"+segSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
 	var wg, churn sync.WaitGroup
 	stop := make(chan struct{})
 	churn.Add(1)
@@ -495,10 +516,14 @@ func TestGetAfterPutHitsUnderEviction(t *testing.T) {
 				return
 			default:
 			}
-			e := putEntry(100 + i)
-			e.SavedUnixNS = 1
-			if _, err := s.Put(e); err != nil {
-				t.Errorf("churn Put: %v", err)
+			key := testKey(100 + i)
+			b := frame(key, 1, record(Entry{Schema: Schema, Key: key, Body: []byte("b")}))
+			if _, err := peer.Write(b); err != nil {
+				t.Errorf("churn write: %v", err)
+				return
+			}
+			if _, res := s.Get(key); res == Corrupt {
+				t.Errorf("churn Get(%s) = Corrupt", key)
 				return
 			}
 		}
@@ -554,19 +579,19 @@ func TestCorruptReadRacesPut(t *testing.T) {
 	}
 }
 
-// TestOvertakenPutKeepsItsEntry: a self-stamped Put that follows entries
-// stamped ahead of the clock is still indexed as the newest, so its own
-// eviction removes an older entry and not the one it just wrote.
+// TestOvertakenPutKeepsItsEntry: a Put that follows entries a peer stamped
+// ahead of the clock is still indexed as the newest, so its own eviction
+// removes an older entry and not the one it just wrote.
 func TestOvertakenPutKeepsItsEntry(t *testing.T) {
-	s := open(t, t.TempDir(), 4)
+	dir := t.TempDir()
 	ahead := time.Now().Add(time.Hour).UnixNano()
+	var frames [][]byte
 	for i := 1; i <= 4; i++ {
-		e := putEntry(i)
-		e.SavedUnixNS = ahead + int64(i)
-		if _, err := s.Put(e); err != nil {
-			t.Fatal(err)
-		}
+		key := testKey(i)
+		frames = append(frames, frame(key, ahead+int64(i), record(Entry{Schema: Schema, Key: key, Body: []byte("b")})))
 	}
+	writeSegment(t, dir, frames...)
+	s := open(t, dir, 4)
 	if ev, err := s.Put(putEntry(0)); err != nil || ev != 1 {
 		t.Fatalf("overtaken Put: evicted %d, err %v; want 1, nil", ev, err)
 	}
@@ -579,17 +604,20 @@ func TestOvertakenPutKeepsItsEntry(t *testing.T) {
 }
 
 // breakers make a Get's read of a stored key fail behind its back: the
-// record's segment closed by a compaction that moved it, or its bytes
-// damaged.
+// record's segment retired once a rewrite into a new segment emptied it, or
+// its bytes damaged.
 var breakers = []struct {
 	name      string
 	breakFile func(t *testing.T, s *Store, key string)
 }{
 	{"missing", func(t *testing.T, s *Store, key string) {
 		s.mu.Lock()
-		err := s.compact()
+		err := s.rotate()
 		s.mu.Unlock()
 		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Put(&Entry{Key: key, Program: "p", Fingerprint: "f", Body: []byte("b")}); err != nil {
 			t.Fatal(err)
 		}
 	}},
@@ -597,8 +625,8 @@ var breakers = []struct {
 }
 
 // TestFailedReadSparesRenamedRecord: a Get whose read failed re-checks the
-// index under the lock before it drops the entry, so the record a Put (or a
-// compaction) put in place after the read survives, indexed.
+// index under the lock before it drops the entry, so the record a Put wrote
+// after the read survives, indexed.
 func TestFailedReadSparesRenamedRecord(t *testing.T) {
 	for _, tc := range breakers {
 		t.Run(tc.name, func(t *testing.T) {
@@ -702,49 +730,46 @@ func TestSharedDirectory(t *testing.T) {
 }
 
 // TestSpaceBound: 10×MaxEntries Puts of rewritten and evicted keys keep the
-// handle's segment bytes within 2 × live + compactMinBytes + one frame, and
-// Gets racing the compactions that keeps them there always hit a live
-// record, never reading it as Corrupt.
+// handle's segments within live + segmentBytes + one frame, and no live
+// record moves from where its Put wrote it: space comes back by deleting
+// segments the index no longer points into. Gets racing those retirements
+// hit or miss, never reading Corrupt, and a fresh Open serves every recent
+// key.
 func TestSpaceBound(t *testing.T) {
 	const max = 32
 	dir := t.TempDir()
 	s := open(t, dir, max)
 	body := bytes.Repeat([]byte("body"), 4<<10) // 16 KiB, about 22 KiB as a frame
-	stable := make([]string, 8)
-	for i := range stable {
-		// Stamped ahead of every churn entry, so eviction never takes them.
-		e := &Entry{Key: testKey(1000 + i), Program: "p", Fingerprint: "f", Body: body, SavedUnixNS: 1 << 62}
-		if _, err := s.Put(e); err != nil {
-			t.Fatal(err)
-		}
-		stable[i] = e.Key
-	}
+	// Each key comes back after 2×max others, so its old record was evicted.
+	key := func(i int) string { return testKey(i % (2 * max)) }
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < 2; r++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			for i := 0; ; i++ {
+			for i := r; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if e, res := s.Get(stable[i%len(stable)]); res != Hit || !bytes.Equal(e.Body, body) {
-					t.Errorf("Get of a live record during compaction = %v, want Hit", res)
+				if e, res := s.Get(key(i)); res == Corrupt || res == Hit && !bytes.Equal(e.Body, body) {
+					t.Errorf("Get(%s) racing retirements = %v", key(i), res)
 					return
 				}
 			}
 		}()
 	}
+	wrote := make(map[string]loc)
 	var written, frameLen int64
 	for i := 0; i < 10*max; i++ {
-		e := &Entry{Key: testKey(i % (2 * max)), Program: "p", Fingerprint: "f", Body: body, SavedUnixNS: int64(i + 1)}
+		e := &Entry{Key: key(i), Program: "p", Fingerprint: "f", Body: body}
 		if _, err := s.Put(e); err != nil {
 			t.Fatal(err)
 		}
 		l, _ := locOf(s, e.Key)
+		wrote[e.Key] = l
 		written, frameLen = written+l.n, l.n
 	}
 	close(stop)
@@ -752,17 +777,24 @@ func TestSpaceBound(t *testing.T) {
 
 	s.mu.Lock()
 	var live int64
-	for _, l := range s.idx {
+	var moved []string
+	for k, l := range s.idx {
 		live += l.n
+		if l != wrote[k] {
+			moved = append(moved, k)
+		}
 	}
 	s.mu.Unlock()
-	bound := 2*live + compactMinBytes + frameLen
+	if len(moved) > 0 {
+		t.Fatalf("live records moved from where their Puts wrote them: %v", moved)
+	}
+	bound := live + segmentBytes + frameLen
 	if written <= bound {
 		t.Fatalf("test too small: wrote %d bytes, bound %d is never reached", written, bound)
 	}
 	if total, _ := segBytes(t, dir); total > bound {
-		t.Fatalf("segments hold %d bytes, want at most 2×%d live + %d + one %d-byte frame = %d",
-			total, live, compactMinBytes, frameLen, bound)
+		t.Fatalf("segments hold %d bytes, want at most %d live + %d + one %d-byte frame = %d",
+			total, live, segmentBytes, frameLen, bound)
 	}
 	if s.Len() != max {
 		t.Fatalf("Len = %d, want %d", s.Len(), max)
@@ -770,7 +802,7 @@ func TestSpaceBound(t *testing.T) {
 	fresh := open(t, dir, max)
 	for _, key := range s.RecentKeys(max) {
 		if _, res := fresh.Get(key); res != Hit {
-			t.Fatalf("after compaction a fresh Open Get(%s) = %v, want Hit", key, res)
+			t.Fatalf("after retirements a fresh Open Get(%s) = %v, want Hit", key, res)
 		}
 	}
 }
@@ -823,6 +855,33 @@ func TestClosedStore(t *testing.T) {
 	}
 	if _, n := segBytes(t, dir); n != 1 {
 		t.Fatalf("%d segments after reopen, want the released one reused", n)
+	}
+}
+
+// TestOpenRetiresDeadSegments: Open deletes the adopted segments that hold
+// no live record (one left empty, one whose record a newer segment
+// rewrote) and appends to the newest, which it keeps.
+func TestOpenRetiresDeadSegments(t *testing.T) {
+	dir := t.TempDir()
+	idle, older, newer := open(t, dir, 0), open(t, dir, 0), open(t, dir, 0)
+	for i, s := range []*Store{older, newer} {
+		if _, err := s.Put(&Entry{Key: testKey(1), Program: "p", Fingerprint: "f", Body: []byte{byte('a' + i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keep := newer.w.name
+	for _, s := range []*Store{idle, older, newer} {
+		s.Close()
+	}
+	if _, n := segBytes(t, dir); n != 3 {
+		t.Fatalf("%d segments before the reopen, want 3", n)
+	}
+	s := open(t, dir, 0)
+	if seg := filepath.Base(onlySegment(t, dir)); seg != keep {
+		t.Fatalf("kept %s, want the newest segment %s", seg, keep)
+	}
+	if e, res := s.Get(testKey(1)); res != Hit || string(e.Body) != "b" {
+		t.Fatalf("Get after the reopen = %v %+v, want the rewritten record", res, e)
 	}
 }
 

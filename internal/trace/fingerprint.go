@@ -1,9 +1,10 @@
 package trace
 
 import (
-	"fmt"
+	"encoding/hex"
 	"hash/fnv"
 	"sort"
+	"strconv"
 )
 
 // Fingerprint returns a deterministic digest of every field of the profile.
@@ -15,18 +16,56 @@ import (
 // any drift in the profiler surfaces even when the derived pattern report
 // happens to agree.
 func (p *Profile) Fingerprint() string {
-	h := fnv.New64a()
-	w := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
-
-	w("prog=%s runs=%d trunc=%d\n", p.ProgramName, p.Runs, p.SnapshotTruncated)
+	// The digest is the FNV-1a hash of one text line per record. The lines
+	// are appended with strconv but read as fmt's %d, %s and %v print them
+	// (bools as true/false, an []int as [1 2 3]);
+	// TestProfileFingerprintMatchesFmt holds them to that.
+	b := make([]byte, 0, 4096)
+	b = append(b, "prog="...)
+	b = append(b, p.ProgramName...)
+	b = append(b, " runs="...)
+	b = strconv.AppendInt(b, int64(p.Runs), 10)
+	b = append(b, " trunc="...)
+	b = strconv.AppendInt(b, p.SnapshotTruncated, 10)
+	b = append(b, '\n')
 	for _, d := range p.Deps {
-		w("dep %s %d->%d %s array=%v carried=%v n=%d\n",
-			d.Kind, d.SrcLine, d.DstLine, d.Name, d.Array, d.Carried, d.Count)
+		b = append(b, "dep "...)
+		b = append(b, d.Kind.String()...)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(d.SrcLine), 10)
+		b = append(b, "->"...)
+		b = strconv.AppendInt(b, int64(d.DstLine), 10)
+		b = append(b, ' ')
+		b = append(b, d.Name...)
+		b = append(b, " array="...)
+		b = strconv.AppendBool(b, d.Array)
+		b = append(b, " carried="...)
+		b = strconv.AppendBool(b, d.Carried)
+		b = append(b, " n="...)
+		b = strconv.AppendInt(b, d.Count, 10)
+		b = append(b, '\n')
 	}
 	for _, loop := range sortedKeysOf(p.Carried) {
 		for _, g := range p.Carried[loop] {
-			w("carried %s %s array=%v w=%v r=%v maxper=%d dist=[%d,%d] n=%d\n",
-				loop, g.Name, g.Array, g.WriteLines, g.ReadLines, g.MaxPerAddr, g.MinDist, g.MaxDist, g.Count)
+			b = append(b, "carried "...)
+			b = append(b, loop...)
+			b = append(b, ' ')
+			b = append(b, g.Name...)
+			b = append(b, " array="...)
+			b = strconv.AppendBool(b, g.Array)
+			b = append(b, " w="...)
+			b = appendInts(b, g.WriteLines)
+			b = append(b, " r="...)
+			b = appendInts(b, g.ReadLines)
+			b = append(b, " maxper="...)
+			b = strconv.AppendInt(b, g.MaxPerAddr, 10)
+			b = append(b, " dist=["...)
+			b = strconv.AppendInt(b, g.MinDist, 10)
+			b = append(b, ',')
+			b = strconv.AppendInt(b, g.MaxDist, 10)
+			b = append(b, "] n="...)
+			b = strconv.AppendInt(b, g.Count, 10)
+			b = append(b, '\n')
 		}
 	}
 	pairs := make([]PairKey, 0, len(p.CrossLoopDeps))
@@ -40,11 +79,23 @@ func (p *Profile) Fingerprint() string {
 		return pairs[i].Reader < pairs[j].Reader
 	})
 	for _, k := range pairs {
-		w("xloop %s->%s n=%d\n", k.Writer, k.Reader, p.CrossLoopDeps[k])
+		b = append(b, "xloop "...)
+		b = append(b, k.Writer...)
+		b = append(b, "->"...)
+		b = append(b, k.Reader...)
+		b = append(b, " n="...)
+		b = strconv.AppendInt(b, p.CrossLoopDeps[k], 10)
+		b = append(b, '\n')
 	}
 	for _, id := range sortedKeysOf(p.LoopTrips) {
 		t := p.LoopTrips[id]
-		w("trips %s iters=%d acts=%d\n", id, t.Iterations, t.Activations)
+		b = append(b, "trips "...)
+		b = append(b, id...)
+		b = append(b, " iters="...)
+		b = strconv.AppendInt(b, t.Iterations, 10)
+		b = append(b, " acts="...)
+		b = strconv.AppendInt(b, t.Activations, 10)
+		b = append(b, '\n')
 	}
 	lines := make([]int, 0, len(p.LineOps))
 	for l := range p.LineOps {
@@ -52,12 +103,34 @@ func (p *Profile) Fingerprint() string {
 	}
 	sort.Ints(lines)
 	for _, l := range lines {
-		w("ops %d=%d\n", l, p.LineOps[l])
+		b = append(b, "ops "...)
+		b = strconv.AppendInt(b, int64(l), 10)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, p.LineOps[l], 10)
+		b = append(b, '\n')
 	}
 	for _, fn := range sortedKeysOf(p.FuncCalls) {
-		w("calls %s=%d\n", fn, p.FuncCalls[fn])
+		b = append(b, "calls "...)
+		b = append(b, fn...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, p.FuncCalls[fn], 10)
+		b = append(b, '\n')
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	h := fnv.New64a()
+	h.Write(b)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// appendInts appends xs as %v prints an []int: "[1 2 3]".
+func appendInts(b []byte, xs []int) []byte {
+	b = append(b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return append(b, ']')
 }
 
 // sortedKeysOf returns the map's string keys in sorted order.

@@ -16,7 +16,8 @@
 #     parallel schedulers, the telemetry observer, the analysis farm (its
 #     tests run all 19 app analyses concurrently), the fuzzer, the
 #     pardetectd service, the router, corpus mode, the result store (its
-#     Gets read records outside its lock while Puts append and compact,
+#     Gets read records outside its lock while Puts append and retire
+#     emptied segments,
 #     and its tests share one directory across handles and processes),
 #     the profilers (their
 #     shadow pages are recycled across concurrent analyses), the PET
