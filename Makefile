@@ -77,10 +77,12 @@ fuzz:
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=10s
 
-# goldens byte-compares the rendered Tables III-V against testdata/goldens/;
-# goldens-update rewrites them after an intentional detector change.
+# goldens byte-compares Tables III-V and the per-app profiler fingerprints
+# against testdata/goldens/ under both interpreter engines (the same check
+# `go test ./...` runs); goldens-update rewrites them from the tree engine
+# after an intentional detector change.
 goldens:
-	sh scripts/goldens.sh check
+	$(GO) test -count=1 -run '^TestFingerprintGolden$$' .
 
 goldens-update:
-	sh scripts/goldens.sh update
+	$(GO) test -count=1 -run '^TestFingerprintGolden$$' . -update-goldens

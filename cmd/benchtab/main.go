@@ -7,17 +7,15 @@
 //	benchtab                      # all tables
 //	benchtab -table 3             # one table
 //	benchtab -jobs 8              # farm the app analyses over 8 workers
-//	benchtab -engine tree         # run the analyses on the reference tree walker
 //	benchtab -curves              # speedup-vs-threads series per benchmark
 //	benchtab -stats-out obs.json  # also write per-app telemetry (JSON)
 //
 // The per-app analyses behind Tables III–V run on the internal/farm worker
 // pool; -jobs sets the pool size (default GOMAXPROCS, 1 = sequential). Farm
 // results keep input order, so the tables are byte-identical at any -jobs.
-// -engine tree switches the interpreter from the compiled bytecode engine
-// (the default) to the reference tree walker; the engines produce identical
-// profiles, so every table stays byte-identical (scripts/goldens.sh writes
-// the goldens under tree and checks both).
+// The tables are byte-identical under either interpreter engine:
+// TestFingerprintGolden (fingerprints_test.go) renders Tables III-V under
+// both and compares them with testdata/goldens/.
 //
 // -stats-out runs every Table III app with pipeline telemetry enabled and
 // writes one pardetect.obs/v1 report per app — headed by the farm's own
@@ -34,7 +32,6 @@ import (
 
 	"pardetect/internal/apps"
 	"pardetect/internal/farm"
-	"pardetect/internal/interp"
 	"pardetect/internal/obs"
 	"pardetect/internal/report"
 )
@@ -42,19 +39,10 @@ import (
 func main() {
 	table := flag.Int("table", 0, "print only this table (1..6); 0 prints all")
 	jobs := flag.Int("jobs", 0, "concurrent app analyses (default GOMAXPROCS; 1 = sequential)")
-	engine := flag.String("engine", "", "interpreter engine for the profiled runs: tree or bytecode (default bytecode; regvm: alias of bytecode)")
 	curves := flag.Bool("curves", false, "print the simulated speedup curves")
 	statsOut := flag.String("stats-out", "", "write per-app telemetry reports as JSON to this file")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address while running")
 	flag.Parse()
-
-	eng, err := interp.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	*engine = eng
 
 	if *debugAddr != "" {
 		addr, stop, err := obs.ServeDebug(*debugAddr, nil)
@@ -69,7 +57,7 @@ func main() {
 	needRuns := *curves || *statsOut != "" || *table == 0 || (*table >= 3 && *table <= 5)
 	var runs []*report.AppRun
 	if needRuns {
-		batch := farm.RunApps(apps.TableIIIOrder, farm.Options{Jobs: *jobs, Observe: *statsOut != "", Engine: *engine})
+		batch := farm.RunApps(apps.TableIIIOrder, farm.Options{Jobs: *jobs, Observe: *statsOut != ""})
 		var err error
 		runs, err = batch.Runs()
 		if err != nil {

@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	parcorpus -dir corpus/ [-jobs 8] [-store-dir cache/] [-engine tree]
-//	          [-manifest path] [-out report.txt] [-json] [-stats] [-timeout 5s]
+//	parcorpus -dir corpus/ [-jobs 8] [-store-dir cache/] [-manifest path]
+//	          [-out report.txt] [-json] [-stats] [-timeout 5s]
 //	parcorpus -dir corpus/ -gen 1000 [-seed 1]
 //
 // The default mode is a corpus run. Incrementality is two tiers deep: a
@@ -14,8 +14,7 @@
 // unchanged, and the persistent result store (-store-dir — the same
 // content-addressed tier pardetectd serves from) turns changed-but-seen
 // programs into cache hits. The report (text by default, -json for the
-// pardetect.corpus.report/v1 document) is byte-identical at any -jobs value
-// and under any -engine.
+// pardetect.corpus.report/v1 document) is byte-identical at any -jobs value.
 //
 // -gen N generates a deterministic fuzzer-seeded corpus of N programs into
 // -dir and exits; rerunning with the same -seed reproduces the same corpus.
@@ -30,7 +29,6 @@ import (
 	"os"
 
 	"pardetect/internal/corpus"
-	"pardetect/internal/interp"
 	"pardetect/internal/obs"
 )
 
@@ -39,7 +37,6 @@ func main() {
 	jobs := flag.Int("jobs", 0, "analysis worker-pool size (default GOMAXPROCS; 1 = sequential)")
 	storeDir := flag.String("store-dir", "", "persistent result store directory (empty disables the store tier)")
 	storeMax := flag.Int("store-max", 0, "store entry cap (default: sized to the corpus)")
-	engine := flag.String("engine", "", "interpreter engine: tree or bytecode (default bytecode; regvm: alias of bytecode)")
 	manifest := flag.String("manifest", "", "manifest path (default <dir>/"+corpus.DefaultManifestName+")")
 	out := flag.String("out", "", "write the report to this file instead of stdout")
 	asJSON := flag.Bool("json", false, "emit the report as JSON (schema "+corpus.ReportSchema+")")
@@ -65,11 +62,6 @@ func main() {
 	if *timeout < 0 {
 		fail("bad -timeout %s: must be >= 0", *timeout)
 	}
-	eng, err := interp.ParseEngine(*engine)
-	if err != nil {
-		fail("%v", err)
-	}
-	*engine = eng
 	if flag.NArg() > 0 {
 		fail("unexpected argument %q", flag.Arg(0))
 	}
@@ -99,7 +91,6 @@ func main() {
 			StoreDir: *storeDir,
 			StoreMax: *storeMax,
 			Jobs:     *jobs,
-			Engine:   *engine,
 			Timeout:  *timeout,
 		}, *out, *asJSON, *stats))
 	}

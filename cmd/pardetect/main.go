@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	pardetect [-hotspot 0.02] [-engine tree] [-ops] [-deps] [-stats] <benchmark>
-//	pardetect -all [-jobs 8] [-engine tree] [-stats] [-stats-json stats.json]
+//	pardetect [-hotspot 0.02] [-ops] [-deps] [-stats] <benchmark>
+//	pardetect -all [-jobs 8] [-stats] [-stats-json stats.json]
 //	pardetect -stats-json stats.json <benchmark>
 //	pardetect -debug-addr localhost:6060 <benchmark>
 //	pardetect -fuzz-seed 0x83b
@@ -23,10 +23,6 @@
 // registry order; a failing app is reported and the rest of the batch still
 // completes. With -all, -stats prints the farm's batch telemetry and
 // -stats-json writes the whole batch as a pardetect.obs.runset/v1 envelope.
-//
-// -engine selects the interpreter execution engine for the profiled runs:
-// "bytecode" (the compiled engine, default) or "tree" (the reference tree
-// walker — identical analysis results, about twice as slow; see DESIGN.md).
 //
 // -stats appends the telemetry report: the per-phase span tree (wall time
 // and allocated bytes), the counter table and the candidate decision log.
@@ -46,7 +42,6 @@ import (
 	"pardetect/internal/core"
 	"pardetect/internal/farm"
 	"pardetect/internal/fuzzer"
-	"pardetect/internal/interp"
 	"pardetect/internal/obs"
 	"pardetect/internal/report"
 )
@@ -56,7 +51,6 @@ func main() {
 	all := flag.Bool("all", false, "analyse every registered benchmark through the farm worker pool")
 	jobs := flag.Int("jobs", 0, "concurrent analyses with -all (default GOMAXPROCS; 1 = sequential)")
 	hotspot := flag.Float64("hotspot", 0, "hotspot share threshold (default 0.02)")
-	engine := flag.String("engine", "", "interpreter engine for the profiled runs: tree or bytecode (default bytecode; regvm: alias of bytecode)")
 	showOps := flag.Bool("ops", false, "print the Program Execution Tree with operation counts")
 	showDeps := flag.Bool("deps", false, "print the profiled cross-loop dependences")
 	showSrc := flag.Bool("src", false, "print the benchmark's mini-IR source")
@@ -72,14 +66,6 @@ func main() {
 		}
 	})
 
-	eng, err := interp.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pardetect: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	*engine = eng
-
 	if fuzzSeedSet {
 		os.Exit(replaySeed(*fuzzSeed))
 	}
@@ -94,7 +80,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "pardetect: -all runs the default configuration; it cannot be combined with a benchmark argument, -hotspot, -ops, -deps, -src or -debug-addr")
 			os.Exit(2)
 		}
-		os.Exit(runAll(*jobs, *stats, *statsJSON, *engine))
+		os.Exit(runAll(*jobs, *stats, *statsJSON))
 	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: pardetect [flags] <benchmark>   (or -list, -all)")
@@ -128,7 +114,6 @@ func main() {
 		HotspotShare:           *hotspot,
 		InferReductionOperator: true,
 		Observer:               o,
-		Engine:                 *engine,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pardetect: %v\n", err)
@@ -188,13 +173,13 @@ func replaySeed(seed uint64) int {
 // in registry order. It returns the process exit code: 0 when every app
 // analysed cleanly, 1 when any failed (the failures are reported inline and
 // the rest of the batch still completes).
-func runAll(jobs int, stats bool, statsJSON string, engine string) int {
+func runAll(jobs int, stats bool, statsJSON string) int {
 	names := make([]string, 0, len(apps.All()))
 	for _, a := range apps.All() {
 		names = append(names, a.Name)
 	}
 	observe := stats || statsJSON != ""
-	batch := farm.RunApps(names, farm.Options{Jobs: jobs, Observe: observe, Engine: engine})
+	batch := farm.RunApps(names, farm.Options{Jobs: jobs, Observe: observe})
 
 	code := 0
 	for i, r := range batch.Results {

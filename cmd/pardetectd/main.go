@@ -7,7 +7,7 @@
 // Usage:
 //
 //	pardetectd [-addr localhost:7070] [-workers 8] [-queue 64] [-cache 512]
-//	           [-timeout 2m] [-engine tree] [-access-log PATH] [-slow 8]
+//	           [-timeout 2m] [-access-log PATH] [-slow 8]
 //	           [-store-dir DIR] [-store-max 4096] [-tenant-rps 0] [-tenant-inflight 0]
 //
 // Endpoints:
@@ -26,7 +26,8 @@
 //	                                   span tree and decision log
 //	GET  /debug/{obs,vars,pprof/...}   telemetry surface
 //
-// /analyze accepts engine=tree|bytecode, timeout=DURATION, format=text|json
+// /analyze accepts engine=tree|bytecode|regvm (byte-identical answers;
+// regvm is an alias of bytecode), timeout=DURATION, format=text|json
 // and cache=use|skip. The text body is byte-identical to the pardetect CLI
 // output for the same program. The bound address is printed to stderr
 // (useful with ":0"); SIGINT/SIGTERM drain in-flight analyses before exit.
@@ -53,7 +54,6 @@ import (
 	"syscall"
 	"time"
 
-	"pardetect/internal/interp"
 	"pardetect/internal/server"
 )
 
@@ -63,7 +63,6 @@ func main() {
 	queue := flag.Int("queue", 64, "admission queue depth beyond the workers; a full queue answers 429")
 	cacheEntries := flag.Int("cache", 512, "content-addressed result cache entries (LRU)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "default per-request analysis deadline (0 = none; requests may lower it)")
-	engine := flag.String("engine", "", "default interpreter engine: tree or bytecode (default bytecode; regvm: alias of bytecode)")
 	drain := flag.Duration("drain", time.Minute, "shutdown grace period for in-flight analyses")
 	accessLog := flag.String("access-log", "", "write one JSON access-log line per request to this file (\"-\" = stderr)")
 	slow := flag.Int("slow", 8, "slow-request samples kept for /debug/slow (0 disables)")
@@ -74,12 +73,6 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: pardetectd [flags]   (pardetectd takes no arguments)")
-		os.Exit(2)
-	}
-	eng, err := interp.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pardetectd: %v\n", err)
-		flag.Usage()
 		os.Exit(2)
 	}
 
@@ -107,7 +100,6 @@ func main() {
 		Queue:             *queue,
 		CacheEntries:      *cacheEntries,
 		DefaultTimeout:    *timeout,
-		DefaultEngine:     eng,
 		AccessLog:         logw,
 		SlowSamples:       slowK,
 		StoreDir:          *storeDir,
@@ -125,8 +117,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pardetectd: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "pardetectd: listening on http://%s/ (engine %s, %d workers, queue %d)\n",
-		ln.Addr(), eng, srv.Workers(), *queue)
+	fmt.Fprintf(os.Stderr, "pardetectd: listening on http://%s/ (%d workers, queue %d)\n",
+		ln.Addr(), srv.Workers(), *queue)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -15,37 +16,63 @@ import (
 	"pardetect/internal/interp"
 	"pardetect/internal/obs"
 	"pardetect/internal/patterns"
+	"pardetect/internal/report"
 	"pardetect/internal/trace"
 )
 
-// fingerprintsGolden pins, per Table III app, everything the two profiling
-// runs produce: the phase-1 profile, the full analysis result, the PET and
-// every phase-2 (i_x, i_y) sample. Tables III-V only show what survives the
-// detectors, so a profiler change can drift here while the tables still
-// match.
-const fingerprintsGolden = "testdata/goldens/fingerprints.txt"
+// The goldens are the byte-exact renderings of Tables III, IV and V (what
+// `benchtab -table N` prints) and, per Table III app, everything the two
+// profiling runs produce: the phase-1 profile, the full analysis result,
+// the PET, every phase-2 (i_x, i_y) sample and the decision log. The tables
+// only show what survives the detectors, so a profiler change can drift in
+// fingerprints.txt while the tables still match.
+const goldensDir = "testdata/goldens"
 
-var updateFingerprints = flag.Bool("update-fingerprints", false,
-	"rewrite "+fingerprintsGolden+" from the tree engine (scripts/goldens.sh update)")
+var updateGoldens = flag.Bool("update-goldens", false,
+	"rewrite the table and fingerprint goldens under "+goldensDir+" from the tree engine")
 
-// fingerprintLine analyses one app on one engine and renders its golden line:
-// name, Profile.Fingerprint, Result.Fingerprint, a SHA-256 prefix of
-// Tree.String, the phase-2 PairPoints as pair count, sample count and a
-// SHA-256 prefix of the samples, and a SHA-256 prefix of the decision log.
-func fingerprintLine(t *testing.T, name, engine string) string {
+// goldenFiles are the files under goldensDir that renderGoldens renders.
+var goldenFiles = []string{"table3.txt", "table4.txt", "table5.txt", "fingerprints.txt"}
+
+// renderGoldens analyses every Table III app once on engine, with an
+// observer, and renders every golden file from those runs, by file name.
+// Each table carries the newline benchtab's fmt.Println adds after it.
+func renderGoldens(t *testing.T, engine string) map[string]string {
 	t.Helper()
-	p := apps.Get(name).Build()
-	o := obs.New(name)
-	res, err := core.Analyze(p, core.Options{InferReductionOperator: true, Engine: engine, Observer: o})
-	if err != nil {
-		t.Fatalf("%s (%s): %v", name, engine, err)
+	runs := make([]*report.AppRun, 0, len(apps.TableIIIOrder))
+	var fps strings.Builder
+	for _, name := range apps.TableIIIOrder {
+		o := obs.New(name)
+		run, err := report.RunAppEngine(name, o, 0, engine)
+		if err != nil {
+			t.Fatalf("%s (%s): %v", name, engine, err)
+		}
+		runs = append(runs, run)
+		fps.WriteString(fingerprintLine(t, run.Result, o, engine))
+		fps.WriteByte('\n')
 	}
+	return map[string]string{
+		"table3.txt":       report.TableIII(runs) + "\n",
+		"table4.txt":       report.TableIV(runs) + "\n",
+		"table5.txt":       report.TableV(runs) + "\n",
+		"fingerprints.txt": fps.String(),
+	}
+}
+
+// fingerprintLine renders one app's golden line from its observed analysis
+// res on engine: name, Profile.Fingerprint, Result.Fingerprint, a SHA-256
+// prefix of Tree.String, the phase-2 PairPoints as pair count, sample count
+// and a SHA-256 prefix of the samples, and a SHA-256 prefix of o's decision
+// log.
+func fingerprintLine(t *testing.T, res *core.Result, o *obs.Observer, engine string) string {
+	t.Helper()
+	name := res.Program.Name
 	// The phase-2 run core.Analyze makes, repeated from outside so the
 	// samples themselves can be digested: same candidate pairs (at the
 	// default hotspot share), same engine, same sample cap.
 	pairs := patterns.CandidatePairs(res.Profile, res.Tree, 0.02)
 	pp := trace.NewPairProfiler(pairs, 0)
-	m, err := interp.New(p, interp.Options{Tracer: pp, Engine: engine})
+	m, err := interp.New(apps.Get(name).Build(), interp.Options{Tracer: pp, Engine: engine})
 	if err != nil {
 		t.Fatalf("%s (%s): %v", name, engine, err)
 	}
@@ -102,44 +129,50 @@ func pairPointsDigest(pts *trace.PairPoints) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
-// TestFingerprintGolden checks both engines against the committed golden.
-// With -update-fingerprints it first rewrites the golden from the reference
-// tree engine.
+// TestFingerprintGolden checks every golden file under both engines. With
+// -update-goldens it first rewrites them from the reference tree engine.
 func TestFingerprintGolden(t *testing.T) {
-	render := func(engine string) string {
-		var sb strings.Builder
-		for _, name := range apps.TableIIIOrder {
-			sb.WriteString(fingerprintLine(t, name, engine))
-			sb.WriteByte('\n')
-		}
-		return sb.String()
-	}
-	if *updateFingerprints {
-		if err := os.WriteFile(fingerprintsGolden, []byte(render(interp.EngineTree)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(fingerprintsGolden)
-	if err != nil {
-		t.Fatalf("%v (run: scripts/goldens.sh update)", err)
-	}
-	for _, engine := range []string{interp.EngineTree, interp.EngineBytecode} {
-		got := render(engine)
-		if got == string(want) {
-			continue
-		}
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := range gl {
-			if i >= len(wl) || gl[i] != wl[i] {
-				w := ""
-				if i < len(wl) {
-					w = wl[i]
-				}
-				t.Errorf("%s drifted (engine=%s):\n  golden: %s\n  got:    %s", fingerprintsGolden, engine, w, gl[i])
+	if *updateGoldens {
+		got := renderGoldens(t, interp.EngineTree)
+		for _, f := range goldenFiles {
+			if err := os.WriteFile(filepath.Join(goldensDir, f), []byte(got[f]), 0o644); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if len(wl) > len(gl) {
-			t.Errorf("%s drifted (engine=%s): %d golden lines, %d rendered", fingerprintsGolden, engine, len(wl), len(gl))
+	}
+	want := map[string]string{}
+	for _, f := range goldenFiles {
+		data, err := os.ReadFile(filepath.Join(goldensDir, f))
+		if err != nil {
+			t.Fatalf("%v (run: make goldens-update)", err)
+		}
+		want[f] = string(data)
+	}
+	for _, engine := range []string{interp.EngineTree, interp.EngineBytecode} {
+		got := renderGoldens(t, engine)
+		for _, f := range goldenFiles {
+			if got[f] != want[f] {
+				t.Errorf("%s/%s drifted (engine=%s):\n%s", goldensDir, f, engine, lineDiff(want[f], got[f]))
+			}
 		}
 	}
+}
+
+// lineDiff lists the lines where got differs from want, golden line first.
+func lineDiff(want, got string) string {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var sb strings.Builder
+	for i := 0; i < len(wl) || i < len(gl); i++ {
+		var w, g string
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i >= len(wl) || i >= len(gl) || w != g {
+			fmt.Fprintf(&sb, "  line %d golden: %q\n  line %d got:    %q\n", i+1, w, i+1, g)
+		}
+	}
+	return sb.String()
 }

@@ -32,8 +32,7 @@
 // first depends on scheduling, but no outcome does: a fingerprint covers
 // the program's name and whole body, the analysis is a pure function of the
 // program, and once the farm returns the key's first file in path order is
-// named its owner, so the report is byte-identical at any -jobs value and
-// under any execution engine.
+// named its owner, so the report is byte-identical at any -jobs value.
 //
 // A raw-bytes match is trusted as written: the file is not re-decoded,
 // re-validated or re-analysed by the binary reading the manifest. That is
@@ -58,7 +57,6 @@ import (
 
 	"pardetect/internal/core"
 	"pardetect/internal/farm"
-	"pardetect/internal/interp"
 	"pardetect/internal/ir"
 	"pardetect/internal/obs"
 	"pardetect/internal/report"
@@ -92,9 +90,6 @@ type Options struct {
 	// hashed, decoded and analysed on one of Jobs workers. Values < 1 select
 	// GOMAXPROCS.
 	Jobs int
-	// Engine selects the interpreter engine for every analysis (see
-	// core.Options.Engine). Results are byte-identical across engines.
-	Engine string
 	// Timeout bounds each program's analysis (core.Options.Timeout);
 	// 0 means none.
 	Timeout time.Duration
@@ -142,8 +137,7 @@ type ProgramResult struct {
 // Report is a completed corpus run. Everything in it is deterministic for a
 // given corpus + manifest + store state: results are ordered by path, the
 // histogram is sorted, and no wall-clock or machine detail leaks in — so
-// two runs over the same state render byte-identical text at any Jobs value
-// and under any engine.
+// two runs over the same state render byte-identical text at any Jobs value.
 type Report struct {
 	Schema   string          `json:"schema"`
 	Programs int             `json:"programs"`
@@ -236,10 +230,6 @@ type unit struct {
 // decodes, diffs against the manifest and analyses each file with store
 // read-through/write-back, report, manifest save.
 func Run(opts Options) (*Report, error) {
-	engine, err := interp.ParseEngine(opts.Engine)
-	if err != nil {
-		return nil, fmt.Errorf("corpus: %w", err)
-	}
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("corpus: no corpus directory")
 	}
@@ -275,7 +265,7 @@ func Run(opts Options) (*Report, error) {
 	// larger, so a pass never evicts its own working set.
 	sp = o.Start("corpus.process")
 	p := &pass{
-		dir: opts.Dir, manifest: manifest, engine: engine, timeout: opts.Timeout,
+		dir: opts.Dir, manifest: manifest, timeout: opts.Timeout,
 		storeDir: opts.StoreDir, storeMax: opts.StoreMax, o: o,
 		units: map[string]*unit{},
 	}
@@ -415,7 +405,6 @@ func Run(opts Options) (*Report, error) {
 type pass struct {
 	dir      string
 	manifest map[string]manifestEntry
-	engine   string
 	timeout  time.Duration
 	storeDir string // empty when the store tier is off
 	storeMax int
@@ -492,13 +481,13 @@ func (p *pass) process(f *fileState) {
 		u.err = err
 		return
 	}
-	u.run(prog, st, p.engine, p.timeout)
+	u.run(prog, st, p.timeout)
 }
 
 // run resolves one unit: store read-through, analyse prog on a miss, write
 // back. Called on the farm worker whose job claimed u; u is owned by exactly
 // this call until the farm returns.
-func (u *unit) run(prog *ir.Program, st *store.Store, engine string, timeout time.Duration) {
+func (u *unit) run(prog *ir.Program, st *store.Store, timeout time.Duration) {
 	if st != nil {
 		if e, res := st.Get(u.key); res == store.Hit {
 			u.outcome = OutcomeCached
@@ -507,7 +496,7 @@ func (u *unit) run(prog *ir.Program, st *store.Store, engine string, timeout tim
 			return
 		}
 	}
-	run, err := report.Analyze(prog, u.key, nil, timeout, engine)
+	run, err := report.Analyze(prog, u.key, nil, timeout, "")
 	if err != nil {
 		u.err = err
 		return

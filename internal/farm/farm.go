@@ -45,11 +45,6 @@ type Options struct {
 	// Observe attaches a per-run obs.Observer to every analysis and merges
 	// the per-run reports into the batch RunSet.
 	Observe bool
-	// Engine selects the interpreter execution engine for every farmed
-	// analysis (see core.Options.Engine): "" or interp.EngineBytecode for
-	// the compiled engine (the default), interp.EngineTree for the reference
-	// tree walker.
-	Engine string
 	// Queue bounds the number of admitted-but-not-yet-running jobs a Pool
 	// holds beyond the Jobs running ones (the admission queue of a serving
 	// workload; see Pool). 0 admits a job only when fewer than Jobs admitted
@@ -97,8 +92,8 @@ type Result struct {
 	// are not yet counted, so the value can lag the job's true volume by a
 	// few cached spans; large objects are counted when allocated. With
 	// Jobs == 1 this is the job's own allocation volume; with concurrent
-	// workers the deltas of overlapping jobs bleed into each other. Recorded
-	// so batch telemetry can compare per-task cost across engines (see
+	// workers the deltas of overlapping jobs bleed into each other. Batch
+	// telemetry reports it per task (farm.task.<name>.alloc_bytes; see
 	// Batch.Report).
 	AllocBytes int64
 	// Wait is the time the job spent admitted but not yet running: from
@@ -303,7 +298,7 @@ func RunApps(names []string, opts Options) *Batch {
 	for i, name := range names {
 		name := name
 		jobs[i] = Job{Name: name, Run: func(o *obs.Observer) (*report.AppRun, error) {
-			return report.RunAppEngine(name, o, 0, opts.Engine)
+			return report.RunAppEngine(name, o, 0, "")
 		}}
 	}
 	return Run(jobs, opts)

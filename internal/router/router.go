@@ -595,27 +595,25 @@ func (rt *Router) forwardSubBatch(r *http.Request, b *backend, group []*bline, o
 	}
 
 	// Stream: each backend line's index is its position in the sub-batch;
-	// rewrite it to the client's numbering and tag the serving replica.
+	// rewrite it to the client's numbering and tag the serving replica. A
+	// result line has no length cap (its summary repeats the program name),
+	// so lines are read whole and the stream ends only on a read error.
 	answered := make([]bool, len(group))
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
+	br := bufio.NewReader(resp.Body)
+	for {
+		line, err := br.ReadBytes('\n')
 		var fields map[string]json.RawMessage
-		if err := json.Unmarshal(raw, &fields); err != nil {
-			continue
-		}
 		var subIdx int
-		if err := json.Unmarshal(fields["index"], &subIdx); err != nil || subIdx < 0 || subIdx >= len(group) {
-			continue
+		if json.Unmarshal(line, &fields) == nil &&
+			json.Unmarshal(fields["index"], &subIdx) == nil && subIdx >= 0 && subIdx < len(group) {
+			answered[subIdx] = true
+			fields["index"], _ = json.Marshal(group[subIdx].idx)
+			fields["backend"], _ = json.Marshal(b.name)
+			out.Write(fields)
 		}
-		answered[subIdx] = true
-		fields["index"], _ = json.Marshal(group[subIdx].idx)
-		fields["backend"], _ = json.Marshal(b.name)
-		out.Write(fields)
+		if err != nil {
+			break
+		}
 	}
 	// A replica that died mid-stream answered a prefix; re-route the rest.
 	var failed []*bline

@@ -302,19 +302,23 @@ func batchLines(t *testing.T, base string, body []byte) []map[string]any {
 		t.Fatalf("batch: status %d: %s", resp.StatusCode, data)
 	}
 	var out []map[string]any
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
+	br := bufio.NewReader(resp.Body)
+	for {
+		raw, err := br.ReadBytes('\n')
+		if raw = bytes.TrimSpace(raw); len(raw) > 0 {
+			var line map[string]any
+			if err := json.Unmarshal(raw, &line); err != nil {
+				t.Fatalf("undecodable batch line %.200q: %v", raw, err)
+			}
+			out = append(out, line)
 		}
-		var line map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("undecodable batch line %q: %v", sc.Text(), err)
+		if err == io.EOF {
+			return out
 		}
-		out = append(out, line)
+		if err != nil {
+			t.Fatalf("reading batch stream: %v", err)
+		}
 	}
-	return out
 }
 
 // TestRouterBatch: a batch splits per home replica, fans out, and re-merges
@@ -395,6 +399,34 @@ func TestRouterBatchLongLine(t *testing.T) {
 		if oc := line["outcome"]; oc != "miss" && oc != "hit" && oc != "join" {
 			t.Fatalf("line %v: outcome %v (%v), want an analysed program", line["index"], oc, line["error"])
 		}
+	}
+}
+
+// TestRouterBatchLongResult: a valid program whose result line passes 1 MiB
+// (its summary repeats the 1 MiB program name) is relayed whole from the
+// backend's stream, and reading it strikes no backend.
+func TestRouterBatchLongResult(t *testing.T) {
+	c := startCluster(t, 3, server.Options{}, func(o *Options) { o.FailAfter = 2 })
+	pool := wirePool(t, 950, 3)
+	long := fuzzer.Generate(951)
+	long.Name = strings.Repeat("n", 1<<20)
+	doc, err := wire.EncodeProgram(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool[1] = doc
+
+	lines := batchLines(t, c.front.URL, bytes.Join(pool, []byte("\n")))
+	if len(lines) != 3 {
+		t.Fatalf("batch returned %d lines, want 3", len(lines))
+	}
+	for _, line := range lines {
+		if oc := line["outcome"]; oc != "miss" && oc != "hit" && oc != "join" {
+			t.Fatalf("line %v: outcome %v (%v), want an analysed program", line["index"], oc, line["error"])
+		}
+	}
+	if n := c.router.Counters()["router.backend_failures"]; n != 0 {
+		t.Fatalf("router.backend_failures = %d, want 0", n)
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 // the program's content fingerprint (core.ProgramFingerprint) plus the
 // analysis options that shape the output. The key is deliberately
 // engine-free — the tree and bytecode engines are observationally identical
-// (goldens.sh and the fuzzer's engine-parity oracle pin this), so a bytecode
-// request may be served from an entry a tree request populated.
+// (TestFingerprintGolden and the fuzzer's engine-parity oracle pin this),
+// so a bytecode request may be served from an entry a tree request
+// populated.
 //
 // Eviction is LRU over a fixed entry budget: analysis results are a few KB
 // of rendered text, so a count bound (not a byte bound) is enough, and the

@@ -15,8 +15,8 @@
 //     instead of accepting unbounded work;
 //   - per-request wall-clock deadlines threaded into core.Options.Timeout;
 //     an exceeded deadline surfaces as interp.ErrDeadline and a 504;
-//   - per-request engine selection (tree or bytecode; regvm is an alias of
-//     bytecode) with responses byte-identical across engines, like the CLI;
+//   - per-request engine selection (engine=tree|bytecode; regvm is an alias
+//     of bytecode) with responses byte-identical across engines;
 //   - graceful shutdown that stops admission and drains in-flight analyses.
 //
 // Telemetry flows through internal/obs/metrics: every decision the
@@ -67,10 +67,6 @@ type Options struct {
 	// DefaultTimeout is the per-request analysis deadline applied when the
 	// request carries no timeout parameter; 0 means no deadline.
 	DefaultTimeout time.Duration
-	// DefaultEngine is the interpreter engine used when the request carries
-	// no engine parameter ("" selects bytecode, the library default; tree is
-	// the reference walker). New canonicalises it with interp.ParseEngine.
-	DefaultEngine string
 	// AccessLog, when non-nil, receives one structured JSON line per request
 	// (request ID, endpoint, outcome, status, duration, bytes).
 	AccessLog io.Writer
@@ -104,7 +100,7 @@ type Options struct {
 // MaxBatchPrograms.
 const maxTimeout = 10 * time.Minute
 
-func (o *Options) fill() error {
+func (o *Options) fill() {
 	if o.Workers < 1 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -123,12 +119,6 @@ func (o *Options) fill() error {
 	if o.SlowSamples < 0 {
 		o.SlowSamples = 0
 	}
-	eng, err := interp.ParseEngine(o.DefaultEngine)
-	if err != nil {
-		return err
-	}
-	o.DefaultEngine = eng
-	return nil
 }
 
 // Server is the pardetectd HTTP service.
@@ -161,9 +151,7 @@ type Server struct {
 // New builds a server and starts its worker pool. The returned server is
 // ready to serve via Serve or Handler.
 func New(opts Options) (*Server, error) {
-	if err := opts.fill(); err != nil {
-		return nil, err
-	}
+	opts.fill()
 	s := &Server{
 		opts:  opts,
 		pool:  farm.NewPool(farm.Options{Jobs: opts.Workers, Queue: opts.Queue}),
@@ -326,7 +314,7 @@ type analyzeParams struct {
 
 func (s *Server) parseParams(r *http.Request) (analyzeParams, error) {
 	q := r.URL.Query()
-	p := analyzeParams{engine: s.opts.DefaultEngine, timeout: s.opts.DefaultTimeout, format: "text"}
+	p := analyzeParams{timeout: s.opts.DefaultTimeout, format: "text"}
 	if v := q.Get("engine"); v != "" {
 		eng, err := interp.ParseEngine(v)
 		if err != nil {

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"pardetect/internal/interp"
 	"pardetect/internal/ir"
 	"pardetect/internal/report"
 	"pardetect/internal/store"
@@ -291,12 +290,7 @@ func TestDeadlineSurfacesAs504(t *testing.T) {
 }
 
 func TestEngineParityByteIdenticalWithCLI(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 2})
-	// A server that names no engine canonicalises its default to the
-	// library default.
-	if got := s.opts.DefaultEngine; got != interp.EngineBytecode {
-		t.Fatalf("DefaultEngine = %q, want %q", got, interp.EngineBytecode)
-	}
+	_, ts := newTestServer(t, Options{Workers: 2})
 	for _, app := range []string{"bicg", "fib"} {
 		// cache=skip so each engine truly runs; without it the later
 		// requests would be served from the first request's entry. The

@@ -11,7 +11,10 @@
 #     obs.EventTracer: an observed analysis reads its events.* counters
 #     from the phase-1 collector, so phase 1 runs one tracer either way;
 #   - go vet, go build, go test, and a shuffled test pass (-shuffle=on) to
-#     catch test-order dependencies;
+#     catch test-order dependencies; go test includes the golden check
+#     (TestFingerprintGolden: Tables III-V and the per-app profiler
+#     fingerprints byte-compared against testdata/goldens/ under both
+#     interpreter engines);
 #   - a race-detector pass over the concurrency-sensitive packages: the
 #     parallel schedulers, the telemetry observer, the analysis farm (its
 #     tests run all 19 app analyses concurrently), the fuzzer, the
@@ -31,8 +34,6 @@
 #   - a build-and-smoke run of the benchmark module (bench/, its own Go
 #     module, which the root `go test ./...` never compiles: every workload
 #     once, untraced and traced);
-#   - the golden-table gate (scripts/goldens.sh: Tables III-V byte-diffed
-#     against testdata/goldens/ under both interpreter engines);
 #   - the pardetectd smoke (scripts/servesmoke.go: cached and uncached
 #     requests, batch NDJSON, a hostile program refused with 400 and the
 #     daemon still healthy, backpressure, /healthz, SIGTERM drain and a
@@ -42,7 +43,7 @@
 #     SIGKILLed mid-run);
 #   - the corpus-mode smoke (scripts/corpussmoke.go: a CORPUS_N-program
 #     corpus, default 1000, through the real parcorpus binary: byte-identical
-#     cold reports across -jobs and -engine, a fresh-manifest rerun served
+#     cold reports across -jobs, a fresh-manifest rerun served
 #     wholly from the store, a fully skipped warm rerun and exactly one
 #     re-analysis after touching one file);
 #   - a fuzzer campaign (CAMPAIGN_N programs, default 500) whose
@@ -108,9 +109,6 @@ go test -run '^$' -fuzz '^FuzzDecodeParity$' -fuzztime 20s ./internal/wire
 
 echo "==> benchmark module smoke (cd bench && go test ./...)"
 (cd bench && go test ./...)
-
-echo "==> golden tables III-V under both engines (scripts/goldens.sh)"
-sh scripts/goldens.sh check
 
 echo "==> pardetectd service smoke (scripts/servesmoke.go)"
 go run scripts/servesmoke.go

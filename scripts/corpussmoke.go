@@ -4,11 +4,9 @@
 // builds the real binary and proves the incremental-analysis contract end
 // to end against a generated fleet of CORPUS_N (default 1000) programs:
 //
-//   - two COLD runs from clean slates — one at -jobs 4 under the default
-//     (bytecode) engine, one sequential (-jobs 1) under the reference tree
-//     engine — must emit
-//     byte-identical reports: determinism across both the parallelism and
-//     the engine axis, asserted on the shipped binary;
+//   - two COLD runs from clean slates, one at -jobs 4 and one sequential
+//     (-jobs 1), must emit byte-identical reports: determinism across the
+//     parallelism axis, asserted on the shipped binary;
 //   - a rerun with a NEW manifest on the populated store must report all N
 //     cached and analyse zero, each with the cold run's headline and
 //     fingerprint: the store, reopened by a new process, serves them all;
@@ -22,8 +20,8 @@
 //   - after touching exactly ONE file (regenerated with a fresh seed), the
 //     rerun must re-analyse exactly that file and skip the other N-1 —
 //     change detection precise in both directions;
-//   - a final warm pass at yet another -jobs/-engine combination must be
-//     fully skipped again.
+//   - a final warm pass at yet another -jobs value must be fully skipped
+//     again.
 //
 // The in-process tests in internal/corpus cover the same properties
 // white-box; this script proves the shipped binary wires them together.
@@ -87,7 +85,7 @@ func run() error {
 		return err
 	}
 
-	// Two cold runs from clean slates, differing in both -jobs and -engine.
+	// Two cold runs from clean slates, differing in -jobs.
 	manifest := filepath.Join(scratch, "manifest.json")
 	store := filepath.Join(scratch, "store")
 	repA := filepath.Join(scratch, "repA.json")
@@ -99,7 +97,7 @@ func run() error {
 	if _, err := parcorpus(bin, "-dir", corpusDir,
 		"-manifest", filepath.Join(scratch, "manifestB.json"),
 		"-store-dir", filepath.Join(scratch, "storeB"),
-		"-jobs", "1", "-engine", "tree", "-json", "-out", repB); err != nil {
+		"-jobs", "1", "-json", "-out", repB); err != nil {
 		return err
 	}
 	a, err := os.ReadFile(repA)
@@ -111,7 +109,7 @@ func run() error {
 		return err
 	}
 	if !bytes.Equal(a, b) {
-		return fmt.Errorf("cold reports differ between -jobs 4 (default engine) and -jobs 1/-engine tree")
+		return fmt.Errorf("cold reports differ between -jobs 4 and -jobs 1")
 	}
 	cold, err := parse(a)
 	if err != nil {
@@ -120,7 +118,7 @@ func run() error {
 	if cold.Programs != n || cold.Analyzed+cold.Cached != n || cold.Failed != 0 || cold.Skipped != 0 {
 		return fmt.Errorf("cold run counts: %+v, want %d analysed-or-cached", cold, n)
 	}
-	fmt.Printf("corpussmoke: cold run over %d programs, reports byte-identical across jobs and engines\n", n)
+	fmt.Printf("corpussmoke: cold run over %d programs, reports byte-identical across jobs\n", n)
 
 	// A fresh manifest over the populated store: every program must come
 	// from the store (cached, nothing analysed), with the cold run's
@@ -143,9 +141,9 @@ func run() error {
 	fmt.Printf("corpussmoke: fresh manifest on the populated store served all %d from the store\n", n)
 
 	// Warm rerun: everything skipped, nothing analysed — at yet another
-	// -jobs/-engine combination, since skipping must not depend on either.
+	// -jobs value, since skipping must not depend on it.
 	warm, err := runAndParse(bin, scratch, "repW.json",
-		"-dir", corpusDir, "-manifest", manifest, "-store-dir", store, "-jobs", "8", "-engine", "bytecode")
+		"-dir", corpusDir, "-manifest", manifest, "-store-dir", store, "-jobs", "8")
 	if err != nil {
 		return err
 	}
@@ -195,7 +193,7 @@ func run() error {
 		return err
 	}
 	dirty, err := runAndParse(bin, scratch, "repD.json",
-		"-dir", corpusDir, "-manifest", manifest, "-store-dir", store, "-jobs", "4", "-engine", "bytecode")
+		"-dir", corpusDir, "-manifest", manifest, "-store-dir", store, "-jobs", "4")
 	if err != nil {
 		return err
 	}
@@ -215,7 +213,7 @@ func run() error {
 
 	// And the corpus is warm again.
 	warm2, err := runAndParse(bin, scratch, "repW2.json",
-		"-dir", corpusDir, "-manifest", manifest, "-store-dir", store, "-jobs", "2", "-engine", "tree")
+		"-dir", corpusDir, "-manifest", manifest, "-store-dir", store, "-jobs", "2")
 	if err != nil {
 		return err
 	}

@@ -14,10 +14,15 @@
 # Also fails when code in README.md, DESIGN.md or EXPERIMENTS.md (an
 # inline `span` or a fenced block) names a `make <target>` the Makefile
 # does not define, a scripts/<name>.go|.sh, cmd/<name> or BENCH_*.json
-# that is not in the tree, or an option <pkg>.Options.<Field> that the
-# Options struct of internal/<pkg> does not declare — so deleting a tool or
-# a knob cannot leave docs that tell readers to use it. A historical
-# mention goes in plain text instead. bench/README.md is not checked yet.
+# that is not in the tree, an option <pkg>.Options.<Field> that the
+# Options struct of internal/<pkg> does not declare, or a -<flag> given to
+# a binary of cmd/ that its main.go does not define — so deleting a tool or
+# a knob cannot leave docs that tell readers to use it. A binary is invoked
+# by a cmd/<name> path (the flags after it count) or by a command whose
+# first word is <name> or ends in /<name>; a command ends at |, ;, &&, #
+# or the end of the span, and [ ] are stripped so optional flags count. A
+# historical mention goes in plain text instead. bench/README.md is not
+# checked yet.
 #
 # Usage: sh scripts/hygiene.sh   (ci.sh runs it first; the GitHub workflow
 # runs it as its own named step so a violation is visible at a glance)
@@ -85,6 +90,38 @@ options_fields() {
     }'
 }
 
+# cmd_flags reads doc_code lines and prints "<where> <name> <flag>" for
+# every -<flag> a code span gives to a binary cmd/<name> (see the header
+# for the rules).
+cmd_flags() {
+    awk -v cmds="$(ls cmd | tr '\n' ' ')" '
+    BEGIN { split(cmds, list, " "); for (k in list) known[list[k]] = 1 }
+    {
+        i = index($0, ": ")
+        where = substr($0, 1, i - 1)
+        code = substr($0, i + 2)
+        gsub(/[][]/, "", code)
+        n = split(code, parts, /\||;|&&|#/)
+        for (c = 1; c <= n; c++) {
+            m = split(parts[c], w, " ")
+            bin = ""
+            for (k = 1; k <= m; k++) {
+                word = w[k]
+                if (bin != "" && match(word, /^--?[A-Za-z][A-Za-z0-9_.-]*/)) {
+                    word = substr(word, 1, RLENGTH)
+                    sub(/^--?/, "", word)
+                    print where, bin, word
+                    continue
+                }
+                base = word
+                sub(/\/$/, "", base)
+                sub(/.*\//, "", base)
+                if ((k == 1 || word ~ /(^|\/)cmd\/[A-Za-z0-9_-]+\/?$/) && base in known) bin = base
+            }
+        }
+    }'
+}
+
 stale=$(
     doc_code README.md DESIGN.md EXPERIMENTS.md | while IFS= read -r line; do
         where=${line%%: *}
@@ -105,6 +142,11 @@ stale=$(
             options_fields "internal/$pkg" | grep -qx "$field" ||
                 echo "$where: $opt (internal/$pkg declares no such option)"
         done
+    done
+    doc_code README.md DESIGN.md EXPERIMENTS.md | cmd_flags | while read -r where bin flag; do
+        case "$flag" in h | help) continue ;; esac
+        grep -qE "flag\.[A-Za-z0-9]+\(\"$flag\"" "cmd/$bin/main.go" ||
+            echo "$where: $bin -$flag (cmd/$bin defines no such flag)"
     done
 )
 if [ -n "$stale" ]; then
