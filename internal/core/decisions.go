@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"pardetect/internal/obs"
 	"pardetect/internal/patterns"
@@ -109,10 +110,17 @@ func (r *Result) recordHotspotDecisions(o *obs.Observer) {
 		}
 		return order[i].kind < order[j].kind
 	})
+	// detail reads as "share %.2f%% vs threshold %.2f%%" prints it; the
+	// decisions= digest of the fingerprint goldens pins its bytes.
+	threshold := strconv.AppendFloat([]byte("% vs threshold "), 100*r.opts.HotspotShare, 'f', 2, 64)
+	threshold = append(threshold, '%')
+	var b []byte
 	for _, k := range order {
-		cand := fmt.Sprintf("%s %s", k.kind, k.name)
-		detail := fmt.Sprintf("share %.2f%% vs threshold %.2f%%",
-			100*best[k], 100*r.opts.HotspotShare)
+		cand := k.kind.String() + " " + k.name
+		b = append(b[:0], "share "...)
+		b = strconv.AppendFloat(b, 100*best[k], 'f', 2, 64)
+		b = append(b, threshold...)
+		detail := string(b)
 		if best[k] >= r.opts.HotspotShare {
 			o.Accept("hotspot", cand, obs.CodeHotspot, detail)
 		} else {

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
-	"hash/fnv"
+	"strconv"
+	"sync"
 
 	"pardetect/internal/ir"
 )
@@ -24,14 +24,29 @@ func (r *Result) Fingerprint() string {
 // A stored result needs both.
 func (r *Result) SummaryAndFingerprint() (summary, fingerprint string) {
 	summary = r.Summary()
-	h := fnv.New64a()
-	fmt.Fprintf(h, "summary:%s\n", summary)
-	fmt.Fprintf(h, "profile:%s\n", r.Profile.Fingerprint())
-	fmt.Fprintf(h, "hotspotfn:%s share=%.6f\n", r.HotspotFunc, r.HotspotSharePct)
+	bp := hashBufs.Get().(*[]byte)
+	b := append((*bp)[:0], "summary:"...)
+	b = append(b, summary...)
+	b = append(b, "\nprofile:"...)
+	b = append(b, r.Profile.Fingerprint()...)
+	b = append(b, "\nhotspotfn:"...)
+	b = append(b, r.HotspotFunc...)
+	b = appendShare(b, r.HotspotSharePct)
 	for _, hs := range r.Hotspots {
-		fmt.Fprintf(h, "hotspot %s %s share=%.6f\n", hs.Node.Kind, hs.Node.Name, hs.Share)
+		b = append(b, "hotspot "...)
+		b = append(b, hs.Node.Kind.String()...)
+		b = append(b, ' ')
+		b = append(b, hs.Node.Name...)
+		b = appendShare(b, hs.Share)
 	}
-	return summary, fmt.Sprintf("%016x", h.Sum64())
+	return summary, hashHex(bp, b)
+}
+
+// appendShare appends " share=%.6f\n".
+func appendShare(b []byte, share float64) []byte {
+	b = append(b, " share="...)
+	b = strconv.AppendFloat(b, share, 'f', 6, 64)
+	return append(b, '\n')
 }
 
 // ProgramFingerprint returns a deterministic digest of a program's content:
@@ -43,11 +58,34 @@ func (r *Result) SummaryAndFingerprint() (summary, fingerprint string) {
 // pardetectd caches analysis results: a registered app requested by name and
 // the same program POSTed as IR hash to the same key and share one cache
 // entry.
+//
+// The digest is the FNV-64a hash of "entry:<Entry>\n" followed by
+// ir.AppendProgram's bytes (String's form, which leaves the entry point
+// out), printed into a pooled buffer, so no string but the key is built.
 func ProgramFingerprint(p *ir.Program) string {
-	h := fnv.New64a()
-	// String() covers name, arrays and function bodies; the entry point is
-	// not part of the printed form, so hash it explicitly.
-	fmt.Fprintf(h, "entry:%s\n", p.Entry)
-	fmt.Fprintf(h, "%s", p.String())
-	return fmt.Sprintf("%016x", h.Sum64())
+	bp := hashBufs.Get().(*[]byte)
+	b := append((*bp)[:0], "entry:"...)
+	b = append(b, p.Entry...)
+	b = append(b, '\n')
+	return hashHex(bp, ir.AppendProgram(b, p))
+}
+
+// hashBufs holds the buffers the fingerprints are printed into.
+var hashBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// hashHex returns the FNV-64a hash of b as 16 lower-case hex digits and
+// puts b, grown from *bp, back into the pool.
+func hashHex(bp *[]byte, b []byte) string {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	*bp = b
+	hashBufs.Put(bp)
+	var hex [16]byte
+	for i := len(hex) - 1; i >= 0; i-- {
+		hex[i] = "0123456789abcdef"[h&15]
+		h >>= 4
+	}
+	return string(hex[:])
 }

@@ -15,7 +15,10 @@
 //
 // Programs are built with the fluent builder in builder.go, validated with
 // Program.Validate, pretty-printed with Program.String, and executed by
-// package interp.
+// package interp. Programs are printed by one append printer (print.go):
+// Program.String, FormatExpr, FormatLValue and Summary wrap AppendProgram,
+// AppendExpr and appendLValue, and core.ProgramFingerprint hashes the
+// printer's bytes, so no second printer can drift from the content key.
 //
 // Design restrictions (documented substitutions, see DESIGN.md §1):
 //

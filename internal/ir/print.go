@@ -1,124 +1,181 @@
 package ir
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // String renders the program as pseudo-C with line numbers, the same surface
 // form the paper's listings use. The output is deterministic and used in
 // golden tests and the petview tool.
 func (p *Program) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "// program %s\n", p.Name)
-	for _, a := range p.Arrays {
-		dims := make([]string, len(a.Dims))
-		for i, d := range a.Dims {
-			dims[i] = strconv.Itoa(d)
-		}
-		fmt.Fprintf(&sb, "double %s[%s];\n", a.Name, strings.Join(dims, "]["))
-	}
-	for _, f := range p.Funcs {
-		fmt.Fprintf(&sb, "%4d  func %s(%s) {\n", f.Line, f.Name, strings.Join(f.Params, ", "))
-		printStmts(&sb, f.Body, 1)
-		sb.WriteString("      }\n")
-	}
-	return sb.String()
+	return string(AppendProgram(make([]byte, 0, 1024), p))
 }
 
-func printStmts(sb *strings.Builder, stmts []Stmt, depth int) {
-	ind := strings.Repeat("    ", depth)
+// AppendProgram appends the program's String form to b and returns the
+// extended buffer. It is the one printer behind String, FormatExpr,
+// FormatLValue and Summary; core.ProgramFingerprint hashes its bytes
+// without building a string.
+func AppendProgram(b []byte, p *Program) []byte {
+	b = cat(b, "// program ", p.Name, "\n")
+	for _, a := range p.Arrays {
+		b = cat(b, "double ", a.Name, "[")
+		for i, d := range a.Dims {
+			if i > 0 {
+				b = append(b, "]["...)
+			}
+			b = strconv.AppendInt(b, int64(d), 10)
+		}
+		b = append(b, "];\n"...)
+	}
+	for _, f := range p.Funcs {
+		b = cat(appendLine(b, f.Line), "func ", f.Name, "(")
+		for i, prm := range f.Params {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = append(b, prm...)
+		}
+		b = appendStmts(append(b, ") {\n"...), f.Body, 1)
+		b = append(b, "      }\n"...)
+	}
+	return b
+}
+
+// cat appends each of ss to b.
+func cat(b []byte, ss ...string) []byte {
+	for _, s := range ss {
+		b = append(b, s...)
+	}
+	return b
+}
+
+// appendLine appends a source line number as %4d prints it, right
+// aligned in four columns, and the two spaces that follow it.
+func appendLine(b []byte, line int) []byte {
+	start := len(b)
+	b = strconv.AppendInt(b, int64(line), 10)
+	if pad := 4 - (len(b) - start); pad > 0 {
+		b = append(b, "    "[:pad]...)
+		copy(b[start+pad:], b[start:len(b)-pad])
+		copy(b[start:start+pad], "    ")
+	}
+	return append(b, "  "...)
+}
+
+// appendIndent appends depth levels of four-space indentation.
+func appendIndent(b []byte, depth int) []byte {
+	for range depth {
+		b = append(b, "    "...)
+	}
+	return b
+}
+
+// appendClose appends the unnumbered line that closes a block at depth.
+func appendClose(b []byte, depth int, text string) []byte {
+	return append(appendIndent(append(b, "      "...), depth), text...)
+}
+
+func appendStmts(b []byte, stmts []Stmt, depth int) []byte {
 	for _, s := range stmts {
+		if s == nil {
+			continue
+		}
+		b = appendIndent(appendLine(b, s.Pos()), depth)
 		switch s := s.(type) {
 		case *Assign:
-			fmt.Fprintf(sb, "%4d  %s%s = %s;\n", s.Line, ind, FormatLValue(s.Dst), FormatExpr(s.Src))
+			b = AppendExpr(append(appendLValue(b, s.Dst), " = "...), s.Src)
+			b = append(b, ";\n"...)
 		case *For:
-			fmt.Fprintf(sb, "%4d  %sfor (%s = %s; %s < %s; %s += %s) {  // %s\n",
-				s.Line, ind, s.Var, FormatExpr(s.Start), s.Var, FormatExpr(s.End), s.Var, FormatExpr(s.Step), s.LoopID)
-			printStmts(sb, s.Body, depth+1)
-			fmt.Fprintf(sb, "      %s}\n", ind)
+			b = AppendExpr(cat(b, "for (", s.Var, " = "), s.Start)
+			b = AppendExpr(cat(b, "; ", s.Var, " < "), s.End)
+			b = AppendExpr(cat(b, "; ", s.Var, " += "), s.Step)
+			b = appendStmts(cat(b, ") {  // ", s.LoopID, "\n"), s.Body, depth+1)
+			b = appendClose(b, depth, "}\n")
 		case *While:
-			fmt.Fprintf(sb, "%4d  %swhile (%s) {  // %s\n", s.Line, ind, FormatExpr(s.Cond), s.LoopID)
-			printStmts(sb, s.Body, depth+1)
-			fmt.Fprintf(sb, "      %s}\n", ind)
+			b = AppendExpr(append(b, "while ("...), s.Cond)
+			b = appendStmts(cat(b, ") {  // ", s.LoopID, "\n"), s.Body, depth+1)
+			b = appendClose(b, depth, "}\n")
 		case *If:
-			fmt.Fprintf(sb, "%4d  %sif (%s) {\n", s.Line, ind, FormatExpr(s.Cond))
-			printStmts(sb, s.Then, depth+1)
+			b = append(AppendExpr(append(b, "if ("...), s.Cond), ") {\n"...)
+			b = appendStmts(b, s.Then, depth+1)
 			if len(s.Else) > 0 {
-				fmt.Fprintf(sb, "      %s} else {\n", ind)
-				printStmts(sb, s.Else, depth+1)
+				b = appendStmts(appendClose(b, depth, "} else {\n"), s.Else, depth+1)
 			}
-			fmt.Fprintf(sb, "      %s}\n", ind)
+			b = appendClose(b, depth, "}\n")
 		case *Return:
-			if s.Val == nil {
-				fmt.Fprintf(sb, "%4d  %sreturn;\n", s.Line, ind)
-			} else {
-				fmt.Fprintf(sb, "%4d  %sreturn %s;\n", s.Line, ind, FormatExpr(s.Val))
+			b = append(b, "return"...)
+			if s.Val != nil {
+				b = AppendExpr(append(b, ' '), s.Val)
 			}
+			b = append(b, ";\n"...)
 		case *Break:
-			fmt.Fprintf(sb, "%4d  %sbreak;\n", s.Line, ind)
+			b = append(b, "break;\n"...)
 		case *ExprStmt:
-			fmt.Fprintf(sb, "%4d  %s%s;\n", s.Line, ind, FormatExpr(s.X))
+			b = append(AppendExpr(b, s.X), ";\n"...)
 		}
 	}
+	return b
 }
 
 // FormatLValue renders an LValue in pseudo-C.
 func FormatLValue(lv LValue) string {
-	switch lv := lv.(type) {
-	case Var:
-		return lv.Name
-	case *Elem:
-		return formatElem(lv)
-	default:
-		return fmt.Sprintf("%v", lv)
-	}
+	var buf [64]byte
+	return string(appendLValue(buf[:0], lv))
 }
 
-func formatElem(e *Elem) string {
-	var sb strings.Builder
-	sb.WriteString(e.Arr)
-	for _, i := range e.Idx {
-		sb.WriteByte('[')
-		sb.WriteString(FormatExpr(i))
-		sb.WriteByte(']')
+// appendLValue appends FormatLValue(lv) to b.
+func appendLValue(b []byte, lv LValue) []byte {
+	switch lv := lv.(type) {
+	case Var:
+		return append(b, lv.Name...)
+	case *Elem:
+		return AppendExpr(b, lv)
+	default:
+		return append(b, "<nil>"...)
 	}
-	return sb.String()
 }
 
 // FormatExpr renders an expression in pseudo-C.
 func FormatExpr(x Expr) string {
+	var buf [64]byte
+	return string(AppendExpr(buf[:0], x))
+}
+
+// AppendExpr appends FormatExpr(x) to b.
+func AppendExpr(b []byte, x Expr) []byte {
 	switch x := x.(type) {
 	case Const:
-		return strconv.FormatFloat(x.V, 'g', -1, 64)
+		return strconv.AppendFloat(b, x.V, 'g', -1, 64)
 	case Var:
-		return x.Name
+		return append(b, x.Name...)
 	case *Elem:
-		return formatElem(x)
+		b = append(b, x.Arr...)
+		for _, i := range x.Idx {
+			b = append(AppendExpr(append(b, '['), i), ']')
+		}
+		return b
 	case *Bin:
-		switch x.Op {
-		case Min, Max:
-			return fmt.Sprintf("%s(%s, %s)", x.Op, FormatExpr(x.L), FormatExpr(x.R))
-		default:
-			return fmt.Sprintf("(%s %s %s)", FormatExpr(x.L), x.Op, FormatExpr(x.R))
+		if x.Op == Min || x.Op == Max {
+			b = AppendExpr(cat(b, x.Op.String(), "("), x.L)
+			b = AppendExpr(append(b, ", "...), x.R)
+		} else {
+			b = AppendExpr(append(b, '('), x.L)
+			b = AppendExpr(cat(b, " ", x.Op.String(), " "), x.R)
 		}
+		return append(b, ')')
 	case *Un:
-		switch x.Op {
-		case Neg, Not:
-			return fmt.Sprintf("%s%s", x.Op, FormatExpr(x.X))
-		default:
-			return fmt.Sprintf("%s(%s)", x.Op, FormatExpr(x.X))
+		if x.Op == Neg || x.Op == Not {
+			return AppendExpr(append(b, x.Op.String()...), x.X)
 		}
+		return append(AppendExpr(cat(b, x.Op.String(), "("), x.X), ')')
 	case *Call:
-		args := make([]string, len(x.Args))
+		b = cat(b, x.Fn, "(")
 		for i, a := range x.Args {
-			args[i] = FormatExpr(a)
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = AppendExpr(b, a)
 		}
-		return fmt.Sprintf("%s(%s)", x.Fn, strings.Join(args, ", "))
-	case nil:
-		return "<nil>"
+		return append(b, ')')
 	default:
-		return fmt.Sprintf("%v", x)
+		return append(b, "<nil>"...)
 	}
 }

@@ -1,29 +1,33 @@
 package ir
 
-import "fmt"
-
 // Summary renders a statement as a single-line label (nested bodies elided),
 // used for CU labels and report output.
 func Summary(s Stmt) string {
+	var buf [64]byte
+	return string(appendSummary(buf[:0], s))
+}
+
+func appendSummary(b []byte, s Stmt) []byte {
 	switch s := s.(type) {
 	case *Assign:
-		return fmt.Sprintf("%s = %s", FormatLValue(s.Dst), FormatExpr(s.Src))
+		return AppendExpr(append(appendLValue(b, s.Dst), " = "...), s.Src)
 	case *For:
-		return fmt.Sprintf("for %s in [%s, %s) { … }", s.Var, FormatExpr(s.Start), FormatExpr(s.End))
+		b = AppendExpr(cat(b, "for ", s.Var, " in ["), s.Start)
+		return append(AppendExpr(append(b, ", "...), s.End), ") { … }"...)
 	case *While:
-		return fmt.Sprintf("while (%s) { … }", FormatExpr(s.Cond))
+		return append(AppendExpr(append(b, "while ("...), s.Cond), ") { … }"...)
 	case *If:
-		return fmt.Sprintf("if (%s) { … }", FormatExpr(s.Cond))
+		return append(AppendExpr(append(b, "if ("...), s.Cond), ") { … }"...)
 	case *Return:
 		if s.Val == nil {
-			return "return"
+			return append(b, "return"...)
 		}
-		return fmt.Sprintf("return %s", FormatExpr(s.Val))
+		return AppendExpr(append(b, "return "...), s.Val)
 	case *Break:
-		return "break"
+		return append(b, "break"...)
 	case *ExprStmt:
-		return FormatExpr(s.X)
+		return AppendExpr(b, s.X)
 	default:
-		return fmt.Sprintf("%T", s)
+		return append(b, "<nil>"...)
 	}
 }

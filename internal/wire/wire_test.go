@@ -217,6 +217,9 @@ func checkParity(t *testing.T, data []byte) bool {
 	if w, g := core.ProgramFingerprint(wp), core.ProgramFingerprint(gp); w != g {
 		t.Fatalf("fingerprint %s, reference %s\ninput %q", g, w, data)
 	}
+	if w, g := refProgramFingerprint(gp), core.ProgramFingerprint(gp); w != g {
+		t.Fatalf("fingerprint %s, fmt reference %s\ninput %q", g, w, data)
+	}
 	wenc, err := EncodeProgram(wp)
 	if err != nil {
 		t.Fatal(err)
@@ -456,7 +459,8 @@ func TestDecodeParity(t *testing.T) {
 
 // FuzzDecodeParity holds DecodeProgram to the reflective reference on any
 // input: both reject it, or both accept it with equal mirror structs, equal
-// fingerprints and equal re-encoded bytes.
+// fingerprints and equal re-encoded bytes. The accepted program's
+// fingerprint must also equal its fmt reference (refProgramFingerprint).
 func FuzzDecodeParity(f *testing.F) {
 	for _, tc := range paritySeeds(f) {
 		f.Add([]byte(tc.in))

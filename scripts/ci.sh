@@ -30,7 +30,8 @@
 #   - a bounded fuzz (20 s) of the hand-written wire-IR decoder against
 #     the reflective encoding/json decoder it replaced (FuzzDecodeParity in
 #     internal/wire: both reject, or both accept with equal fingerprints
-#     and re-encoded bytes);
+#     and re-encoded bytes; the accepted program's fingerprint must also
+#     equal its fmt reference, the printer ir's append printer replaced);
 #   - a build-and-smoke run of the benchmark module (bench/, its own Go
 #     module, which the root `go test ./...` never compiles: every workload
 #     once, untraced and traced);
