@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench ci perfgate serve router servesmoke corpus corpussmoke fuzz fuzz-smoke goldens goldens-update hygiene
+.PHONY: build test bench ci perfgate serve router corpus fuzz fuzz-smoke goldens goldens-update hygiene
 
 build:
 	$(GO) build ./...
@@ -26,9 +26,9 @@ perfgate:
 	sh scripts/perfgate.sh $(PERF_BASE)
 
 # serve runs the pardetectd analysis service on its default address
-# (localhost:7070); see README "The analysis service". servesmoke runs the
-# end-to-end service smoke that CI runs (including the 3-backend router
-# leg with a SIGKILL failover).
+# (localhost:7070); see README "The analysis service". Its end-to-end smoke,
+# with the 3-backend router leg and a SIGKILL failover, is TestServeSmoke:
+# `go test -run TestServeSmoke .`
 serve:
 	$(GO) run ./cmd/pardetectd
 
@@ -39,18 +39,12 @@ BACKENDS ?= http://127.0.0.1:7071,http://127.0.0.1:7072,http://127.0.0.1:7073
 router:
 	$(GO) run ./cmd/pardetectrouter -backends $(BACKENDS)
 
-servesmoke:
-	$(GO) run scripts/servesmoke.go
-
 # corpus runs corpus mode over CORPUS_DIR (see README "Corpus mode"):
 # analyse every wire-IR program under the directory, re-analysing only what
-# changed since the last run. corpussmoke is the end-to-end CI smoke.
+# changed since the last run. Its end-to-end smoke is TestCorpusSmoke.
 CORPUS_DIR ?= corpus
 corpus:
 	$(GO) run ./cmd/parcorpus -dir $(CORPUS_DIR) -store-dir $(CORPUS_DIR)/.store
-
-corpussmoke:
-	$(GO) run scripts/corpussmoke.go
 
 # hygiene runs the repo-hygiene gate CI runs first: no tracked binaries or
 # scratch benchmark artifacts.

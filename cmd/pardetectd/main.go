@@ -117,14 +117,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pardetectd: %v\n", err)
 		os.Exit(1)
 	}
+	// Catch the signals before announcing the address: whoever reads it
+	// may send SIGTERM at once, and it must drain, not kill.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	fmt.Fprintf(os.Stderr, "pardetectd: listening on http://%s/ (%d workers, queue %d)\n",
 		ln.Addr(), srv.Workers(), *queue)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "pardetectd: %v: draining\n", sig)

@@ -88,6 +88,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pardetectrouter: %v\n", err)
 		os.Exit(1)
 	}
+	// Catch the signals before announcing the address: whoever reads it
+	// may send SIGTERM at once, and it must exit cleanly, not be killed.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	fmt.Fprintf(os.Stderr, "pardetectrouter: listening on http://%s/ (%d backends, %d vnodes each)\n",
 		ln.Addr(), len(urls), rt.Ring().VNodes())
 
@@ -95,8 +99,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "pardetectrouter: %v: exiting\n", sig)

@@ -11,10 +11,22 @@
 #     obs.EventTracer: an observed analysis reads its events.* counters
 #     from the phase-1 collector, so phase 1 runs one tracer either way;
 #   - go vet, go build, go test, and a shuffled test pass (-shuffle=on) to
-#     catch test-order dependencies; go test includes the golden check
-#     (TestFingerprintGolden: Tables III-V and the per-app profiler
-#     fingerprints byte-compared against testdata/goldens/ under both
-#     interpreter engines);
+#     catch test-order dependencies. go test includes, in the root package:
+#     the golden check (TestFingerprintGolden: Tables III-V and the per-app
+#     profiler fingerprints byte-compared against testdata/goldens/ under
+#     both interpreter engines); the end-to-end smokes of the binaries
+#     built from cmd/ (TestServeSmoke: pardetectd's cached and uncached
+#     requests, batch NDJSON, a hostile program refused with 400 and the
+#     daemon still healthy, backpressure, a SIGTERM drain and a warm
+#     restart, a restart after a SIGKILL that must still serve the last
+#     answered miss as a hit, plus a 3-backend pardetectrouter leg with
+#     affinity, batch fan-out and a backend SIGKILLed mid-run;
+#     TestCorpusSmoke: a 1000-program corpus through parcorpus with
+#     byte-identical cold reports across -jobs, a fresh-manifest rerun
+#     served wholly from the store, a fully skipped warm rerun and exactly
+#     one re-analysis after touching one file); and the doc check
+#     (TestDocsNameRealTools: the docs name no make target, script, cmd/
+#     binary, flag, BENCH_*.json or Options field that does not exist);
 #   - a race-detector pass over the concurrency-sensitive packages: the
 #     parallel schedulers, the telemetry observer, the analysis farm (its
 #     tests run all 19 app analyses concurrently), the fuzzer, the
@@ -35,18 +47,6 @@
 #   - a build-and-smoke run of the benchmark module (bench/, its own Go
 #     module, which the root `go test ./...` never compiles: every workload
 #     once, untraced and traced);
-#   - the pardetectd smoke (scripts/servesmoke.go: cached and uncached
-#     requests, batch NDJSON, a hostile program refused with 400 and the
-#     daemon still healthy, backpressure, /healthz, SIGTERM drain and a
-#     warm restart against the real binary, a restart after a SIGKILL that
-#     must still serve the last answered miss as a hit, plus a 3-backend
-#     pardetectrouter leg with affinity, batch fan-out and a backend
-#     SIGKILLed mid-run);
-#   - the corpus-mode smoke (scripts/corpussmoke.go: a CORPUS_N-program
-#     corpus, default 1000, through the real parcorpus binary: byte-identical
-#     cold reports across -jobs, a fresh-manifest rerun served
-#     wholly from the store, a fully skipped warm rerun and exactly one
-#     re-analysis after touching one file);
 #   - a fuzzer campaign (CAMPAIGN_N programs, default 500) whose
 #     differential, engine-parity and metamorphic oracles must all agree;
 #   - the performance gate (scripts/perfgate.sh): three alternating pairs
@@ -110,12 +110,6 @@ go test -run '^$' -fuzz '^FuzzDecodeParity$' -fuzztime 20s ./internal/wire
 
 echo "==> benchmark module smoke (cd bench && go test ./...)"
 (cd bench && go test ./...)
-
-echo "==> pardetectd service smoke (scripts/servesmoke.go)"
-go run scripts/servesmoke.go
-
-echo "==> corpus-mode smoke (scripts/corpussmoke.go, ${CORPUS_N:-1000} programs)"
-go run scripts/corpussmoke.go
 
 echo "==> fuzzer campaign (${CAMPAIGN_N:-500} programs)"
 CAMPAIGN_N="${CAMPAIGN_N:-500}" go test -run '^TestCampaign$' -count=1 -v ./internal/fuzzer/
